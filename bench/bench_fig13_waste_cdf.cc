@@ -13,7 +13,8 @@
 using namespace ihbd;
 
 int main(int argc, char** argv) {
-  const auto opt = bench::parse_args(argc, argv);
+  const auto opt =
+      bench::parse_args(argc, argv, {.replay_tiers = true});
   bench::banner("Figures 13 & 21: GPU waste ratio CDF over production trace");
 
   const auto trace = bench::make_sim_trace(opt.quick, opt.trace_model);

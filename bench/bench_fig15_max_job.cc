@@ -12,7 +12,8 @@
 using namespace ihbd;
 
 int main(int argc, char** argv) {
-  const auto opt = bench::parse_args(argc, argv);
+  const auto opt =
+      bench::parse_args(argc, argv, {.replay_tiers = true});
   bench::banner("Figure 15: maximal job scale supported by 2,880 GPUs");
 
   const auto trace = bench::make_sim_trace(opt.quick, opt.trace_model);

@@ -13,7 +13,8 @@
 using namespace ihbd;
 
 int main(int argc, char** argv) {
-  const auto opt = bench::parse_args(argc, argv);
+  const auto opt =
+      bench::parse_args(argc, argv, {.replay_tiers = true});
   bench::banner("Figures 16 & 23: job fault-waiting rate vs job scale");
 
   const auto trace = bench::make_sim_trace(opt.quick, opt.trace_model);

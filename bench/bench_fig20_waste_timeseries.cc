@@ -14,7 +14,8 @@
 using namespace ihbd;
 
 int main(int argc, char** argv) {
-  const auto opt = bench::parse_args(argc, argv);
+  const auto opt =
+      bench::parse_args(argc, argv, {.replay_tiers = true});
   bench::banner("Figure 20: waste ratio over production-trace time");
 
   const auto trace = bench::make_sim_trace(opt.quick, opt.trace_model);

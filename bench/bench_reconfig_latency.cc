@@ -57,21 +57,24 @@ void BM_FastSwitchVsCold(benchmark::State& state) {
 BENCHMARK(BM_FastSwitchVsCold)->Arg(1)->Arg(0);
 
 void BM_NodeSessionSwitch(benchmark::State& state) {
-  // A full node steering all bundles between two preloaded topologies.
+  // A full node steering all bundles between two preloaded topologies,
+  // addressed by interned SessionId as the control plane's drains do.
   ocstrx::NodeFabricManager fm(4, 4, 8);
   ocstrx::Session ring, park;
   for (std::uint32_t b = 0; b < 4; ++b) {
     ring[b] = b < 2 ? OcsPath::kExternal1 : OcsPath::kLoopback;
     park[b] = OcsPath::kLoopback;
   }
-  fm.preload_session("ring", ring);
-  fm.preload_session("park", park);
+  const ocstrx::SessionId ring_id = ocstrx::intern_session("ring");
+  const ocstrx::SessionId park_id = ocstrx::intern_session("park");
+  fm.preload_session(ring_id, ring);
+  fm.preload_session(park_id, park);
   Rng rng(1);
   double total = 0.0;
   std::int64_t n = 0;
   bool flip = false;
   for (auto _ : state) {
-    const auto latency = fm.apply_session(flip ? "ring" : "park", rng);
+    const auto latency = fm.apply_session(flip ? ring_id : park_id, rng);
     flip = !flip;
     total += *latency;
     ++n;

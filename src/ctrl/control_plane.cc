@@ -1,6 +1,7 @@
 #include "src/ctrl/control_plane.h"
 
 #include <algorithm>
+#include <memory>
 
 #include "src/common/contracts.h"
 #include "src/common/error.h"
@@ -121,6 +122,8 @@ ControlPlane::ControlPlane(const ControlPlaneConfig& cfg,
                          0},
            cfg.n_constraints < 0 ? orch_.max_constraints() : cfg.n_constraints,
            std::vector<bool>(static_cast<std::size_t>(cfg.node_count), false)),
+      hbd_session_(ocstrx::intern_session(kHbdSession)),
+      park_session_(ocstrx::intern_session(kParkSession)),
       rng_(cfg.seed) {
   if (trace.node_count() != cfg.node_count)
     throw ConfigError("trace/control-plane node count mismatch");
@@ -147,14 +150,18 @@ ControlPlane::ControlPlane(const ControlPlaneConfig& cfg,
                                              : ocstrx::OcsPath::kExternal2;
     park[static_cast<std::uint32_t>(b)] = ocstrx::OcsPath::kLoopback;
   }
+  const auto trx_model =
+      std::make_shared<const ocstrx::TrxModel>(ocstrx::TrxConfig{});
   fleet_.reserve(static_cast<std::size_t>(cfg.node_count));
   for (int n = 0; n < cfg.node_count; ++n) {
     fleet_.emplace_back(cfg.gpus_per_node, cfg.bundles_per_node,
-                        cfg.trx_per_bundle);
-    fleet_.back().preload_session(kHbdSession, hbd);
-    fleet_.back().preload_session(kParkSession, park);
+                        cfg.trx_per_bundle, trx_model);
+    fleet_.back().preload_session(hbd_session_, hbd);
+    fleet_.back().preload_session(park_session_, park);
   }
   queue_ = ocstrx::ReconfigQueue(cfg.reconfig_batch, cfg.retry, cfg.inject);
+  owner_of_first_.assign(static_cast<std::size_t>(cfg.node_count), -1);
+  waiter_of_node_.assign(static_cast<std::size_t>(cfg.node_count), -1);
 
   // Seed the free pool from the healthy placement, in placement order
   // (aligned groups first — jobs consume alignment-preserving capacity
@@ -170,9 +177,10 @@ ControlPlane::ControlPlane(const ControlPlaneConfig& cfg,
   }
 }
 
-void ControlPlane::add_free_group(const std::vector<int>& nodes) {
-  free_list_.push_back(nodes);
-  free_by_first_.emplace(nodes.front(), std::prev(free_list_.end()));
+void ControlPlane::add_free_group(std::vector<int> nodes) {
+  const int first = nodes.front();
+  free_list_.push_back(std::move(nodes));
+  free_by_first_.emplace(first, std::prev(free_list_.end()));
 }
 
 bool ControlPlane::take_free_group(std::vector<int>& out) {
@@ -197,11 +205,11 @@ void ControlPlane::arm_drain() {
                       [this](evsim::Engine&) { on_drain(); });
 }
 
-void ControlPlane::enqueue_reconfig(int node, const std::string& session,
+void ControlPlane::enqueue_reconfig(int node, ocstrx::SessionId session,
                                     int waiter_job) {
   queue_.enqueue(node, session, engine_.now());
   if (waiter_job >= 0) {
-    waiter_of_node_[node] = waiter_job;
+    waiter_of_node_[static_cast<std::size_t>(node)] = waiter_job;
     ++jobs_[static_cast<std::size_t>(waiter_job)].outstanding_reconfigs;
   }
   result_.peak_reconfig_depth =
@@ -230,10 +238,10 @@ void ControlPlane::on_drain() {
     // job stays on its last good placement) and the coalescing key stays
     // live inside the queue.
     if (oc.will_retry) continue;
-    const auto waiter = waiter_of_node_.find(oc.request.node);
-    if (waiter != waiter_of_node_.end()) {
-      Job& job = jobs_[static_cast<std::size_t>(waiter->second)];
-      waiter_of_node_.erase(waiter);
+    int& waiter = waiter_of_node_[static_cast<std::size_t>(oc.request.node)];
+    if (waiter >= 0) {
+      Job& job = jobs_[static_cast<std::size_t>(waiter)];
+      waiter = -1;
       // Giving up on a steer does not block the job: it starts anyway,
       // marked degraded so its wait lands in the degraded SLO split.
       if (!oc.ok()) job.degraded = true;
@@ -282,7 +290,8 @@ void ControlPlane::try_admit() {
     for (std::size_t g = 0; g < needed; ++g) {
       std::vector<int> nodes;
       take_free_group(nodes);
-      owner_of_first_.emplace(nodes.front(), job.arrival.id);
+      owner_of_first_[static_cast<std::size_t>(nodes.front())] =
+          job.arrival.id;
       job.groups.push_back(std::move(nodes));
     }
     job.state = JobState::kStarting;
@@ -294,7 +303,7 @@ void ControlPlane::try_admit() {
 
 void ControlPlane::start_pending_reconfigs(Job& job) {
   for (const auto& nodes : job.groups)
-    for (int n : nodes) enqueue_reconfig(n, kHbdSession, job.arrival.id);
+    for (int n : nodes) enqueue_reconfig(n, hbd_session_, job.arrival.id);
   // Degenerate case (already-drained nodes coalesced away): start at once.
   if (job.outstanding_reconfigs == 0 && job.state == JobState::kStarting)
     begin_running(job.arrival.id);
@@ -331,18 +340,17 @@ void ControlPlane::complete(int job_id) {
 }
 
 void ControlPlane::release_groups(Job& job, bool park) {
-  for (const auto& nodes : job.groups) {
-    owner_of_first_.erase(nodes.front());
+  for (auto& nodes : job.groups) {
+    owner_of_first_[static_cast<std::size_t>(nodes.front())] = -1;
     for (int n : nodes) {
-      const auto waiter = waiter_of_node_.find(n);
-      if (waiter != waiter_of_node_.end() &&
-          waiter->second == job.arrival.id) {
-        waiter_of_node_.erase(waiter);
+      int& waiter = waiter_of_node_[static_cast<std::size_t>(n)];
+      if (waiter == job.arrival.id) {
+        waiter = -1;
         --job.outstanding_reconfigs;
       }
-      if (park) enqueue_reconfig(n, kParkSession, /*waiter_job=*/-1);
+      if (park) enqueue_reconfig(n, park_session_, /*waiter_job=*/-1);
     }
-    add_free_group(nodes);
+    add_free_group(std::move(nodes));
   }
   job.groups.clear();
   job.outstanding_reconfigs = 0;
@@ -376,20 +384,20 @@ void ControlPlane::apply_delta(const orch::PlacementDelta& delta) {
   std::vector<int> affected;
   for (const auto& g : delta.removed) {
     const int first = g.group.nodes.front();
-    const auto owner = owner_of_first_.find(first);
-    if (owner == owner_of_first_.end()) {
+    int& owner = owner_of_first_[static_cast<std::size_t>(first)];
+    if (owner < 0) {
       remove_free_group(first);
       continue;
     }
-    const int job_id = owner->second;
+    const int job_id = owner;
     Job& job = jobs_[static_cast<std::size_t>(job_id)];
-    owner_of_first_.erase(owner);
+    owner = -1;
     for (auto it = job.groups.begin(); it != job.groups.end(); ++it) {
       if (*it != g.group.nodes) continue;
       for (int n : *it) {
-        const auto waiter = waiter_of_node_.find(n);
-        if (waiter != waiter_of_node_.end() && waiter->second == job_id) {
-          waiter_of_node_.erase(waiter);
+        int& waiter = waiter_of_node_[static_cast<std::size_t>(n)];
+        if (waiter == job_id) {
+          waiter = -1;
           --job.outstanding_reconfigs;
         }
       }
@@ -414,13 +422,13 @@ void ControlPlane::apply_delta(const orch::PlacementDelta& delta) {
         whole = false;
         break;
       }
-      owner_of_first_.emplace(nodes.front(), job_id);
+      owner_of_first_[static_cast<std::size_t>(nodes.front())] = job_id;
       // Replacement nodes must be steered before they carry traffic: a
       // starting job adds them to its wait set; a running job keeps
       // running on the rest while the new group steers in the background.
       const int waiter =
           job.state == JobState::kStarting ? job_id : -1;
-      for (int n : nodes) enqueue_reconfig(n, kHbdSession, waiter);
+      for (int n : nodes) enqueue_reconfig(n, hbd_session_, waiter);
       job.groups.push_back(std::move(nodes));
     }
     if (!whole) preempt(job_id);

@@ -39,7 +39,6 @@
 #include <functional>
 #include <list>
 #include <optional>
-#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -183,11 +182,11 @@ class ControlPlane {
   void preempt(int job_id);
   void release_groups(Job& job, bool park);
   void apply_delta(const orch::PlacementDelta& delta);
-  void add_free_group(const std::vector<int>& nodes);
+  void add_free_group(std::vector<int> nodes);
   bool take_free_group(std::vector<int>& out);
   void remove_free_group(int first_node);
   void arm_drain();
-  void enqueue_reconfig(int node, const std::string& session, int waiter_job);
+  void enqueue_reconfig(int node, ocstrx::SessionId session, int waiter_job);
 
   ControlPlaneConfig cfg_;
   const fault::FaultTrace& trace_;
@@ -198,6 +197,8 @@ class ControlPlane {
   orch::IncrementalPlacement inc_;
   std::vector<ocstrx::NodeFabricManager> fleet_;
   ocstrx::ReconfigQueue queue_;
+  ocstrx::SessionId hbd_session_;   ///< steer a node into its job's HBD
+  ocstrx::SessionId park_session_;  ///< idle loopback park
   evsim::Engine engine_;
   Rng rng_;
 
@@ -212,8 +213,8 @@ class ControlPlane {
   std::unordered_map<int, std::list<std::vector<int>>::iterator>
       free_by_first_;
 
-  std::unordered_map<int, int> owner_of_first_;  ///< group first node -> job
-  std::unordered_map<int, int> waiter_of_node_;  ///< node -> starting job
+  std::vector<int> owner_of_first_;  ///< group first node -> job, -1 none
+  std::vector<int> waiter_of_node_;  ///< node -> starting job, -1 none
   std::vector<int> fault_depth_;  ///< active fault intervals per node
 
   bool drain_armed_ = false;

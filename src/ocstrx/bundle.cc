@@ -8,15 +8,20 @@
 namespace ihbd::ocstrx {
 
 Bundle::Bundle(std::uint32_t id, int gpu_upper, int gpu_lower, int trx_count,
-               const TrxConfig& trx_config)
+               std::shared_ptr<const TrxModel> trx_model)
     : id_(id), gpu_upper_(gpu_upper), gpu_lower_(gpu_lower) {
   IHBD_EXPECTS(trx_count > 0);
   IHBD_EXPECTS(gpu_upper >= 0 && gpu_lower >= 0 && gpu_upper != gpu_lower);
   trxs_.reserve(static_cast<std::size_t>(trx_count));
   for (int i = 0; i < trx_count; ++i) {
-    trxs_.emplace_back(static_cast<std::uint32_t>(id * 64 + i), trx_config);
+    trxs_.emplace_back(static_cast<std::uint32_t>(id * 64 + i), trx_model);
   }
 }
+
+Bundle::Bundle(std::uint32_t id, int gpu_upper, int gpu_lower, int trx_count,
+               const TrxConfig& trx_config)
+    : Bundle(id, gpu_upper, gpu_lower, trx_count,
+             std::make_shared<const TrxModel>(trx_config)) {}
 
 double Bundle::total_line_rate_gbps() const {
   double total = 0.0;
@@ -57,19 +62,20 @@ bool Bundle::steer_async(evsim::Engine& engine, OcsPath path, Rng& rng,
   return true;
 }
 
-bool Bundle::healthy() const {
-  return std::all_of(trxs_.begin(), trxs_.end(),
-                     [](const Transceiver& t) { return t.healthy(); });
-}
-
 void Bundle::fail() {
   for (auto& t : trxs_) t.fail();
+  failed_ = trx_count();
 }
 
 void Bundle::repair() {
   for (auto& t : trxs_) t.repair();
+  failed_ = 0;
 }
 
-void Bundle::fail_one(int index) { trxs_.at(index).fail(); }
+void Bundle::fail_one(int index) {
+  Transceiver& t = trxs_.at(index);
+  if (t.healthy()) ++failed_;
+  t.fail();
+}
 
 }  // namespace ihbd::ocstrx

@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "src/common/rng.h"
@@ -20,7 +21,10 @@ namespace ihbd::ocstrx {
 class Bundle {
  public:
   /// `id` is unique within the node; `gpu_upper`/`gpu_lower` are the node-
-  /// local GPU indices wired to the upper/lower half lanes.
+  /// local GPU indices wired to the upper/lower half lanes. Every member
+  /// shares `trx_model`.
+  Bundle(std::uint32_t id, int gpu_upper, int gpu_lower, int trx_count,
+         std::shared_ptr<const TrxModel> trx_model);
   Bundle(std::uint32_t id, int gpu_upper, int gpu_lower, int trx_count,
          const TrxConfig& trx_config = {});
 
@@ -48,8 +52,9 @@ class Bundle {
   bool steer_async(evsim::Engine& engine, OcsPath path, Rng& rng,
                    bool preloaded, std::function<void()> done = {});
 
-  /// True iff every member transceiver is healthy.
-  bool healthy() const;
+  /// True iff every member transceiver is healthy. O(1): members fail and
+  /// recover only through fail / repair / fail_one, which keep the count.
+  bool healthy() const { return failed_ == 0; }
   /// Fail / repair the whole bundle (transceiver-level failures manifest
   /// as regular module failures).
   void fail();
@@ -58,12 +63,12 @@ class Bundle {
   void fail_one(int index);
 
   const Transceiver& trx(int index) const { return trxs_.at(index); }
-  Transceiver& trx(int index) { return trxs_.at(index); }
 
  private:
   std::uint32_t id_;
   int gpu_upper_;
   int gpu_lower_;
+  int failed_ = 0;  ///< members in TrxState::kFailed
   std::vector<Transceiver> trxs_;
 };
 

@@ -12,27 +12,30 @@ double RetryPolicy::backoff_for(int failed_attempts) const {
   return std::min(b, max_backoff);
 }
 
-bool ReconfigQueue::enqueue(int node, const std::string& session, double now) {
-  const auto it = by_node_.find(node);
-  if (it != by_node_.end()) {
+ReconfigQueue::Slot& ReconfigQueue::slot(int node) {
+  if (node < 0 || node >= kDenseNodes) return strays_[node];
+  const auto i = static_cast<std::size_t>(node);
+  if (i >= slots_.size()) slots_.resize(i + 1);
+  return slots_[i];
+}
+
+bool ReconfigQueue::enqueue(int node, SessionId session, double now) {
+  Slot& s = slot(node);
+  if (s.where != Slot::Where::kNone) {
     // Coalesce: retarget the queued request, keep its position and its
     // original enqueue time (the oldest waiter defines the wait). A
     // backing-off request also gets a fresh attempt budget — the intent is
     // new even though the node's backoff slot is not.
-    it->second.it->session = session;
-    if (it->second.in_retry) it->second.it->attempts = 0;
+    s.request.session = session;
+    if (s.where == Slot::Where::kRetry) s.request.attempts = 0;
     ++coalesced_;
     return false;
   }
-  ready_.push_back(ReconfigRequest{node, session, now, 0, now});
-  by_node_.emplace(node, Slot{false, std::prev(ready_.end())});
+  s.where = Slot::Where::kReady;
+  s.request = ReconfigRequest{node, session, now, 0, now};
+  ready_.push_back(node);
   ++enqueued_;
   return true;
-}
-
-std::optional<double> ReconfigQueue::next_retry_at() const {
-  if (retry_.empty()) return std::nullopt;
-  return retry_.front().not_before;
 }
 
 std::vector<ReconfigOutcome> ReconfigQueue::drain_batch(
@@ -41,63 +44,61 @@ std::vector<ReconfigOutcome> ReconfigQueue::drain_batch(
   // cut, so a recovered request competes fairly with fresh arrivals.
   while (!retry_.empty() && retry_.front().not_before <= now) {
     const int node = retry_.front().node;
-    ready_.splice(ready_.end(), retry_, retry_.begin());
-    by_node_[node] = Slot{false, std::prev(ready_.end())};
+    retry_.pop_front();
+    slot(node).where = Slot::Where::kReady;
+    ready_.push_back(node);
   }
 
   std::vector<ReconfigOutcome> out;
+  out.reserve(std::min(max_batch_, ready_.size()));
   while (!ready_.empty() && out.size() < max_batch_) {
-    ReconfigOutcome oc;
-    oc.request = std::move(ready_.front());
-    oc.drained_at = now;
-    by_node_.erase(oc.request.node);
+    const int node = ready_.front();
     ready_.pop_front();
+    Slot& s = slot(node);
+    s.where = Slot::Where::kNone;
+    ReconfigOutcome& oc = out.emplace_back();
+    oc.request = s.request;
+    oc.drained_at = now;
     ++oc.request.attempts;
 
-    const bool in_range = oc.request.node >= 0 &&
-                          oc.request.node < static_cast<int>(fleet.size());
-    auto* fm = in_range
-                   ? &fleet[static_cast<std::size_t>(oc.request.node)]
-                   : nullptr;
+    const bool in_range = node >= 0 && node < static_cast<int>(fleet.size());
+    auto* fm = in_range ? &fleet[static_cast<std::size_t>(node)] : nullptr;
     if (fm == nullptr || !fm->has_session(oc.request.session)) {
       // A malformed request stays malformed: fail it permanently instead
       // of burning the retry budget.
       oc.permanent = true;
       ++failed_;
       ++drained_;
-    } else {
-      if (inject_.should_fail(oc.request.node, inject_seq_++)) {
-        oc.injected = true;
-        ++injected_;
-      } else {
-        oc.switch_latency_s = fm->apply_session(oc.request.session, rng);
-      }
-      if (oc.ok()) {
-        ++drained_;
-      } else {
-        ++failed_;
-        if (oc.request.attempts >= policy_.max_attempts) {
-          oc.dead_lettered = true;
-          dead_.push_back(oc.request);
-          ++dead_lettered_;
-          ++drained_;
-        } else {
-          oc.will_retry = true;
-          ReconfigRequest again = oc.request;
-          again.not_before = now + policy_.backoff_for(again.attempts);
-          // Stable insert by deadline: behind every request due no later.
-          auto pos = retry_.end();
-          while (pos != retry_.begin() &&
-                 std::prev(pos)->not_before > again.not_before) {
-            --pos;
-          }
-          const auto ins = retry_.insert(pos, std::move(again));
-          by_node_[oc.request.node] = Slot{true, ins};
-          ++retried_;
-        }
-      }
+      continue;
     }
-    out.push_back(std::move(oc));
+    if (inject_.should_fail(node, inject_seq_++)) {
+      oc.injected = true;
+      ++injected_;
+    } else {
+      oc.switch_latency_s = fm->apply_session(oc.request.session, rng);
+    }
+    if (oc.ok()) {
+      ++drained_;
+      continue;
+    }
+    ++failed_;
+    if (oc.request.attempts >= policy_.max_attempts) {
+      oc.dead_lettered = true;
+      dead_.push_back(oc.request);
+      ++dead_lettered_;
+      ++drained_;
+      continue;
+    }
+    oc.will_retry = true;
+    s.where = Slot::Where::kRetry;
+    s.request = oc.request;
+    s.request.not_before = now + policy_.backoff_for(oc.request.attempts);
+    // Stable insert by deadline: behind every request due no later.
+    const auto pos = std::upper_bound(
+        retry_.begin(), retry_.end(), s.request.not_before,
+        [](double t, const Backoff& b) { return t < b.not_before; });
+    retry_.insert(pos, Backoff{s.request.not_before, node});
+    ++retried_;
   }
   return out;
 }

@@ -26,15 +26,17 @@
 //     they resolve (as failed) on the first attempt.
 //
 // The queue itself is pure bookkeeping (deterministic, no engine or obs
-// dependency); src/ctrl owns the drain cadence and the metrics.
+// dependency); src/ctrl owns the drain cadence and the metrics. Requests
+// live in per-node slots and the ready/backoff lists hold node ids, so
+// queueing and draining a request allocates nothing.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <list>
+#include <deque>
+#include <map>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "src/common/rng.h"
@@ -46,7 +48,7 @@ namespace ihbd::ocstrx {
 /// One queued "apply session on node" request.
 struct ReconfigRequest {
   int node = 0;
-  std::string session;
+  SessionId session;
   double enqueued_at = 0.0;  ///< caller's clock (the ctrl plane uses days)
   int attempts = 0;          ///< apply attempts consumed (incl. current)
   double not_before = 0.0;   ///< earliest next attempt (retry backoff)
@@ -95,7 +97,11 @@ class ReconfigQueue {
 
   /// Queue (or coalesce) a request for `node`. Returns true when a new
   /// entry was created, false when an in-queue request was coalesced.
-  bool enqueue(int node, const std::string& session, double now);
+  bool enqueue(int node, SessionId session, double now);
+  /// Name-keyed form: resolve the name (intern_session) and forward.
+  bool enqueue(int node, const std::string& session, double now) {
+    return enqueue(node, intern_session(session), now);
+  }
 
   /// Requests not yet resolved: ready to drain plus backing off.
   std::size_t pending() const { return ready_.size() + retry_.size(); }
@@ -106,7 +112,10 @@ class ReconfigQueue {
   const RetryPolicy& policy() const { return policy_; }
 
   /// Earliest backoff deadline among backing-off requests.
-  std::optional<double> next_retry_at() const;
+  std::optional<double> next_retry_at() const {
+    if (retry_.empty()) return std::nullopt;
+    return retry_.front().not_before;
+  }
 
   /// Lifetime counters (monotonic). `drained` counts RESOLVED requests
   /// (success, permanent failure, dead-letter); `failed` counts failed
@@ -131,18 +140,32 @@ class ReconfigQueue {
                                            double now, Rng& rng);
 
  private:
-  /// Where a node's queued request lives (a node has at most one).
+  /// A node's queued request (a node has at most one) and which list holds
+  /// the node.
   struct Slot {
-    bool in_retry = false;
-    std::list<ReconfigRequest>::iterator it;
+    enum class Where : std::uint8_t { kNone, kReady, kRetry };
+    Where where = Where::kNone;
+    ReconfigRequest request;
   };
+  /// A backing-off node with its deadline (= its request's not_before).
+  struct Backoff {
+    double not_before;
+    int node;
+  };
+
+  /// Node ids in [0, kDenseNodes) get a dense slot; any other id (negative,
+  /// or beyond every fleet this models) goes to `strays_`. Either way the
+  /// request resolves as permanent at drain if no fleet node has that id.
+  static constexpr int kDenseNodes = 1 << 20;
+  Slot& slot(int node);
 
   std::size_t max_batch_;
   RetryPolicy policy_;
   fault::InjectionPlan inject_;
-  std::list<ReconfigRequest> ready_;  ///< FIFO, due now
-  std::list<ReconfigRequest> retry_;  ///< sorted by not_before (stable)
-  std::unordered_map<int, Slot> by_node_;
+  std::deque<int> ready_;       ///< FIFO of nodes, due now
+  std::deque<Backoff> retry_;   ///< sorted by not_before (stable)
+  std::vector<Slot> slots_;     ///< by node id, grown on demand
+  std::map<int, Slot> strays_;
   std::vector<ReconfigRequest> dead_;
   std::uint64_t inject_seq_ = 0;  ///< per-attempt injection sequence
   std::uint64_t enqueued_ = 0;

@@ -4,21 +4,29 @@
 
 namespace ihbd::ocstrx {
 
+TrxModel::TrxModel(const TrxConfig& c) : config(c), matrix(c.matrix) {
+  IHBD_EXPECTS(c.line_rate_gbps > 0.0);
+  IHBD_EXPECTS(c.serdes_pairs > 0);
+}
+
 Transceiver::Transceiver(std::uint32_t id, const TrxConfig& config)
-    : id_(id), config_(config), matrix_(config.matrix) {
-  IHBD_EXPECTS(config.line_rate_gbps > 0.0);
-  IHBD_EXPECTS(config.serdes_pairs > 0);
+    : Transceiver(id, std::make_shared<const TrxModel>(config)) {}
+
+Transceiver::Transceiver(std::uint32_t id,
+                         std::shared_ptr<const TrxModel> model)
+    : model_(std::move(model)), id_(id) {
+  IHBD_EXPECTS(model_ != nullptr);
 }
 
 double Transceiver::bandwidth_gbps(OcsPath path) const {
   if (state_ == TrxState::kActive && active_ && *active_ == path)
-    return config_.line_rate_gbps;
+    return model_->config.line_rate_gbps;
   return 0.0;
 }
 
 double Transceiver::switch_latency_s(Rng& rng, bool preloaded) const {
-  double latency = matrix_.sample_reconfig_latency_s(rng);
-  if (!preloaded) latency += config_.control_plane_latency_s;
+  double latency = model_->matrix.sample_reconfig_latency_s(rng);
+  if (!preloaded) latency += model_->config.control_plane_latency_s;
   return latency;
 }
 

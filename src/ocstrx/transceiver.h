@@ -11,8 +11,8 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <optional>
-#include <string>
 
 #include "src/common/rng.h"
 #include "src/evsim/engine.h"
@@ -44,15 +44,26 @@ struct TrxConfig {
   double control_plane_latency_s = 500e-6;
 };
 
+/// The immutable physics of a module type: its config plus the switch
+/// matrix built from it. Transceivers hold it by shared pointer, so a bundle
+/// (or a whole fleet) carries one copy instead of one per module.
+struct TrxModel {
+  explicit TrxModel(const TrxConfig& config);
+
+  TrxConfig config;
+  phy::OcsSwitchMatrix matrix;
+};
+
 /// One OCS transceiver. Reconfiguration is modelled on the discrete-event
 /// engine; a synchronous helper is provided for analytic callers.
 class Transceiver {
  public:
   Transceiver(std::uint32_t id, const TrxConfig& config = {});
+  Transceiver(std::uint32_t id, std::shared_ptr<const TrxModel> model);
 
   std::uint32_t id() const { return id_; }
   TrxState state() const { return state_; }
-  const TrxConfig& config() const { return config_; }
+  const TrxConfig& config() const { return model_->config; }
 
   /// Currently active path (empty unless state()==kActive).
   std::optional<OcsPath> active_path() const { return active_; }
@@ -88,14 +99,13 @@ class Transceiver {
   std::uint64_t reconfig_count() const { return reconfig_count_; }
 
   /// Physics access (loss / power / BER live in phy).
-  const phy::OcsSwitchMatrix& matrix() const { return matrix_; }
+  const phy::OcsSwitchMatrix& matrix() const { return model_->matrix; }
 
  private:
   double switch_latency_s(Rng& rng, bool preloaded) const;
 
+  std::shared_ptr<const TrxModel> model_;
   std::uint32_t id_;
-  TrxConfig config_;
-  phy::OcsSwitchMatrix matrix_;
   TrxState state_ = TrxState::kIdle;
   std::optional<OcsPath> active_;
   std::uint64_t reconfig_count_ = 0;

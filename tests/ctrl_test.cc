@@ -9,6 +9,8 @@
 #include "src/ctrl/control_plane.h"
 #include "src/ctrl/slo.h"
 #include "src/ctrl/workload.h"
+#include "src/fault/generator.h"
+#include "src/fault/physics_generator.h"
 #include "src/fault/trace.h"
 
 namespace ihbd::ctrl {
@@ -298,6 +300,67 @@ TEST(ControlPlane, MergeAndSerdeRoundTrip) {
   const auto back = ControlPlaneResult::load(r);
   r.expect_done("ctrl result");
   EXPECT_EQ(result_bytes(back), bytes);
+}
+
+// --- golden result bytes ----------------------------------------------------
+
+/// FNV-1a 64 over the serialized result: one number that pins every counter
+/// and every SLO histogram bucket of a run.
+std::uint64_t result_digest(const ControlPlaneResult& r) {
+  std::uint64_t h = 14695981039346656037ull;
+  for (const char c : result_bytes(r)) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+/// 512 nodes x 4 days at 75% offered load on a generated fault trace.
+std::uint64_t golden_digest(fault::TraceModel model, double inject_rate) {
+  constexpr int kNodes = 512;
+  constexpr double kDays = 4.0;
+  ControlPlaneConfig cfg;
+  cfg.node_count = kNodes;
+  cfg.nodes_per_tor = 4;
+  cfg.tors_per_domain = 32;
+  cfg.seed = 11;
+  cfg.inject.session_failure_rate = inject_rate;
+  cfg.inject.seed = 13;
+
+  fault::FaultTrace trace = [&] {
+    if (model == fault::TraceModel::kPoisson) {
+      fault::TraceGenConfig tg;
+      tg.node_count = kNodes;
+      tg.duration_days = kDays;
+      tg.seed = 7;
+      return fault::generate_trace(tg);
+    }
+    fault::PhysicsTraceConfig pc = fault::storm_trace_defaults();
+    pc.node_count = kNodes;
+    pc.duration_days = kDays;
+    pc.seed = 7;
+    return fault::generate_physics_trace(pc);
+  }();
+
+  WorkloadConfig wl;
+  wl.duration_days = kDays;
+  wl.tp_size_gpus = 32;  // m = 8 nodes per group -> 64 groups
+  wl.arrival_rate_per_day =
+      0.75 * (kNodes / 8.0) /
+      (wl.mean_run_days * 0.5 * (wl.min_groups + wl.max_groups));
+  Rng rng(5);
+  return result_digest(
+      run_control_plane(cfg, trace, generate_workload(wl, rng)));
+}
+
+TEST(ControlPlane, GoldenResultBytes) {
+  // Pinned output of the whole daemon stack (placement repair, reconfig
+  // queue, OCS actuator RNG draws, SLO histograms). A change that moves
+  // these digests changes simulated results and must say so.
+  EXPECT_EQ(golden_digest(fault::TraceModel::kPoisson, 0.0),
+            0xff64f18daf7d69deull);
+  EXPECT_EQ(golden_digest(fault::TraceModel::kStorm, 0.10),
+            0x9a736555d56a4dd2ull);
 }
 
 }  // namespace

@@ -127,6 +127,19 @@ TEST(Bundle, PartialFailureDegradesBandwidth) {
   EXPECT_DOUBLE_EQ(b.bandwidth_gbps(OcsPath::kExternal1), 5600.0);
 }
 
+TEST(Bundle, HealthCountsFailedMembers) {
+  Bundle b(0, 0, 1, 4);
+  b.fail_one(1);
+  b.fail_one(1);  // already failed: still one member down
+  b.fail_one(2);
+  EXPECT_FALSE(b.healthy());
+  b.fail();
+  EXPECT_FALSE(b.healthy());
+  b.repair();
+  EXPECT_TRUE(b.healthy());
+  for (int i = 0; i < b.trx_count(); ++i) EXPECT_TRUE(b.trx(i).healthy());
+}
+
 TEST(Bundle, SteerFailsWhenMemberFailed) {
   Bundle b(0, 0, 1, 4);
   Rng rng(1);
@@ -173,7 +186,48 @@ TEST(FabricManager, SessionPreloadAndApply) {
 TEST(FabricManager, UnknownSessionFails) {
   NodeFabricManager fm(4, 4, 1);
   Rng rng(1);
+  EXPECT_FALSE(fm.has_session("nope"));
   EXPECT_FALSE(fm.apply_session("nope", rng).has_value());
+}
+
+TEST(FabricManager, RejectsSessionNamingMissingBundle) {
+  // A session naming bundle 4 on a 4-bundle node could never apply; it is
+  // refused at preload rather than failing every later switch.
+  NodeFabricManager fm(4, 4, 1);
+  Session bad;
+  bad[0] = OcsPath::kExternal1;
+  bad[4] = OcsPath::kLoopback;
+  try {
+    fm.preload_session("bad", bad);
+    FAIL() << "expected ConfigError";
+  } catch (const ConfigError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("bundle 4"), std::string::npos) << what;
+    EXPECT_NE(what.find("has 4 bundles"), std::string::npos) << what;
+  }
+  EXPECT_FALSE(fm.has_session("bad"));
+}
+
+TEST(SessionId, InterningIsStableAndNameKeyedFormsForward) {
+  const SessionId ring = intern_session("ring");
+  EXPECT_EQ(intern_session("ring"), ring);
+  EXPECT_FALSE(intern_session("park") == ring);
+  EXPECT_EQ(session_name(ring), "ring");
+
+  // Preloading by name and by id address the same slot, and both forms
+  // draw the same switch latencies.
+  NodeFabricManager by_name(4, 2, 2), by_id(4, 2, 2);
+  Session s;
+  s[1] = OcsPath::kExternal2;
+  by_name.preload_session("ring", s);
+  by_id.preload_session(ring, s);
+  EXPECT_TRUE(by_name.has_session(ring));
+  EXPECT_TRUE(by_id.has_session("ring"));
+  Rng a(9), b(9);
+  EXPECT_EQ(by_name.apply_session("ring", a), by_id.apply_session(ring, b));
+  EXPECT_DOUBLE_EQ(by_id.bundle(1).bandwidth_gbps(OcsPath::kExternal2),
+                   2 * 800.0);
+  EXPECT_DOUBLE_EQ(by_id.bundle(0).bandwidth_gbps(OcsPath::kExternal2), 0.0);
 }
 
 TEST(FabricManager, AdhocPaysControlPlane) {
@@ -261,7 +315,7 @@ TEST(ReconfigQueue, CoalescesPerNodeKeepingOldestWait) {
   const auto out = q.drain_batch(fleet, 5.0, rng);
   ASSERT_EQ(out.size(), 2u);
   EXPECT_EQ(out[0].request.node, 2);
-  EXPECT_EQ(out[0].request.session, "park");
+  EXPECT_EQ(session_name(out[0].request.session), "park");
   EXPECT_DOUBLE_EQ(out[0].request.enqueued_at, 1.0);
   // Once drained, the node can be queued afresh.
   EXPECT_TRUE(q.enqueue(2, "ring", 6.0));
@@ -300,6 +354,28 @@ TEST(ReconfigQueue, ReportsFailuresWithoutStalling) {
   EXPECT_EQ(again[0].request.attempts, 2);
   EXPECT_TRUE(q.empty());
   EXPECT_EQ(q.drained(), 4u);
+}
+
+TEST(ReconfigQueue, NegativeAndFarNodesCoalesceAndResolvePermanent) {
+  auto fleet = test_fleet(2);
+  ReconfigQueue q;
+  Rng rng(1);
+  EXPECT_TRUE(q.enqueue(-3, "ring", 0.0));
+  EXPECT_FALSE(q.enqueue(-3, "park", 0.5));  // same node: coalesced
+  EXPECT_TRUE(q.enqueue(1, "ring", 1.0));
+  EXPECT_TRUE(q.enqueue(1 << 30, "ring", 2.0));
+  const auto out = q.drain_batch(fleet, 3.0, rng);
+  ASSERT_EQ(out.size(), 3u);
+  EXPECT_EQ(out[0].request.node, -3);
+  EXPECT_EQ(session_name(out[0].request.session), "park");
+  EXPECT_TRUE(out[0].permanent);
+  EXPECT_TRUE(out[1].ok());
+  EXPECT_EQ(out[2].request.node, 1 << 30);
+  EXPECT_TRUE(out[2].permanent);
+  EXPECT_TRUE(q.empty());
+  EXPECT_EQ(q.drained(), 3u);
+  // Resolved strays free their coalescing key like any other node.
+  EXPECT_TRUE(q.enqueue(-3, "ring", 4.0));
 }
 
 TEST(ReconfigQueue, BackoffScheduleIsCappedExponential) {
@@ -368,7 +444,7 @@ TEST(ReconfigQueue, DeadLettersAfterMaxAttempts) {
   EXPECT_EQ(q.failed(), 3u);
   ASSERT_EQ(q.dead_letters().size(), 1u);
   EXPECT_EQ(q.dead_letters()[0].node, 1);
-  EXPECT_EQ(q.dead_letters()[0].session, "ring");
+  EXPECT_EQ(session_name(q.dead_letters()[0].session), "ring");
   EXPECT_EQ(q.dead_letters()[0].attempts, 3);
   // The dead letter freed the coalescing key: the node can re-enqueue.
   EXPECT_TRUE(q.enqueue(1, "park", now));
@@ -443,7 +519,7 @@ TEST(ReconfigQueue, CoalescingOntoBackoffKeepsSlotButResetsBudget) {
   out = q.drain_batch(fleet, deadline, rng);
   ASSERT_EQ(out.size(), 1u);
   EXPECT_TRUE(out[0].ok());
-  EXPECT_EQ(out[0].request.session, "park");
+  EXPECT_EQ(session_name(out[0].request.session), "park");
   EXPECT_DOUBLE_EQ(out[0].request.enqueued_at, 0.0);
   EXPECT_EQ(out[0].request.attempts, 1);  // budget was reset on coalesce
 }
