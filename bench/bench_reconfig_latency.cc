@@ -9,9 +9,12 @@
 #include "bench/microbench.h"
 #endif
 
+#include <memory>
+
 #include "src/common/rng.h"
 #include "src/evsim/engine.h"
 #include "src/ocstrx/fabric_manager.h"
+#include "src/ocstrx/fleet.h"
 #include "src/ocstrx/transceiver.h"
 
 using namespace ihbd;
@@ -82,6 +85,35 @@ void BM_NodeSessionSwitch(benchmark::State& state) {
   state.counters["sim_latency_us"] = benchmark::Counter(total / n * 1e6);
 }
 BENCHMARK(BM_NodeSessionSwitch);
+
+void BM_FleetSessionSwitch(benchmark::State& state) {
+  // BM_NodeSessionSwitch on the control plane's flat actuator state
+  // (ocstrx::Fleet): same node shape, sessions and switch sequence.
+  ocstrx::Fleet fleet(1, 4, 4, 8,
+                      std::make_shared<const ocstrx::TrxModel>(
+                          ocstrx::TrxConfig{}));
+  ocstrx::Session ring, park;
+  for (std::uint32_t b = 0; b < 4; ++b) {
+    ring[b] = b < 2 ? OcsPath::kExternal1 : OcsPath::kLoopback;
+    park[b] = OcsPath::kLoopback;
+  }
+  const ocstrx::SessionId ring_id = ocstrx::intern_session("ring");
+  const ocstrx::SessionId park_id = ocstrx::intern_session("park");
+  fleet.preload_session(ring_id, ring);
+  fleet.preload_session(park_id, park);
+  Rng rng(1);
+  double total = 0.0;
+  std::int64_t n = 0;
+  bool flip = false;
+  for (auto _ : state) {
+    const auto latency = fleet.apply_session(0, flip ? ring_id : park_id, rng);
+    flip = !flip;
+    total += *latency;
+    ++n;
+  }
+  state.counters["sim_latency_us"] = benchmark::Counter(total / n * 1e6);
+}
+BENCHMARK(BM_FleetSessionSwitch);
 
 void BM_EventDrivenBundleSteer(benchmark::State& state) {
   Rng rng(1);

@@ -1,7 +1,9 @@
 #include "src/ctrl/control_plane.h"
 
 #include <algorithm>
+#include <cmath>
 #include <memory>
+#include <string>
 
 #include "src/common/contracts.h"
 #include "src/common/error.h"
@@ -21,6 +23,28 @@ dcn::FatTree make_tree(const ControlPlaneConfig& cfg) {
   tree.nodes_per_tor = cfg.nodes_per_tor;
   tree.tors_per_domain = cfg.tors_per_domain;
   return dcn::FatTree(tree);
+}
+
+/// `cfg`, once every field the plane's structures rely on has been checked.
+const ControlPlaneConfig& checked(const ControlPlaneConfig& cfg) {
+  const auto reject = [](const char* field, const char* rule) {
+    throw ConfigError(std::string("ControlPlaneConfig.") + field + " " + rule);
+  };
+  if (cfg.gpus_per_node < 2) reject("gpus_per_node", "must be >= 2");
+  if (cfg.bundles_per_node < 1 || cfg.bundles_per_node > cfg.gpus_per_node)
+    reject("bundles_per_node", "must be in [1, gpus_per_node]");
+  if (cfg.trx_per_bundle < 1 || cfg.trx_per_bundle > 255)
+    reject("trx_per_bundle", "must be in [1, 255]");
+  if (cfg.reconfig_batch == 0) reject("reconfig_batch", "must be >= 1");
+  // A zero period would re-arm the drain at the same instant forever while
+  // a request backs off.
+  if (!(cfg.drain_period_days > 0.0) || !std::isfinite(cfg.drain_period_days))
+    reject("drain_period_days", "must be finite and > 0");
+  if (!(cfg.inject.session_failure_rate >= 0.0 &&
+        cfg.inject.session_failure_rate <= 1.0))
+    reject("inject.session_failure_rate", "must be in [0, 1]");
+  if (cfg.retry.max_attempts < 1) reject("retry.max_attempts", "must be >= 1");
+  return cfg;
 }
 
 }  // namespace
@@ -112,7 +136,7 @@ ControlPlaneResult ControlPlaneResult::load(serde::Reader& r) {
 ControlPlane::ControlPlane(const ControlPlaneConfig& cfg,
                            const fault::FaultTrace& trace,
                            std::vector<JobArrival> arrivals)
-    : cfg_(cfg),
+    : cfg_(checked(cfg)),
       trace_(trace),
       arrivals_(std::move(arrivals)),
       fat_tree_(make_tree(cfg)),
@@ -122,26 +146,28 @@ ControlPlane::ControlPlane(const ControlPlaneConfig& cfg,
                          0},
            cfg.n_constraints < 0 ? orch_.max_constraints() : cfg.n_constraints,
            std::vector<bool>(static_cast<std::size_t>(cfg.node_count), false)),
+      fleet_(cfg.node_count, cfg.gpus_per_node, cfg.bundles_per_node,
+             cfg.trx_per_bundle,
+             std::make_shared<const ocstrx::TrxModel>(ocstrx::TrxConfig{})),
       hbd_session_(ocstrx::intern_session(kHbdSession)),
       park_session_(ocstrx::intern_session(kParkSession)),
       rng_(cfg.seed) {
   if (trace.node_count() != cfg.node_count)
     throw ConfigError("trace/control-plane node count mismatch");
-  if (cfg.inject.session_failure_rate < 0.0 ||
-      cfg.inject.session_failure_rate > 1.0)
-    throw ConfigError(
-        "ControlPlaneConfig.inject.session_failure_rate must be in [0, 1]");
-  if (cfg.retry.max_attempts < 1)
-    throw ConfigError("ControlPlaneConfig.retry.max_attempts must be >= 1");
-  for (const auto& a : arrivals_) {
+  for (std::size_t i = 0; i < arrivals_.size(); ++i) {
+    const JobArrival& a = arrivals_[i];
     if (a.tp_size_gpus != arrivals_[0].tp_size_gpus)
       throw ConfigError("mixed TP sizes in one control-plane fleet");
     if (a.groups < 1) throw ConfigError("job must request >= 1 TP group");
+    if (a.id != static_cast<int>(i))
+      throw ConfigError("JobArrival.id " + std::to_string(a.id) +
+                        " at index " + std::to_string(i) +
+                        ": ids must equal their index");
   }
 
-  // Per-node fabric managers with the fast-switch sessions preloaded: the
-  // HBD steering applied when a node joins a job, and the idle loopback
-  // park (§4.2) applied on release.
+  // The fast-switch sessions every node preloads: the HBD steering applied
+  // when a node joins a job, and the idle loopback park (§4.2) applied on
+  // release.
   ocstrx::Session hbd;
   ocstrx::Session park;
   for (int b = 0; b < cfg.bundles_per_node; ++b) {
@@ -150,15 +176,8 @@ ControlPlane::ControlPlane(const ControlPlaneConfig& cfg,
                                              : ocstrx::OcsPath::kExternal2;
     park[static_cast<std::uint32_t>(b)] = ocstrx::OcsPath::kLoopback;
   }
-  const auto trx_model =
-      std::make_shared<const ocstrx::TrxModel>(ocstrx::TrxConfig{});
-  fleet_.reserve(static_cast<std::size_t>(cfg.node_count));
-  for (int n = 0; n < cfg.node_count; ++n) {
-    fleet_.emplace_back(cfg.gpus_per_node, cfg.bundles_per_node,
-                        cfg.trx_per_bundle, trx_model);
-    fleet_.back().preload_session(hbd_session_, hbd);
-    fleet_.back().preload_session(park_session_, park);
-  }
+  fleet_.preload_session(hbd_session_, hbd);
+  fleet_.preload_session(park_session_, park);
   queue_ = ocstrx::ReconfigQueue(cfg.reconfig_batch, cfg.retry, cfg.inject);
   owner_of_first_.assign(static_cast<std::size_t>(cfg.node_count), -1);
   waiter_of_node_.assign(static_cast<std::size_t>(cfg.node_count), -1);
@@ -168,13 +187,9 @@ ControlPlane::ControlPlane(const ControlPlaneConfig& cfg,
   // before the shifted spill-over).
   for (const auto& g : inc_.placement().groups) add_free_group(g.group.nodes);
 
-  jobs_.reserve(arrivals_.size());
-  for (const auto& a : arrivals_) {
-    Job j;
-    j.arrival = a;
-    j.pending_since = a.day;
-    jobs_.push_back(std::move(j));
-  }
+  jobs_.resize(arrivals_.size());
+  for (std::size_t i = 0; i < arrivals_.size(); ++i)
+    jobs_[i].pending_since = arrivals_[i].day;
 }
 
 void ControlPlane::add_free_group(std::vector<int> nodes) {
@@ -240,14 +255,15 @@ void ControlPlane::on_drain() {
     if (oc.will_retry) continue;
     int& waiter = waiter_of_node_[static_cast<std::size_t>(oc.request.node)];
     if (waiter >= 0) {
-      Job& job = jobs_[static_cast<std::size_t>(waiter)];
+      const int job_id = waiter;
+      Job& job = jobs_[static_cast<std::size_t>(job_id)];
       waiter = -1;
       // Giving up on a steer does not block the job: it starts anyway,
       // marked degraded so its wait lands in the degraded SLO split.
       if (!oc.ok()) job.degraded = true;
       if (--job.outstanding_reconfigs == 0 &&
           job.state == JobState::kStarting) {
-        begin_running(job.arrival.id);
+        begin_running(job_id);
       }
     }
   }
@@ -260,7 +276,7 @@ void ControlPlane::on_arrival(std::size_t index) {
   Job& job = jobs_[index];
   job.state = JobState::kPending;
   job.pending_since = engine_.now();
-  pending_.push_back(job.arrival.id);  // arrivals come in id order
+  pending_.push_back(static_cast<int>(index));  // ids equal indices
   ++result_.arrivals;
   result_.peak_pending_jobs = std::max(
       result_.peak_pending_jobs, static_cast<std::uint64_t>(pending_.size()));
@@ -281,8 +297,10 @@ void ControlPlane::try_admit() {
        it != pending_.end() && scanned < cfg_.backfill_window &&
        !free_list_.empty();
        ++scanned) {
-    Job& job = jobs_[static_cast<std::size_t>(*it)];
-    const std::size_t needed = static_cast<std::size_t>(job.arrival.groups);
+    const int job_id = *it;
+    Job& job = jobs_[static_cast<std::size_t>(job_id)];
+    const auto needed = static_cast<std::size_t>(
+        arrivals_[static_cast<std::size_t>(job_id)].groups);
     if (free_list_.size() < needed) {
       ++it;
       continue;
@@ -290,23 +308,23 @@ void ControlPlane::try_admit() {
     for (std::size_t g = 0; g < needed; ++g) {
       std::vector<int> nodes;
       take_free_group(nodes);
-      owner_of_first_[static_cast<std::size_t>(nodes.front())] =
-          job.arrival.id;
+      owner_of_first_[static_cast<std::size_t>(nodes.front())] = job_id;
       job.groups.push_back(std::move(nodes));
     }
     job.state = JobState::kStarting;
     job.degraded = false;  // fresh start attempt, fresh SLO attribution
-    start_pending_reconfigs(job);
+    start_pending_reconfigs(job_id);
     it = pending_.erase(it);
   }
 }
 
-void ControlPlane::start_pending_reconfigs(Job& job) {
+void ControlPlane::start_pending_reconfigs(int job_id) {
+  const Job& job = jobs_[static_cast<std::size_t>(job_id)];
   for (const auto& nodes : job.groups)
-    for (int n : nodes) enqueue_reconfig(n, hbd_session_, job.arrival.id);
+    for (int n : nodes) enqueue_reconfig(n, hbd_session_, job_id);
   // Degenerate case (already-drained nodes coalesced away): start at once.
   if (job.outstanding_reconfigs == 0 && job.state == JobState::kStarting)
-    begin_running(job.arrival.id);
+    begin_running(job_id);
 }
 
 void ControlPlane::begin_running(int job_id) {
@@ -324,7 +342,8 @@ void ControlPlane::begin_running(int job_id) {
   }
   h_wait.observe(wait_s);
   job.completion = engine_.schedule_in(
-      job.arrival.run_days, [this, job_id](evsim::Engine&) {
+      arrivals_[static_cast<std::size_t>(job_id)].run_days,
+      [this, job_id](evsim::Engine&) {
         complete(job_id);
       });
 }
@@ -335,16 +354,17 @@ void ControlPlane::complete(int job_id) {
   job.completion = 0;
   --running_count_;
   ++result_.completions;
-  release_groups(job, /*park=*/true);
+  release_groups(job_id, /*park=*/true);
   try_admit();
 }
 
-void ControlPlane::release_groups(Job& job, bool park) {
+void ControlPlane::release_groups(int job_id, bool park) {
+  Job& job = jobs_[static_cast<std::size_t>(job_id)];
   for (auto& nodes : job.groups) {
     owner_of_first_[static_cast<std::size_t>(nodes.front())] = -1;
     for (int n : nodes) {
       int& waiter = waiter_of_node_[static_cast<std::size_t>(n)];
-      if (waiter == job.arrival.id) {
+      if (waiter == job_id) {
         waiter = -1;
         --job.outstanding_reconfigs;
       }
@@ -352,7 +372,9 @@ void ControlPlane::release_groups(Job& job, bool park) {
     }
     add_free_group(std::move(nodes));
   }
-  job.groups.clear();
+  // Free the capacity too: a done job never regrows it, and a preempted one
+  // regrows it only when readmitted.
+  std::vector<std::vector<int>>().swap(job.groups);
   job.outstanding_reconfigs = 0;
 }
 
@@ -366,7 +388,7 @@ void ControlPlane::preempt(int job_id) {
     job.completion = 0;
     --running_count_;
   }
-  release_groups(job, /*park=*/false);
+  release_groups(job_id, /*park=*/false);
   job.state = JobState::kPending;
   job.pending_since = engine_.now();
   ++result_.preemptions;
@@ -416,7 +438,8 @@ void ControlPlane::apply_delta(const orch::PlacementDelta& delta) {
   for (const int job_id : affected) {
     Job& job = jobs_[static_cast<std::size_t>(job_id)];
     bool whole = true;
-    while (static_cast<int>(job.groups.size()) < job.arrival.groups) {
+    const int demand = arrivals_[static_cast<std::size_t>(job_id)].groups;
+    while (static_cast<int>(job.groups.size()) < demand) {
       std::vector<int> nodes;
       if (!take_free_group(nodes)) {
         whole = false;
@@ -451,13 +474,10 @@ void ControlPlane::on_fault_day(std::size_t cursor) {
     depth += tr.down ? 1 : -1;
     const bool now_down = depth > 0;
     if (was_down == now_down) continue;
-    auto& fm = fleet_[static_cast<std::size_t>(tr.node)];
-    for (int b = 0; b < fm.bundle_count(); ++b) {
-      if (now_down) {
-        fm.bundle(b).fail();
-      } else {
-        fm.bundle(b).repair();
-      }
+    if (now_down) {
+      fleet_.fail_node(tr.node);
+    } else {
+      fleet_.repair_node(tr.node);
     }
     apply_delta(inc_.set_faulty(tr.node, now_down));
   }

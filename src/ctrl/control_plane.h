@@ -11,10 +11,10 @@
 //   * fault/repair transitions - FaultTrace::transitions(), walked by a
 //     cursor event chain; each transition patches the incremental
 //     placement (src/orch/incremental.h) and fails/repairs the node's
-//     fabric-manager bundles;
+//     OCS bundles;
 //   * reconfiguration drains - a batched ReconfigQueue
 //     (src/ocstrx/reconfig_queue.h) armed while non-empty, applying
-//     preloaded sessions against per-node NodeFabricManagers.
+//     preloaded sessions against the plane's flat ocstrx::Fleet.
 //
 // State model: the incremental placement partitions healthy capacity into
 // TP groups; the control plane tracks each group as FREE or owned by a
@@ -49,7 +49,7 @@
 #include "src/evsim/engine.h"
 #include "src/fault/injection.h"
 #include "src/fault/trace.h"
-#include "src/ocstrx/fabric_manager.h"
+#include "src/ocstrx/fleet.h"
 #include "src/ocstrx/reconfig_queue.h"
 #include "src/orch/incremental.h"
 #include "src/orch/orchestrator.h"
@@ -72,11 +72,11 @@ struct ControlPlaneConfig {
   int n_constraints = -1;
 
   // OCS fabric per node.
-  int bundles_per_node = 2;
-  int trx_per_bundle = 1;
+  int bundles_per_node = 2;  ///< in [1, gpus_per_node]
+  int trx_per_bundle = 1;    ///< in [1, 255]
 
   // Reconfiguration batching.
-  std::size_t reconfig_batch = 64;
+  std::size_t reconfig_batch = 64;           ///< >= 1
   double drain_period_days = 1.0 / 86400.0;  ///< one drain tick per sim-second
 
   /// Retry/backoff for transiently failed reconfigurations (days).
@@ -132,6 +132,9 @@ struct ControlPlaneResult {
 /// restarts per trial).
 class ControlPlane {
  public:
+  /// Throws ConfigError naming the ControlPlaneConfig field when the config
+  /// is malformed, or when `arrivals` do not fit the trace and the fleet
+  /// (node count, one TP size, ids equal to their index).
   ControlPlane(const ControlPlaneConfig& cfg, const fault::FaultTrace& trace,
                std::vector<JobArrival> arrivals);
 
@@ -159,8 +162,9 @@ class ControlPlane {
  private:
   enum class JobState { kPending, kStarting, kRunning, kDone };
 
+  /// A job's run state; its arrival is arrivals_[id] (jobs_ and arrivals_
+  /// share the index).
   struct Job {
-    JobArrival arrival;
     JobState state = JobState::kPending;
     double pending_since = 0.0;  ///< arrival or last preemption day
     std::vector<std::vector<int>> groups;  ///< owned node groups
@@ -176,11 +180,11 @@ class ControlPlane {
   void on_fault_day(std::size_t cursor);
   void on_drain();
   void try_admit();
-  void start_pending_reconfigs(Job& job);
+  void start_pending_reconfigs(int job_id);
   void begin_running(int job_id);
   void complete(int job_id);
   void preempt(int job_id);
-  void release_groups(Job& job, bool park);
+  void release_groups(int job_id, bool park);
   void apply_delta(const orch::PlacementDelta& delta);
   void add_free_group(std::vector<int> nodes);
   bool take_free_group(std::vector<int>& out);
@@ -195,7 +199,7 @@ class ControlPlane {
   dcn::FatTree fat_tree_;
   orch::FatTreeOrchestrator orch_;
   orch::IncrementalPlacement inc_;
-  std::vector<ocstrx::NodeFabricManager> fleet_;
+  ocstrx::Fleet fleet_;
   ocstrx::ReconfigQueue queue_;
   ocstrx::SessionId hbd_session_;   ///< steer a node into its job's HBD
   ocstrx::SessionId park_session_;  ///< idle loopback park

@@ -4,6 +4,28 @@
 #include <cmath>
 
 namespace ihbd::ocstrx {
+namespace {
+
+// The two fleet types seen through the calls drain() makes.
+bool has_session(const Fleet& fleet, int node, SessionId id) {
+  return fleet.has_session(node, id);
+}
+std::optional<double> apply_session(Fleet& fleet, int node, SessionId id,
+                                    Rng& rng) {
+  return fleet.apply_session(node, id, rng);
+}
+
+bool has_session(const std::vector<NodeFabricManager>& fleet, int node,
+                 SessionId id) {
+  return node >= 0 && node < static_cast<int>(fleet.size()) &&
+         fleet[static_cast<std::size_t>(node)].has_session(id);
+}
+std::optional<double> apply_session(std::vector<NodeFabricManager>& fleet,
+                                    int node, SessionId id, Rng& rng) {
+  return fleet[static_cast<std::size_t>(node)].apply_session(id, rng);
+}
+
+}  // namespace
 
 double RetryPolicy::backoff_for(int failed_attempts) const {
   double b = base_backoff;
@@ -38,8 +60,9 @@ bool ReconfigQueue::enqueue(int node, SessionId session, double now) {
   return true;
 }
 
-std::vector<ReconfigOutcome> ReconfigQueue::drain_batch(
-    std::vector<NodeFabricManager>& fleet, double now, Rng& rng) {
+template <typename FleetT>
+std::vector<ReconfigOutcome> ReconfigQueue::drain(FleetT& fleet, double now,
+                                                  Rng& rng) {
   // Due retries rejoin the FIFO tail in deadline order before the batch is
   // cut, so a recovered request competes fairly with fresh arrivals.
   while (!retry_.empty() && retry_.front().not_before <= now) {
@@ -61,9 +84,7 @@ std::vector<ReconfigOutcome> ReconfigQueue::drain_batch(
     oc.drained_at = now;
     ++oc.request.attempts;
 
-    const bool in_range = node >= 0 && node < static_cast<int>(fleet.size());
-    auto* fm = in_range ? &fleet[static_cast<std::size_t>(node)] : nullptr;
-    if (fm == nullptr || !fm->has_session(oc.request.session)) {
+    if (!has_session(fleet, node, oc.request.session)) {
       // A malformed request stays malformed: fail it permanently instead
       // of burning the retry budget.
       oc.permanent = true;
@@ -75,7 +96,8 @@ std::vector<ReconfigOutcome> ReconfigQueue::drain_batch(
       oc.injected = true;
       ++injected_;
     } else {
-      oc.switch_latency_s = fm->apply_session(oc.request.session, rng);
+      oc.switch_latency_s =
+          apply_session(fleet, node, oc.request.session, rng);
     }
     if (oc.ok()) {
       ++drained_;
@@ -101,6 +123,16 @@ std::vector<ReconfigOutcome> ReconfigQueue::drain_batch(
     ++retried_;
   }
   return out;
+}
+
+std::vector<ReconfigOutcome> ReconfigQueue::drain_batch(Fleet& fleet,
+                                                       double now, Rng& rng) {
+  return drain(fleet, now, rng);
+}
+
+std::vector<ReconfigOutcome> ReconfigQueue::drain_batch(
+    std::vector<NodeFabricManager>& fleet, double now, Rng& rng) {
+  return drain(fleet, now, rng);
 }
 
 }  // namespace ihbd::ocstrx

@@ -3,8 +3,10 @@
 // The always-on control plane does not steer bundles synchronously: every
 // placement change (job start, fault re-orchestration, repair) enqueues a
 // per-node reconfiguration request — "apply preloaded session S on node n"
-// — and a drain event applies a FIFO batch against the node fabric
-// managers. Three properties matter at fleet scale:
+// — and a drain event applies a FIFO batch against the fleet's actuators:
+// an ocstrx::Fleet (the control plane's flat state) or a vector of
+// NodeFabricManagers (the object model), through one drain algorithm.
+// Three properties matter at fleet scale:
 //
 //   * COALESCING: while a request for node n is still queued (ready or
 //     backing off), a newer request for n replaces its target session in
@@ -42,6 +44,7 @@
 #include "src/common/rng.h"
 #include "src/fault/injection.h"
 #include "src/ocstrx/fabric_manager.h"
+#include "src/ocstrx/fleet.h"
 
 namespace ihbd::ocstrx {
 
@@ -134,8 +137,10 @@ class ReconfigQueue {
 
   /// Pop up to max_batch() due requests in FIFO order (backed-off requests
   /// whose deadline has passed rejoin the FIFO first, in deadline order)
-  /// and apply each to its node's fabric manager (preloaded fast path).
-  /// `fleet` is indexed by node id. One outcome per attempt.
+  /// and apply each to its node's actuators (preloaded fast path). Nodes
+  /// are fleet indices. One outcome per attempt. Both fleet types run the
+  /// same algorithm and, for the same state and Rng, the same outcomes.
+  std::vector<ReconfigOutcome> drain_batch(Fleet& fleet, double now, Rng& rng);
   std::vector<ReconfigOutcome> drain_batch(std::vector<NodeFabricManager>& fleet,
                                            double now, Rng& rng);
 
@@ -158,6 +163,8 @@ class ReconfigQueue {
   /// request resolves as permanent at drain if no fleet node has that id.
   static constexpr int kDenseNodes = 1 << 20;
   Slot& slot(int node);
+  template <typename FleetT>
+  std::vector<ReconfigOutcome> drain(FleetT& fleet, double now, Rng& rng);
 
   std::size_t max_batch_;
   RetryPolicy policy_;

@@ -206,6 +206,55 @@ TEST(ControlPlane, RejectsMismatchedTraceAndMixedTp) {
                ConfigError);
 }
 
+/// Constructing a plane from `cfg` throws a ConfigError naming
+/// ControlPlaneConfig.`field`.
+void expect_rejected(const ControlPlaneConfig& cfg, const std::string& field) {
+  const fault::FaultTrace trace(cfg.node_count, 1.0, {});
+  try {
+    ControlPlane plane(cfg, trace, small_workload(1.0));
+    ADD_FAILURE() << field << " accepted";
+  } catch (const ConfigError& e) {
+    EXPECT_NE(std::string(e.what()).find("ControlPlaneConfig." + field + " "),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(ControlPlane, RejectsMalformedConfigNamingTheField) {
+  const auto with = [](auto&& edit) {
+    ControlPlaneConfig cfg = small_config();
+    edit(cfg);
+    return cfg;
+  };
+  // A zero drain period would re-arm the drain at the same instant
+  // forever while a request backs off.
+  for (const double period : {0.0, -1.0 / 86400.0, std::nan("")}) {
+    expect_rejected(with([&](auto& c) { c.drain_period_days = period; }),
+                    "drain_period_days");
+  }
+  expect_rejected(with([](auto& c) { c.reconfig_batch = 0; }),
+                  "reconfig_batch");
+  expect_rejected(with([](auto& c) { c.gpus_per_node = 1; }), "gpus_per_node");
+  expect_rejected(with([](auto& c) { c.bundles_per_node = 0; }),
+                  "bundles_per_node");
+  expect_rejected(with([](auto& c) { c.bundles_per_node = 5; }),
+                  "bundles_per_node");
+  expect_rejected(with([](auto& c) { c.trx_per_bundle = 0; }),
+                  "trx_per_bundle");
+  expect_rejected(
+      with([](auto& c) { c.inject.session_failure_rate = 1.5; }),
+      "inject.session_failure_rate");
+  expect_rejected(with([](auto& c) { c.retry.max_attempts = 0; }),
+                  "retry.max_attempts");
+}
+
+TEST(ControlPlane, RejectsArrivalIdsThatAreNotTheirIndex) {
+  const fault::FaultTrace trace(256, 4.0, {});
+  auto arrivals = small_workload(4.0);
+  arrivals[1].id = 7;
+  EXPECT_THROW(ControlPlane(small_config(), trace, arrivals), ConfigError);
+}
+
 TEST(ControlPlane, DepthCountersAgreeWithFaultyAtUnderNestedIntervals) {
   // Regression for the overlap contract in src/fault/trace.h: the plane's
   // per-node depth counters must reproduce FaultTrace::faulty_at exactly

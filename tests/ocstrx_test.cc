@@ -1,9 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <optional>
+#include <string>
+#include <tuple>
+#include <vector>
+
 #include "src/common/error.h"
 #include "src/evsim/engine.h"
 #include "src/ocstrx/bundle.h"
 #include "src/ocstrx/fabric_manager.h"
+#include "src/ocstrx/fleet.h"
 #include "src/ocstrx/reconfig_queue.h"
 #include "src/ocstrx/transceiver.h"
 
@@ -551,6 +558,198 @@ TEST(ReconfigQueue, PromotedRetriesKeepDeadlineOrder) {
   EXPECT_EQ(out[2].request.node, 2);
   for (const auto& oc : out) EXPECT_TRUE(oc.ok());
   EXPECT_TRUE(q.empty());
+}
+
+// --- Fleet: the flat actuator state against the object model ----------------
+
+/// A Fleet and a vector of NodeFabricManagers of the same shape, changed
+/// in lockstep.
+struct TwinFleets {
+  TwinFleets(int nodes, int bundles, int trx)
+      : model(std::make_shared<const TrxModel>(TrxConfig{})),
+        flat(nodes, kGpus, bundles, trx, model) {
+    for (int n = 0; n < nodes; ++n)
+      objects.emplace_back(kGpus, bundles, trx, model);
+  }
+  void preload(SessionId id, const Session& s) {
+    flat.preload_session(id, s);
+    for (auto& fm : objects) fm.preload_session(id, s);
+  }
+  void set_down(int node, bool down) {
+    if (down) {
+      flat.fail_node(node);
+    } else {
+      flat.repair_node(node);
+    }
+    NodeFabricManager& fm = objects[static_cast<std::size_t>(node)];
+    for (int b = 0; b < fm.bundle_count(); ++b) {
+      if (down) {
+        fm.bundle(b).fail();
+      } else {
+        fm.bundle(b).repair();
+      }
+    }
+  }
+
+  static constexpr int kGpus = 8;
+  std::shared_ptr<const TrxModel> model;
+  Fleet flat;
+  std::vector<NodeFabricManager> objects;
+};
+
+/// A session over `bundles` bundles with random cells (absent = keep).
+Session random_session(int bundles, Rng& rng) {
+  static constexpr OcsPath kPaths[] = {OcsPath::kExternal1,
+                                       OcsPath::kExternal2, OcsPath::kLoopback};
+  Session s;
+  for (int b = 0; b < bundles; ++b) {
+    const auto pick = rng.uniform_index(4);
+    if (pick < 3) s[static_cast<std::uint32_t>(b)] = kPaths[pick];
+  }
+  return s;
+}
+
+TEST(Fleet, RejectsBadShapesAndSessions) {
+  const auto model = std::make_shared<const TrxModel>(TrxConfig{});
+  EXPECT_THROW(Fleet(4, 1, 1, 8, model), ConfigError);
+  EXPECT_THROW(Fleet(4, 4, 5, 8, model), ConfigError);
+  EXPECT_THROW(Fleet(4, 4, 0, 8, model), ConfigError);
+  EXPECT_THROW(Fleet(4, 4, 4, 0, model), ConfigError);
+  EXPECT_THROW(Fleet(4, 4, 4, 256, model), ConfigError);
+
+  // Same refusal, same message as NodeFabricManager::preload_session.
+  Fleet fleet(2, 4, 4, 1, model);
+  Session bad;
+  bad[4] = OcsPath::kLoopback;
+  try {
+    fleet.preload_session(intern_session("bad"), bad);
+    FAIL() << "expected ConfigError";
+  } catch (const ConfigError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("'bad'"), std::string::npos) << what;
+    EXPECT_NE(what.find("bundle 4"), std::string::npos) << what;
+    EXPECT_NE(what.find("has 4 bundles"), std::string::npos) << what;
+  }
+  EXPECT_FALSE(fleet.has_session(0, intern_session("bad")));
+  // Out-of-fleet nodes have no sessions.
+  fleet.preload_session(intern_session("ring"), Session{});
+  EXPECT_TRUE(fleet.has_session(1, intern_session("ring")));
+  EXPECT_FALSE(fleet.has_session(2, intern_session("ring")));
+  EXPECT_FALSE(fleet.has_session(-1, intern_session("ring")));
+}
+
+TEST(Fleet, MatchesObjectModelUnderRandomOps) {
+  // Random preload / fail / repair / apply sequences: every apply returns
+  // the object model's optional latency, and both Rngs stay in lockstep
+  // (a member whose path diverged would draw on one side only).
+  const SessionId ids[] = {intern_session("twin_a"), intern_session("twin_b"),
+                           intern_session("twin_c"),
+                           intern_session("twin_never_loaded")};
+  for (const auto& [bundles, trx] : {std::pair{2, 1}, std::pair{4, 8}}) {
+    SCOPED_TRACE(std::to_string(bundles) + "x" + std::to_string(trx));
+    constexpr int kNodes = 12;
+    TwinFleets twins(kNodes, bundles, trx);
+    Rng ops(static_cast<std::uint64_t>(bundles * 100 + trx));
+    Rng a(5), b(5);
+    int applied = 0;
+    for (int step = 0; step < 4000; ++step) {
+      const auto op = ops.uniform_index(12);
+      const int node = static_cast<int>(ops.uniform_index(kNodes));
+      if (op == 0) {
+        twins.preload(ids[ops.uniform_index(3)], random_session(bundles, ops));
+      } else if (op <= 2) {
+        twins.set_down(node, op == 1);
+      } else {
+        const SessionId id = ids[ops.uniform_index(4)];
+        const auto flat = twins.flat.apply_session(node, id, a);
+        const auto object =
+            twins.objects[static_cast<std::size_t>(node)].apply_session(id, b);
+        ASSERT_EQ(flat, object) << "step " << step;
+        if (flat) ++applied;
+      }
+      ASSERT_EQ(a.state(), b.state()) << "step " << step;
+    }
+    EXPECT_GT(applied, 1000);
+  }
+}
+
+/// Everything an outcome reports, for whole-value comparison.
+auto outcome_key(const ReconfigOutcome& oc) {
+  return std::make_tuple(oc.request.node, oc.request.session.index,
+                         oc.request.enqueued_at, oc.request.attempts,
+                         oc.request.not_before, oc.drained_at,
+                         oc.switch_latency_s, oc.injected, oc.permanent,
+                         oc.will_retry, oc.dead_lettered);
+}
+
+TEST(Fleet, DrainBatchMatchesObjectModel) {
+  // The same request stream, faults, injection plan and retry policy
+  // drained over either fleet type: identical outcomes and counters.
+  const SessionId ring = intern_session("ring");
+  const SessionId park = intern_session("park");
+  const SessionId nope = intern_session("nope");
+  for (const auto& [bundles, trx] : {std::pair{2, 1}, std::pair{4, 8}}) {
+    SCOPED_TRACE(std::to_string(bundles) + "x" + std::to_string(trx));
+    constexpr int kNodes = 24;
+    TwinFleets twins(kNodes, bundles, trx);
+    Session ring_s, park_s;
+    for (int b = 0; b < bundles; ++b) {
+      ring_s[static_cast<std::uint32_t>(b)] =
+          b % 2 == 0 ? OcsPath::kExternal1 : OcsPath::kExternal2;
+      park_s[static_cast<std::uint32_t>(b)] = OcsPath::kLoopback;
+    }
+    twins.preload(ring, ring_s);
+    twins.preload(park, park_s);
+
+    RetryPolicy retry;
+    retry.max_attempts = 3;
+    retry.base_backoff = 2.0;
+    retry.max_backoff = 8.0;
+    fault::InjectionPlan inject;
+    inject.session_failure_rate = 0.10;
+    inject.seed = 21;
+    ReconfigQueue flat_q(/*max_batch=*/8, retry, inject);
+    ReconfigQueue object_q(/*max_batch=*/8, retry, inject);
+    Rng ops(3), a(9), b(9);
+    std::size_t outcomes = 0;
+    for (int tick = 0; tick < 600; ++tick) {
+      const double now = tick;
+      for (int r = 0; r < 6; ++r) {
+        // Mostly fleet nodes; now and then one outside it or an unknown
+        // session, which resolve as permanent failures.
+        const int node = static_cast<int>(ops.uniform_index(kNodes + 2));
+        const auto pick = ops.uniform_index(20);
+        const SessionId id = pick == 0 ? nope : pick % 2 == 0 ? ring : park;
+        ASSERT_EQ(flat_q.enqueue(node, id, now),
+                  object_q.enqueue(node, id, now));
+      }
+      if (ops.bernoulli(0.3)) {
+        twins.set_down(static_cast<int>(ops.uniform_index(kNodes)),
+                       ops.bernoulli(0.5));
+      }
+      const auto flat_out = flat_q.drain_batch(twins.flat, now, a);
+      const auto object_out = object_q.drain_batch(twins.objects, now, b);
+      ASSERT_EQ(flat_out.size(), object_out.size()) << "tick " << tick;
+      for (std::size_t i = 0; i < flat_out.size(); ++i)
+        ASSERT_TRUE(outcome_key(flat_out[i]) == outcome_key(object_out[i]))
+            << "tick " << tick << " outcome " << i;
+      ASSERT_EQ(a.state(), b.state()) << "tick " << tick;
+      outcomes += flat_out.size();
+    }
+    EXPECT_GT(outcomes, 3000u);
+    EXPECT_EQ(flat_q.enqueued(), object_q.enqueued());
+    EXPECT_EQ(flat_q.coalesced(), object_q.coalesced());
+    EXPECT_EQ(flat_q.drained(), object_q.drained());
+    EXPECT_EQ(flat_q.failed(), object_q.failed());
+    EXPECT_EQ(flat_q.retried(), object_q.retried());
+    EXPECT_EQ(flat_q.dead_lettered(), object_q.dead_lettered());
+    EXPECT_EQ(flat_q.injected(), object_q.injected());
+    EXPECT_EQ(flat_q.pending(), object_q.pending());
+    // The stream exercised every outcome kind.
+    EXPECT_GT(flat_q.injected(), 0u);
+    EXPECT_GT(flat_q.retried(), 0u);
+    EXPECT_GT(flat_q.dead_lettered(), 0u);
+  }
 }
 
 }  // namespace
