@@ -12,8 +12,7 @@
 using namespace ihbd;
 
 int main(int argc, char** argv) {
-  const auto opt =
-      bench::parse_args(argc, argv, {.replay_tiers = true});
+  const auto opt = bench::parse_args(argc, argv);
   bench::banner("Figure 15: maximal job scale supported by 2,880 GPUs");
 
   const auto trace = bench::make_sim_trace(opt.quick, opt.trace_model);
@@ -22,8 +21,7 @@ int main(int argc, char** argv) {
   // keep_samples=false: only the usable-GPUs series feeds the quantile.
   const auto grid =
       bench::replay_trace_grid(archs, trace, {8, 16, 32, 64}, opt.threads,
-                               /*keep_samples=*/false, opt.incremental,
-                               opt.packed);
+                               /*keep_samples=*/false);
 
   Table table("Job scale (GPUs) supportable 99% of the trace duration");
   std::vector<std::string> header{"Architecture"};

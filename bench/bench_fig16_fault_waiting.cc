@@ -13,8 +13,7 @@
 using namespace ihbd;
 
 int main(int argc, char** argv) {
-  const auto opt =
-      bench::parse_args(argc, argv, {.replay_tiers = true});
+  const auto opt = bench::parse_args(argc, argv);
   bench::banner("Figures 16 & 23: job fault-waiting rate vs job scale");
 
   const auto trace = bench::make_sim_trace(opt.quick, opt.trace_model);
@@ -23,8 +22,7 @@ int main(int argc, char** argv) {
   // Only the usable-GPU series is read, so skip the waste samples.
   const auto grid =
       bench::replay_trace_grid(archs, trace, {8, 16, 32, 64}, opt.threads,
-                               /*keep_samples=*/false, opt.incremental,
-                               opt.packed);
+                               /*keep_samples=*/false);
 
   for (std::size_t t = 0; t < grid.spec.axes[0].size(); ++t) {
     const int tp = static_cast<int>(grid.spec.axes[0].values[t]);

@@ -14,8 +14,7 @@
 using namespace ihbd;
 
 int main(int argc, char** argv) {
-  const auto opt =
-      bench::parse_args(argc, argv, {.replay_tiers = true});
+  const auto opt = bench::parse_args(argc, argv);
   bench::banner("Figure 20: waste ratio over production-trace time");
 
   const auto trace = bench::make_sim_trace(opt.quick, opt.trace_model);
@@ -24,8 +23,7 @@ int main(int argc, char** argv) {
   // Representative TP pair of the paper's plot.
   const auto grid = bench::replay_trace_grid(archs, trace, {8, 32},
                                              opt.threads,
-                                             /*keep_samples=*/false,
-                                             opt.incremental, opt.packed);
+                                             /*keep_samples=*/false);
 
   for (std::size_t t = 0; t < grid.spec.axes[0].size(); ++t) {
     const int tp = static_cast<int>(grid.spec.axes[0].values[t]);

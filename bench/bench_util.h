@@ -30,20 +30,11 @@ struct Options {
   bool quick = false;   ///< reduced trial counts (CI mode)
   int trials = 0;       ///< 0 = the bench's own default (--trials N)
   int threads = 0;      ///< 0 = hardware concurrency (--threads N)
-  /// Event-driven trace replay (--incremental 0|1, replay benches only:
-  /// Honours::replay_tiers). On by default; 0 runs the from-scratch
-  /// windowed replay — output is bit-identical either way (CI diffs the two).
-  bool incremental = true;
-  /// Word-parallel replay core (--packed 0|1, replay benches only). On by
-  /// default; 0 restores the per-node flip-list pipeline — output is
-  /// bit-identical either way (CI diffs the two).
-  bool packed = true;
   /// --trace-model poisson|physics|storm: which synthetic fault-trace
   /// family the fault benches replay (src/fault/generator.h Poisson draws
   /// vs src/fault/physics_generator.h degradation / degradation+storms).
   /// All three are calibrated to the paper's Appendix A statistics; output
-  /// stays byte-identical across threads/packed/incremental/shards within
-  /// any one model.
+  /// stays byte-identical across threads/shards within any one model.
   fault::TraceModel trace_model = fault::TraceModel::kPoisson;
   /// --metrics: enable the src/obs metrics registry; at exit, print the
   /// snapshot table to stderr and write metrics.json (into --csv dir when
@@ -69,40 +60,16 @@ struct Options {
   int shard_checkpoint_every = 1; ///< --shard-checkpoint-every (cells)
 };
 
-/// Flags beyond the shared set that a bench opts into. Usage and --help
-/// list only the flags the calling bench honours; the others are rejected
-/// as unknown.
-struct Honours {
-  bool replay_tiers = false;  ///< --incremental 0|1 and --packed 0|1
-};
-
 namespace detail {
 
-/// The parsing bench: its name and the optional flags it honours.
-struct Cli {
-  const char* prog;
-  Honours honours;
-};
-
-inline std::string usage(const Cli& cli) {
-  const bool tiers = cli.honours.replay_tiers;
-  std::string text =
-      std::string("usage: ") + cli.prog +
-      " [--quick] [--csv <dir>] [--trials N] [--threads N] " +
-      (tiers ? "[--incremental 0|1] [--packed 0|1] " : "") +
+inline std::string usage(const char* prog) {
+  return std::string("usage: ") + prog +
+      " [--quick] [--csv <dir>] [--trials N] [--threads N] "
       "[--metrics] [--trace-out <file>] [--help]\n"
       "  --quick             reduced trial counts (CI smoke mode)\n"
       "  --csv <dir>         also write machine-readable CSV into <dir>\n"
       "  --trials N          override the bench's default trial count\n"
-      "  --threads N         worker threads (default: hardware concurrency)\n";
-  if (tiers) {
-    text +=
-        "  --incremental 0|1   event-driven trace replay (default 1); output\n"
-        "                      is bit-identical either way\n"
-        "  --packed 0|1        word-parallel packed-mask replay (default 1);\n"
-        "                      output is bit-identical either way\n";
-  }
-  return text +
+      "  --threads N         worker threads (default: hardware concurrency)\n"
       "  --trace-model M     fault-trace family: poisson (default) | physics\n"
       "                      (degradation + thermal bursts) | storm (adds\n"
       "                      correlated blast-radius failures)\n"
@@ -124,57 +91,49 @@ inline std::string usage(const Cli& cli) {
       "  --help              print this help and exit\n";
 }
 
-[[noreturn]] inline void usage_error(const Cli& cli, const std::string& why) {
-  std::fprintf(stderr, "%s: %s\n%s", cli.prog, why.c_str(),
-               usage(cli).c_str());
+[[noreturn]] inline void usage_error(const char* prog, const std::string& why) {
+  std::fprintf(stderr, "%s: %s\n%s", prog, why.c_str(),
+               usage(prog).c_str());
   std::exit(2);
 }
 
-[[noreturn]] inline void print_help(const Cli& cli) {
-  std::fputs(usage(cli).c_str(), stdout);
+[[noreturn]] inline void print_help(const char* prog) {
+  std::fputs(usage(prog).c_str(), stdout);
   std::exit(0);
 }
 
-inline bool parse_bool01(const Cli& cli, const std::string& flag,
-                         const char* text) {
-  const std::string value = text;
-  if (value != "0" && value != "1")
-    usage_error(cli, flag + " expects 0 or 1, got '" + value + "'");
-  return value == "1";
-}
-
-inline fault::TraceModel parse_trace_model(const Cli& cli,
+inline fault::TraceModel parse_trace_model(const char* prog,
                                            const std::string& flag,
                                            const char* text) {
   const std::string value = text;
   if (value == "poisson") return fault::TraceModel::kPoisson;
   if (value == "physics") return fault::TraceModel::kPhysics;
   if (value == "storm") return fault::TraceModel::kStorm;
-  usage_error(cli,
+  usage_error(prog,
               flag + " expects poisson|physics|storm, got '" + value + "'");
 }
 
-inline int parse_positive_int(const Cli& cli, const std::string& flag,
+inline int parse_positive_int(const char* prog, const std::string& flag,
                               const char* text) {
   char* end = nullptr;
   errno = 0;
   const long long v = std::strtoll(text, &end, 10);
   if (end == text || *end != '\0' || errno == ERANGE || v <= 0 ||
       v > std::numeric_limits<int>::max())
-    usage_error(cli, flag + " expects a positive integer, got '" +
-                         std::string(text) + "'");
+    usage_error(prog, flag + " expects a positive integer, got '" +
+                          std::string(text) + "'");
   return static_cast<int>(v);
 }
 
-inline double parse_seconds(const Cli& cli, const std::string& flag,
+inline double parse_seconds(const char* prog, const std::string& flag,
                             const char* text, bool allow_zero) {
   char* end = nullptr;
   errno = 0;
   const double v = std::strtod(text, &end);
   if (end == text || *end != '\0' || errno == ERANGE || v < 0.0 ||
       (!allow_zero && v == 0.0))
-    usage_error(cli, flag + " expects a duration in seconds, got '" +
-                         std::string(text) + "'");
+    usage_error(prog, flag + " expects a duration in seconds, got '" +
+                          std::string(text) + "'");
   return v;
 }
 
@@ -188,88 +147,81 @@ inline std::unique_ptr<sweepd::FileShardContext>& shard_context_holder() {
 
 }  // namespace detail
 
-/// Parse the shared bench flags plus the optional ones in `honours`.
-/// Unknown flags and missing flag values are hard errors (exit 2) so typos
-/// cannot silently run the default config; --help prints usage to stdout
-/// and exits 0. Enables the obs subsystems requested by --metrics /
-/// --trace-out before returning, so spans and counters cover the whole run.
-inline Options parse_args(int argc, char** argv, Honours honours = {}) {
+/// Parse the shared bench flags. Unknown flags and missing flag values are
+/// hard errors (exit 2) so typos cannot silently run the default config;
+/// --help prints usage to stdout and exits 0. Enables the obs subsystems
+/// requested by --metrics / --trace-out before returning, so spans and
+/// counters cover the whole run.
+inline Options parse_args(int argc, char** argv) {
   Options opt;
-  const detail::Cli cli{argc > 0 ? argv[0] : "bench", honours};
+  const char* const prog = argc > 0 ? argv[0] : "bench";
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--csv") {
-      if (++i >= argc) detail::usage_error(cli, "--csv expects a directory");
+      if (++i >= argc) detail::usage_error(prog, "--csv expects a directory");
       opt.csv_dir = argv[i];
     } else if (arg == "--quick") {
       opt.quick = true;
     } else if (arg == "--trials") {
-      if (++i >= argc) detail::usage_error(cli, "--trials expects a value");
-      opt.trials = detail::parse_positive_int(cli, arg, argv[i]);
+      if (++i >= argc) detail::usage_error(prog, "--trials expects a value");
+      opt.trials = detail::parse_positive_int(prog, arg, argv[i]);
     } else if (arg == "--threads") {
-      if (++i >= argc) detail::usage_error(cli, "--threads expects a value");
-      opt.threads = detail::parse_positive_int(cli, arg, argv[i]);
-    } else if (arg == "--incremental" && honours.replay_tiers) {
-      if (++i >= argc)
-        detail::usage_error(cli, "--incremental expects 0 or 1");
-      opt.incremental = detail::parse_bool01(cli, arg, argv[i]);
-    } else if (arg == "--packed" && honours.replay_tiers) {
-      if (++i >= argc) detail::usage_error(cli, "--packed expects 0 or 1");
-      opt.packed = detail::parse_bool01(cli, arg, argv[i]);
+      if (++i >= argc) detail::usage_error(prog, "--threads expects a value");
+      opt.threads = detail::parse_positive_int(prog, arg, argv[i]);
     } else if (arg == "--trace-model") {
       if (++i >= argc)
-        detail::usage_error(cli, "--trace-model expects poisson|physics|storm");
-      opt.trace_model = detail::parse_trace_model(cli, arg, argv[i]);
+        detail::usage_error(prog, "--trace-model expects poisson|physics|storm");
+      opt.trace_model = detail::parse_trace_model(prog, arg, argv[i]);
     } else if (arg == "--metrics") {
       opt.metrics = true;
     } else if (arg == "--trace-out") {
-      if (++i >= argc) detail::usage_error(cli, "--trace-out expects a file");
+      if (++i >= argc) detail::usage_error(prog, "--trace-out expects a file");
       opt.trace_out = argv[i];
     } else if (arg == "--shard-dir") {
       if (++i >= argc)
-        detail::usage_error(cli, "--shard-dir expects a directory");
+        detail::usage_error(prog, "--shard-dir expects a directory");
       opt.shard_dir = argv[i];
     } else if (arg == "--shard-role") {
       if (++i >= argc)
-        detail::usage_error(cli, "--shard-role expects worker|coordinator");
+        detail::usage_error(prog, "--shard-role expects worker|coordinator");
       const std::string role = argv[i];
       if (role == "worker")
         opt.shard_execute = true;
       else if (role == "coordinator")
         opt.shard_execute = false;
       else
-        detail::usage_error(cli, "--shard-role expects worker|coordinator, "
+        detail::usage_error(prog, "--shard-role expects worker|coordinator, "
                                   "got '" + role + "'");
     } else if (arg == "--shard-owner") {
-      if (++i >= argc) detail::usage_error(cli, "--shard-owner expects a name");
+      if (++i >= argc) detail::usage_error(prog, "--shard-owner expects a name");
       opt.shard_owner = argv[i];
     } else if (arg == "--shard-count") {
-      if (++i >= argc) detail::usage_error(cli, "--shard-count expects a value");
-      opt.shard_count = detail::parse_positive_int(cli, arg, argv[i]);
+      if (++i >= argc) detail::usage_error(prog, "--shard-count expects a value");
+      opt.shard_count = detail::parse_positive_int(prog, arg, argv[i]);
     } else if (arg == "--shard-lease-s") {
       if (++i >= argc)
-        detail::usage_error(cli, "--shard-lease-s expects seconds");
+        detail::usage_error(prog, "--shard-lease-s expects seconds");
       opt.shard_lease_s =
-          detail::parse_seconds(cli, arg, argv[i], /*allow_zero=*/false);
+          detail::parse_seconds(prog, arg, argv[i], /*allow_zero=*/false);
     } else if (arg == "--shard-poll-s") {
       if (++i >= argc)
-        detail::usage_error(cli, "--shard-poll-s expects seconds");
+        detail::usage_error(prog, "--shard-poll-s expects seconds");
       opt.shard_poll_s =
-          detail::parse_seconds(cli, arg, argv[i], /*allow_zero=*/false);
+          detail::parse_seconds(prog, arg, argv[i], /*allow_zero=*/false);
     } else if (arg == "--shard-timeout-s") {
       if (++i >= argc)
-        detail::usage_error(cli, "--shard-timeout-s expects seconds");
+        detail::usage_error(prog, "--shard-timeout-s expects seconds");
       opt.shard_timeout_s =
-          detail::parse_seconds(cli, arg, argv[i], /*allow_zero=*/true);
+          detail::parse_seconds(prog, arg, argv[i], /*allow_zero=*/true);
     } else if (arg == "--shard-checkpoint-every") {
       if (++i >= argc)
-        detail::usage_error(cli, "--shard-checkpoint-every expects a value");
+        detail::usage_error(prog, "--shard-checkpoint-every expects a value");
       opt.shard_checkpoint_every =
-          detail::parse_positive_int(cli, arg, argv[i]);
+          detail::parse_positive_int(prog, arg, argv[i]);
     } else if (arg == "--help" || arg == "-h") {
-      detail::print_help(cli);
+      detail::print_help(prog);
     } else {
-      detail::usage_error(cli, "unknown flag '" + arg + "'");
+      detail::usage_error(prog, "unknown flag '" + arg + "'");
     }
   }
   if (opt.metrics) obs::set_enabled(true);

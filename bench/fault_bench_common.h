@@ -68,9 +68,8 @@ inline bool arch_supports_tp(const topo::HbdArchitecture& arch, int tp) {
 /// Window layout of a nested cell-grid replay: when the grid alone
 /// saturates the pool there are no idle workers for a cell's window
 /// fan-out to recruit, and the single-window layout (0) is the cheapest
-/// incremental replay — one cursor/allocator alive over the whole trace
-/// per cell. With fewer cells than workers, windows are exactly what idle
-/// workers steal. Output is bit-identical for any window size, so this is
+/// replay — one cursor/allocator alive over the whole trace per cell. With
+/// fewer cells than workers, windows are exactly what idle workers steal. Output is bit-identical for any window size, so this is
 /// purely a perf choice.
 inline std::size_t nested_window_samples(std::size_t cell_count,
                                          const runtime::ThreadPool& pool) {
@@ -116,16 +115,15 @@ inline std::uint64_t trace_fingerprint(const fault::FaultTrace& trace) {
 /// with fewer cells than cores no longer strands the rest of the machine.
 /// Unsupported cells keep the default-constructed (empty) TraceWasteResult.
 /// The replay is deterministic, so the grid is bit-identical for any thread
-/// count AND for any `incremental` x `packed` setting (event-driven
-/// cursor+allocator replay vs from-scratch re-allocation; word-parallel
-/// packed masks vs per-node flip lists; CI diffs all combinations). The
-/// attached trace_waste_codec makes the grid shardable: under an ambient
-/// shard::ShardContext (bench --shard-dir, ihbd-sweepd) the cells spread
-/// across the fleet and the reduced grid is byte-identical to a local run.
+/// count (CI diffs them, and ctest checks the replay against the serial
+/// oracle). The attached trace_waste_codec makes the grid shardable: under
+/// an ambient shard::ShardContext (bench --shard-dir, ihbd-sweepd) the
+/// cells spread across the fleet and the reduced grid is byte-identical to
+/// a local run.
 inline runtime::GenericSweepResult<topo::TraceWasteResult> replay_trace_grid(
     const std::vector<std::unique_ptr<topo::HbdArchitecture>>& archs,
     const fault::FaultTrace& trace, std::vector<double> tps, int threads,
-    bool keep_samples = true, bool incremental = true, bool packed = true) {
+    bool keep_samples = true) {
   runtime::SweepSpec spec;
   spec.trials = 1;  // replay is deterministic; the grid itself is the work
   spec.keep_samples = keep_samples;
@@ -153,8 +151,6 @@ inline runtime::GenericSweepResult<topo::TraceWasteResult> replay_trace_grid(
         opts.pool = pool.get();  // nested fan-out on the sweep's own pool
         opts.window_samples = window_samples;
         opts.keep_samples = s.spec().keep_samples;
-        opts.incremental = incremental;
-        opts.packed = packed;
         return topo::evaluate_waste_over_trace(arch, trace, tp, opts);
       },
       [](topo::TraceWasteResult& acc, topo::TraceWasteResult&& replay) {

@@ -3,11 +3,11 @@
 
 Reads the vendored micro-bench harness's JSON export (the file named by
 IHBD_MICROBENCH_JSON when running ./bench_replay_micro) and writes a
-machine/core-stamped samples-per-second summary per replay tier, so
+machine/core-stamped samples-per-second summary per replay path, so
 cross-PR perf regressions become diffable artifacts instead of log
-archaeology. The headline speedups of the word-parallel packed tier over
-the per-node incremental tier (same trace, same grid, single thread) are
-derived into a `speedups` block.
+archaeology. The headline speedups of the fast incremental packed replay
+over the serial oracle (same trace, same grid, single thread) are derived
+into a `speedups` block.
 
 Usage:
   summarize_replay_bench.py BENCH_replay.json [-o BENCH_replay_micro.json]
@@ -27,16 +27,16 @@ import platform
 # is a deliberately shortened CI smoke run.
 FULL_MIN_TIME_SECONDS = 0.05
 
-# packed tier -> the PR 4/5 per-node incremental tier it is measured against
+# fast packed replay -> the serial oracle it is measured against
 SPEEDUP_PAIRS = {
-    "BM_replay_packed/8": "BM_replay_incremental/8",
-    "BM_replay_packed/32": "BM_replay_incremental/32",
-    "BM_replay_packed_quarter_day/32": "BM_replay_incremental_quarter_day/32",
-    "BM_baseline_packed/0": "BM_baseline_island/0",
-    "BM_baseline_packed/1": "BM_baseline_island/1",
-    "BM_baseline_packed/2": "BM_baseline_island/2",
-    "BM_baseline_packed/3": "BM_baseline_island/3",
-    "BM_baseline_packed/4": "BM_baseline_island/4",
+    "BM_replay_packed/8": "BM_replay_serial/8",
+    "BM_replay_packed/32": "BM_replay_serial/32",
+    "BM_replay_packed_quarter_day/32": "BM_replay_serial_quarter_day/32",
+    "BM_baseline_packed/0": "BM_baseline_serial/0",
+    "BM_baseline_packed/1": "BM_baseline_serial/1",
+    "BM_baseline_packed/2": "BM_baseline_serial/2",
+    "BM_baseline_packed/3": "BM_baseline_serial/3",
+    "BM_baseline_packed/4": "BM_baseline_serial/4",
 }
 
 

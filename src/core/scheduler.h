@@ -9,7 +9,6 @@
 // goodput - the end-to-end consequence of each architecture's waste ratio.
 #pragma once
 
-#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -54,31 +53,5 @@ ScheduleResult simulate_schedule(const topo::HbdArchitecture& arch,
                                  const fault::FaultTrace& trace,
                                  std::vector<JobRequest> jobs,
                                  double step_days = 0.25);
-
-/// Work counters for the event-driven scheduler (how much the event
-/// formulation saved over the dense per-day oracle).
-struct EventScheduleStats {
-  std::uint64_t grid_days = 0;        ///< dense replay length
-  std::uint64_t decision_events = 0;  ///< admission walks actually run
-  std::uint64_t allocate_calls = 0;   ///< after per-decision TP memoization
-};
-
-/// Event-driven reformulation of simulate_schedule() on an evsim::Engine:
-/// the admission walk (allocate() + FIFO fit, the expensive part) runs only
-/// at *decision events* — grid days where the fault mask changed or a
-/// running job just completed — because between two decisions the mask and
-/// the active set are constant, so every per-day fit re-derivation is
-/// redundant. Between decisions the per-day accumulation arithmetic
-/// (remaining/waiting/goodput/offered) is replayed in the oracle's exact
-/// order, making the result BIT-IDENTICAL to simulate_schedule() — same
-/// doubles, same preemption counts — while allocate() calls drop from
-/// O(days x jobs) to O(decisions x TP sizes). scheduler_test checks the
-/// equivalence over a step/fault-rate regression grid; the control plane
-/// (src/ctrl) builds its admission path on the same decision-event shape.
-ScheduleResult simulate_schedule_events(const topo::HbdArchitecture& arch,
-                                        const fault::FaultTrace& trace,
-                                        std::vector<JobRequest> jobs,
-                                        double step_days = 0.25,
-                                        EventScheduleStats* stats = nullptr);
 
 }  // namespace ihbd::core

@@ -127,9 +127,8 @@ std::shared_ptr<const WordDeltaTimeline> FaultTrace::word_delta_timeline()
   std::call_once(timeline_cache_->words_once, [&] {
     const auto edges = transition_timeline();
     auto out = std::make_shared<WordDeltaTimeline>();
-    // One active-interval walk over the whole timeline (the same counting
-    // FaultMaskCursor's per-node path does), folding each exact-day batch
-    // into the net per-word XOR of its genuine bit changes.
+    // One active-interval walk over the whole timeline, folding each
+    // exact-day batch into the net per-word XOR of its genuine bit changes.
     std::vector<int> active(static_cast<std::size_t>(node_count_), 0);
     PackedMask current(node_count_);
     std::vector<std::uint64_t> word_xor(

@@ -102,9 +102,8 @@ class FaultTrace {
   /// The sorted transition timeline: one `down` edge per event start and
   /// one `up` edge per event end, ordered by (day, node, up-before-down).
   /// Events may overlap on one node; consumers must count active intervals
-  /// per node (see FaultMaskCursor in src/fault/transitions.h) — a node is
-  /// faulty while its active count is positive, which reproduces
-  /// faulty_at() bit-for-bit.
+  /// per node (as word_delta_timeline() does) — a node is faulty while its
+  /// active count is positive, which reproduces faulty_at() bit-for-bit.
   std::vector<FaultTransition> transitions() const;
 
   /// Shared, lazily built view of transitions(): computed once per trace on

@@ -1,21 +1,14 @@
-// Incremental allocation (the event-driven replay tier, see waste.h).
+// Incremental allocation (the fast replay path, see waste.h).
 //
 // Replaying a fault trace calls HbdArchitecture::allocate() once per sample
 // day, but between consecutive samples only the nodes with a fault
 // transition change — usually none, sometimes a handful. An
 // IncrementalAllocator keeps the allocation state alive across samples and
-// updates it from the per-sample deltas a fault::FaultMaskCursor produces.
-// Deltas come in two currencies: the classic per-node flip list (apply())
-// and the word-parallel {word_index, xor_bits} spans of
-// FaultMaskCursor::advance_to_words (apply_words()) — the packed path
-// filters spurious flips with one word XOR, seeds per-island healthy
-// counts with masked popcounts, and batches KHop's Fenwick updates at word
-// granularity:
+// updates it from the word-parallel {word_index, xor_bits} spans of
+// FaultMaskCursor::advance_to_words: it filters spurious flips with one word
+// XOR, seeds per-island healthy counts with masked popcounts, and batches
+// KHop's Fenwick updates at word granularity:
 //
-//   * MemoizingAllocator — generic fallback for any architecture: memoizes
-//     the last Allocation and re-runs allocate() only when at least one bit
-//     actually flipped. Zero-transition samples (the common case at
-//     sub-day steps) cost O(1).
 //   * KHopRingIncrementalAllocator — true incremental implementation for
 //     the K-Hop Ring: maintains the healthy-arc decomposition (a Fenwick
 //     tree over healthy-popcounts per 64-node word plus the set of
@@ -25,18 +18,16 @@
 //     baseline decomposes into independent islands (the one Big-Switch
 //     domain, NVL HBDs, TPUv4 cubes, SiP-Ring's static TP-sized rings), so
 //     a node flip only disturbs its own island's aggregate — O(1) per flip
-//     instead of the memoizing fallback's full O(N) allocate() on every
-//     sample with a transition. This mirrors how OCS-partitioned domains
-//     bound reconfiguration work to the affected partition (Mission
-//     Apollo). See IslandModuloAllocator, TpuCubePoolAllocator,
+//     instead of a full O(N) allocate() on every sample with a transition.
+//     This mirrors how OCS-partitioned domains bound reconfiguration work
+//     to the affected partition (Mission Apollo). See
+//     IslandModuloAllocator, TpuCubePoolAllocator,
 //     SipRingIncrementalAllocator.
 //
 // All implementations produce aggregate fields (total/faulty/usable/wasted
 // GPUs, and thus waste_ratio()) bit-identical to arch.allocate(mask, tp) on
-// the same mask, through either entry point. The true incremental
-// implementations do not materialize Allocation::groups (the replay metrics
-// never read them); MemoizingAllocator returns whatever the wrapped
-// allocate() produced, groups included.
+// the same mask. They do not materialize Allocation::groups (the replay
+// metrics never read them).
 #pragma once
 
 #include <memory>
@@ -55,53 +46,15 @@ class IncrementalAllocator {
  public:
   virtual ~IncrementalAllocator() = default;
 
-  /// The allocation for `mask`, given that exactly the nodes in `flipped`
-  /// changed their faulty bit since the previous call (as reported by
-  /// FaultMaskCursor::advance_to). The first call initializes from `mask`
-  /// wholesale and may ignore `flipped`. Nodes listed in `flipped` whose
-  /// bit did not actually change are tolerated (skipped or re-evaluated,
-  /// never corrupting state). The reference stays valid until the next
-  /// call.
-  virtual const Allocation& apply(const std::vector<bool>& mask,
-                                  const std::vector<int>& flipped) = 0;
-
-  /// Word-parallel variant: `deltas` are the XOR spans since the previous
-  /// call (as reported by FaultMaskCursor::advance_to_words; spurious
-  /// entries whose word already matches `mask` are tolerated). The default
-  /// implementation adapts onto apply() by unpacking the deltas, so any
-  /// out-of-tree allocator stays correct; the in-tree allocators override
-  /// it to consume dirty words natively. Drive one allocator through one
-  /// entry point only — mixing apply() and apply_words() calls on the same
-  /// instance is unspecified.
+  /// The allocation for `mask`, given that `deltas` are the XOR spans
+  /// since the previous call (as reported by
+  /// FaultMaskCursor::advance_to_words). The first call initializes from
+  /// `mask` wholesale and may ignore `deltas`. Spurious entries whose word
+  /// already matches `mask` are tolerated (skipped, never corrupting
+  /// state). The reference stays valid until the next call.
   virtual const Allocation& apply_words(
       const fault::PackedMask& mask,
-      const std::vector<fault::WordDelta>& deltas);
-
- private:
-  // Bool mirror for the default apply_words adapter.
-  std::vector<bool> adapter_mask_;
-  std::vector<int> adapter_flips_;
-  bool adapter_initialized_ = false;
-};
-
-/// Generic fallback: re-runs arch.allocate() only when the mask changed.
-class MemoizingAllocator : public IncrementalAllocator {
- public:
-  /// `arch` must outlive the allocator.
-  MemoizingAllocator(const HbdArchitecture& arch, int tp_size_gpus);
-
-  const Allocation& apply(const std::vector<bool>& mask,
-                          const std::vector<int>& flipped) override;
-  const Allocation& apply_words(
-      const fault::PackedMask& mask,
-      const std::vector<fault::WordDelta>& deltas) override;
-
- private:
-  const HbdArchitecture& arch_;
-  int tp_size_gpus_;
-  bool initialized_ = false;
-  fault::PackedMask cached_mask_;  // packed-path spurious-delta filter
-  Allocation alloc_;
+      const std::vector<fault::WordDelta>& deltas) = 0;
 };
 
 /// True incremental allocator for KHopRing (ring and line variants).
@@ -111,8 +64,6 @@ class KHopRingIncrementalAllocator : public IncrementalAllocator {
   /// multiple of ring.gpus_per_node() (same contract as allocate()).
   KHopRingIncrementalAllocator(const KHopRing& ring, int tp_size_gpus);
 
-  const Allocation& apply(const std::vector<bool>& mask,
-                          const std::vector<int>& flipped) override;
   const Allocation& apply_words(
       const fault::PackedMask& mask,
       const std::vector<fault::WordDelta>& deltas) override;
@@ -171,8 +122,6 @@ class KHopRingIncrementalAllocator : public IncrementalAllocator {
 /// wasted-node total (usable + wasted = healthy holds for every baseline).
 class PerIslandAllocatorBase : public IncrementalAllocator {
  public:
-  const Allocation& apply(const std::vector<bool>& mask,
-                          const std::vector<int>& flipped) final;
   const Allocation& apply_words(
       const fault::PackedMask& mask,
       const std::vector<fault::WordDelta>& deltas) final;
@@ -282,7 +231,8 @@ class SipRingIncrementalAllocator : public PerIslandAllocatorBase {
 
 /// The right allocator for `arch`: the true incremental implementations for
 /// KHopRing and every §6.1 baseline (Big-Switch, NVL, TPUv4 in either TP
-/// regime, SiP-Ring), the memoizing fallback for anything else.
+/// regime, SiP-Ring). Throws ConfigError naming arch.name() for any other
+/// architecture.
 std::unique_ptr<IncrementalAllocator> make_incremental_allocator(
     const HbdArchitecture& arch, int tp_size_gpus);
 

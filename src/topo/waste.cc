@@ -1,12 +1,10 @@
 #include "src/topo/waste.h"
 
-#include <algorithm>
 #include <bit>
-#include <cmath>
-#include <utility>
-
 #include <chrono>
+#include <cmath>
 #include <cstdint>
+#include <utility>
 
 #include "src/common/contracts.h"
 #include "src/fault/transitions.h"
@@ -19,23 +17,21 @@ namespace ihbd::topo {
 
 namespace {
 
-/// Replay metrics (src/obs): windows/samples replayed per tier, fault flips
-/// applied by the event-driven tier, merge cost, and the per-window
-/// throughput distribution. Recording is skipped unless obs is enabled and
-/// never touches replay results (byte-identical output on vs off).
+/// Replay metrics (src/obs): windows/samples replayed, fault flips applied,
+/// merge cost, and the per-window throughput distribution. Recording is
+/// skipped unless obs is enabled and never touches replay results
+/// (byte-identical output on vs off).
 struct ReplayObs {
-  obs::Counter& windows_scratch;     ///< from-scratch windows replayed
-  obs::Counter& windows_incremental; ///< event-driven windows replayed
-  obs::Counter& samples;             ///< samples replayed (all tiers)
-  obs::Counter& flips_applied;       ///< net fault flips fed to allocators
-  obs::Counter& merge_ns;            ///< fragment-merge wall time
-  obs::Counter& evaluations;         ///< evaluate_waste_over_trace calls
+  obs::Counter& windows;        ///< windows replayed
+  obs::Counter& samples;        ///< samples replayed
+  obs::Counter& flips_applied;  ///< net fault flips fed to allocators
+  obs::Counter& merge_ns;       ///< fragment-merge wall time
+  obs::Counter& evaluations;    ///< evaluate_waste_over_trace calls
   obs::Histogram& window_samples_per_s;  ///< per-window replay throughput
 };
 
 ReplayObs& replay_obs() {
-  static ReplayObs o{obs::counter("replay.windows_scratch"),
-                     obs::counter("replay.windows_incremental"),
+  static ReplayObs o{obs::counter("replay.windows"),
                      obs::counter("replay.samples"),
                      obs::counter("replay.flips_applied"),
                      obs::counter("replay.merge_ns"),
@@ -68,48 +64,10 @@ void TraceWindowFragment::merge_next(TraceWindowFragment&& next) {
   waste_acc.merge(next.waste_acc);
 }
 
-TraceWindowFragment replay_trace_window(const HbdArchitecture& arch,
-                                        const fault::FaultTrace& trace,
-                                        int tp_size_gpus,
-                                        const std::vector<double>& days,
-                                        const fault::SampleWindow& window,
-                                        bool keep_samples, bool packed) {
-  IHBD_EXPECTS(window.begin + window.count <= days.size());
-  IHBD_TRACE_SPAN("replay_window_scratch");
-  const bool obs_on = obs::enabled();
-  const auto t0 = obs_on ? std::chrono::steady_clock::now()
-                         : std::chrono::steady_clock::time_point{};
-  TraceWindowFragment frag;
-  frag.waste_acc.set_keep_samples(keep_samples);
-  for (std::size_t i = window.begin; i < window.begin + window.count; ++i) {
-    const double day = days[i];
-    // Packed and bool masks hold the same bits, and the packed allocate()
-    // overloads restate the same integer arithmetic, so the two branches
-    // are bit-identical.
-    const Allocation alloc =
-        packed ? arch.allocate(trace.packed_faulty_at(day), tp_size_gpus)
-               : arch.allocate(trace.faulty_at(day), tp_size_gpus);
-    const double waste = alloc.waste_ratio();
-    frag.waste_ratio.push(day, waste);
-    frag.usable_gpus.push(day, static_cast<double>(alloc.usable_gpus));
-    frag.waste_acc.add(waste);
-  }
-  if (obs_on) {
-    ReplayObs& o = replay_obs();
-    o.windows_scratch.add(1);
-    o.samples.add(window.count);
-    const double secs = static_cast<double>(obs_elapsed_ns(t0)) * 1e-9;
-    if (secs > 0.0)
-      o.window_samples_per_s.observe(static_cast<double>(window.count) / secs);
-  }
-  return frag;
-}
-
 TraceWindowFragment replay_trace_window_incremental(
     const HbdArchitecture& arch, const fault::FaultTrace& trace,
     int tp_size_gpus, const std::vector<double>& days,
-    const fault::SampleWindow& window, double step_days, bool keep_samples,
-    bool packed) {
+    const fault::SampleWindow& window, double step_days, bool keep_samples) {
   IHBD_EXPECTS(window.begin + window.count <= days.size());
   IHBD_TRACE_SPAN("replay_window");
   const bool obs_on = obs::enabled();
@@ -122,61 +80,39 @@ TraceWindowFragment replay_trace_window_incremental(
   frag.waste_ratio.v.reserve(window.count);
   frag.usable_gpus.t.reserve(window.count);
   frag.usable_gpus.v.reserve(window.count);
-  // The packed tier samples strictly on the step grid, so its cursor binds
-  // to the grid-folded word-delta timeline: at most one pre-folded group
-  // per sample instead of re-folding the step's transition days on every
+  // The replay samples strictly on the step grid, so the cursor binds to
+  // the grid-folded word-delta timeline: at most one pre-folded group per
+  // sample instead of re-folding the step's transition days on every
   // advance of every window's cursor.
-  fault::FaultMaskCursor cursor =
-      packed ? fault::FaultMaskCursor(trace, step_days)
-             : fault::FaultMaskCursor(trace);
-  // Every §6.1 architecture now gets a true incremental allocator (KHopRing
-  // arcs, per-island aggregates for the baselines); only out-of-tree
-  // architectures take the memoizing O(N)-per-transition fallback.
+  fault::FaultMaskCursor cursor(trace, step_days);
   const auto allocator = make_incremental_allocator(arch, tp_size_gpus);
-  if (packed) {
-    // Word-parallel pipeline: per-word XOR spans from the cursor straight
-    // into the allocator's dirty-word path. A sample with no deltas cannot
-    // change the allocation, so the previous aggregates are re-emitted
-    // without even the virtual call — identical values either way.
-    double waste = 0.0;
-    double usable = 0.0;
-    bool have_alloc = false;
-    for (std::size_t i = window.begin; i < window.begin + window.count; ++i) {
-      const double day = days[i];
-      const std::vector<fault::WordDelta>& deltas =
-          cursor.advance_to_words(day);
-      if (!have_alloc || !deltas.empty()) {
-        if (obs_on)
-          for (const fault::WordDelta& d : deltas)
-            flips += static_cast<std::uint64_t>(std::popcount(d.xor_bits));
-        const Allocation& alloc =
-            allocator->apply_words(cursor.packed_mask(), deltas);
-        waste = alloc.waste_ratio();
-        usable = static_cast<double>(alloc.usable_gpus);
-        have_alloc = true;
-      }
-      frag.waste_ratio.push(day, waste);
-      frag.usable_gpus.push(day, usable);
-      frag.waste_acc.add(waste);
+  // Per-word XOR spans from the cursor go straight into the allocator's
+  // dirty-word path. A sample with no deltas cannot change the allocation,
+  // so the previous aggregates are re-emitted without even the virtual
+  // call — identical values either way.
+  double waste = 0.0;
+  double usable = 0.0;
+  bool have_alloc = false;
+  for (std::size_t i = window.begin; i < window.begin + window.count; ++i) {
+    const double day = days[i];
+    const std::vector<fault::WordDelta>& deltas = cursor.advance_to_words(day);
+    if (!have_alloc || !deltas.empty()) {
+      if (obs_on)
+        for (const fault::WordDelta& d : deltas)
+          flips += static_cast<std::uint64_t>(std::popcount(d.xor_bits));
+      const Allocation& alloc =
+          allocator->apply_words(cursor.packed_mask(), deltas);
+      waste = alloc.waste_ratio();
+      usable = static_cast<double>(alloc.usable_gpus);
+      have_alloc = true;
     }
-  } else {
-    for (std::size_t i = window.begin; i < window.begin + window.count; ++i) {
-      const double day = days[i];
-      // The cursor's mask equals trace.faulty_at(day) bit-for-bit, and the
-      // allocator's aggregates equal arch.allocate(mask, tp) on it, so this
-      // fragment matches replay_trace_window exactly.
-      const std::vector<int>& flipped = cursor.advance_to(day);
-      flips += flipped.size();
-      const Allocation& alloc = allocator->apply(cursor.mask(), flipped);
-      const double waste = alloc.waste_ratio();
-      frag.waste_ratio.push(day, waste);
-      frag.usable_gpus.push(day, static_cast<double>(alloc.usable_gpus));
-      frag.waste_acc.add(waste);
-    }
+    frag.waste_ratio.push(day, waste);
+    frag.usable_gpus.push(day, usable);
+    frag.waste_acc.add(waste);
   }
   if (obs_on) {
     ReplayObs& o = replay_obs();
-    o.windows_incremental.add(1);
+    o.windows.add(1);
     o.samples.add(window.count);
     o.flips_applied.add(flips);
     const double secs = static_cast<double>(obs_elapsed_ns(t0)) * 1e-9;
@@ -188,58 +124,45 @@ TraceWindowFragment replay_trace_window_incremental(
 
 // The windowed replay is the same plan -> execute -> reduce shape as the
 // sweep engine (src/runtime/sweep.h), one level down: plan the window
-// partition, execute each window into a serializable TraceWindowFragment,
-// reduce the fragments in window order. The three named stages below keep
-// that boundary explicit.
+// partition, execute each window into a TraceWindowFragment, reduce the
+// fragments in window order. The three named stages below keep that
+// boundary explicit.
 namespace {
 
+/// Replay fan-out width: the pool's, else options.threads (0 = the shared
+/// pool's default width).
+int replay_workers(const TraceReplayOptions& options) {
+  if (options.pool != nullptr) return options.pool->size();
+  return options.threads == 0 ? runtime::ThreadPool::default_threads()
+                              : options.threads;
+}
+
 /// Plan: partition the sample-day sequence into replay windows.
-/// A single worker gains nothing from window splits; one window lets the
-/// incremental tier keep one cursor/allocator alive over the whole trace
-/// instead of fast-forwarding a fresh one per window. Output is identical
-/// for any window size, so this is purely a perf choice.
+/// A single worker gains nothing from window splits; one window keeps one
+/// cursor/allocator alive over the whole trace instead of fast-forwarding a
+/// fresh one per window. Output is identical for any window size, so this
+/// is purely a perf choice.
 std::vector<fault::SampleWindow> plan_replay_windows(
-    std::size_t sample_count, const TraceReplayOptions& options) {
-  runtime::ThreadPool* pool = options.pool;
-  const int workers = pool != nullptr ? pool->size()
-                      : options.threads == 0
-                          ? runtime::ThreadPool::default_threads()
-                          : options.threads;
-  const std::size_t window_samples =
-      options.incremental && workers == 1 ? 0 : options.window_samples;
-  return fault::split_windows(sample_count, window_samples);
+    std::size_t sample_count, const TraceReplayOptions& options,
+    int workers) {
+  return fault::split_windows(sample_count,
+                              workers == 1 ? 0 : options.window_samples);
 }
 
 /// Execute: replay every window into its fragment, fanning out on the pool.
+/// The cursor walks the (shared, cached) word-delta timeline, so the full
+/// trace is passed directly — no per-window slice needed.
 std::vector<TraceWindowFragment> execute_replay_windows(
     const HbdArchitecture& arch, const fault::FaultTrace& trace,
     int tp_size_gpus, const std::vector<double>& days,
     const std::vector<fault::SampleWindow>& windows,
-    const TraceReplayOptions& options) {
+    const TraceReplayOptions& options, int workers) {
   std::vector<TraceWindowFragment> fragments(windows.size());
   const auto replay_one = [&](std::size_t w) {
-    const auto& window = windows[w];
-    if (options.incremental) {
-      // The cursor walks the (shared, cached) transition timeline, so the
-      // full trace is passed directly — no per-window slice needed.
-      fragments[w] = replay_trace_window_incremental(
-          arch, trace, tp_size_gpus, days, window, options.step_days,
-          options.keep_samples, options.packed);
-    } else {
-      // Slicing bounds each worker's per-sample event scan to its own day
-      // range.
-      const fault::FaultTrace sliced = trace.slice(
-          days[window.begin], days[window.begin + window.count - 1]);
-      fragments[w] = replay_trace_window(arch, sliced, tp_size_gpus, days,
-                                         window, options.keep_samples,
-                                         options.packed);
-    }
+    fragments[w] = replay_trace_window_incremental(
+        arch, trace, tp_size_gpus, days, windows[w], options.step_days,
+        options.keep_samples);
   };
-  runtime::ThreadPool* pool = options.pool;
-  const int workers = pool != nullptr ? pool->size()
-                      : options.threads == 0
-                          ? runtime::ThreadPool::default_threads()
-                          : options.threads;
   if (workers == 1 || windows.size() <= 1) {
     // Nothing to fan out: replay inline on the calling thread.
     for (std::size_t w = 0; w < windows.size(); ++w) replay_one(w);
@@ -248,7 +171,7 @@ std::vector<TraceWindowFragment> execute_replay_windows(
     // fast path: when the caller is itself a task on that pool (a sweep
     // cell), the work-stealing scheduler hands these windows to idle
     // workers and the blocked caller helps instead of sleeping.
-    const runtime::PoolRef ref(options.threads, pool);
+    const runtime::PoolRef ref(options.threads, options.pool);
     ref->parallel_for(windows.size(), replay_one);
   }
   return fragments;
@@ -290,11 +213,12 @@ TraceWasteResult evaluate_waste_over_trace(const HbdArchitecture& arch,
   IHBD_TRACE_SPAN("replay_trace");
   replay_obs().evaluations.add(1);
 
+  const int workers = replay_workers(options);
   const std::vector<double> days = trace.sample_days(options.step_days);
   const std::vector<fault::SampleWindow> windows =
-      plan_replay_windows(days.size(), options);
+      plan_replay_windows(days.size(), options, workers);
   std::vector<TraceWindowFragment> fragments = execute_replay_windows(
-      arch, trace, tp_size_gpus, days, windows, options);
+      arch, trace, tp_size_gpus, days, windows, options, workers);
   return reduce_replay_fragments(std::move(fragments));
 }
 

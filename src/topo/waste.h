@@ -2,30 +2,22 @@
 // over a fault trace or fault-ratio sweep, maximum supported job scale, and
 // job fault-waiting rate. Shared by Figs. 13-16 and 20-23 benches.
 //
-// Trace replay comes in three tiers:
+// Trace replay has exactly two paths:
 //   * evaluate_waste_over_trace(arch, trace, tp, step_days) — the serial
-//     reference: one pass over the sample days, re-allocating from scratch
-//     at each. Kept as the bit-equivalence oracle.
+//     oracle: one pass over the sample days, re-allocating from
+//     trace.faulty_at() at each. Kept as the bit-equivalence reference.
 //   * evaluate_waste_over_trace(arch, trace, tp, TraceReplayOptions) — the
-//     windowed parallel replay: the sample-day sequence is split into
-//     windows (fault::split_windows), each window replays a sliced
-//     sub-trace on a ThreadPool worker, and the per-window
-//     Accumulator/TimeSeries fragments merge in window order.
-//   * The same entry point with options.incremental (the default): each
-//     window walks the trace's transition timeline with a
-//     fault::FaultMaskCursor and patches a topo::IncrementalAllocator by
-//     fault deltas, so samples with no transitions never re-allocate and
-//     KHopRing windows update their healthy-arc state in O(log N) per
-//     transition (see incremental.h).
-//   * options.packed (the default, composing with either tier above):
-//     masks travel as fault::PackedMask and deltas as per-word XOR spans —
-//     the incremental tier runs cursor.advance_to_words() into
-//     IncrementalAllocator::apply_words(), the from-scratch tier allocates
-//     straight from trace.packed_faulty_at(). Off restores the
-//     vector<bool>/flip-list pipeline of PRs 4-5 for oracle comparisons.
-// All tiers produce bit-identical output for any thread count, window
-// size, incremental setting and packed setting (when keep_samples is true;
-// with it off the summary degrades to moments identically in every tier).
+//     fast path: the sample-day sequence is split into windows
+//     (fault::split_windows) replayed on ThreadPool workers. Each window
+//     walks the trace's word-delta timeline with a fault::FaultMaskCursor
+//     and patches a topo::IncrementalAllocator by per-word XOR spans, so
+//     samples with no transitions never re-allocate and KHopRing windows
+//     update their healthy-arc state in O(log N) per transition (see
+//     incremental.h). The per-window Accumulator/TimeSeries fragments merge
+//     in window order.
+// Both produce bit-identical output for any thread count and window size
+// (when keep_samples is true; with it off the fast path's summary degrades
+// to moments).
 #pragma once
 
 #include <cstddef>
@@ -77,15 +69,6 @@ struct TraceReplayOptions {
   /// percentiles are exact. false bounds memory to O(series) — the summary
   /// degrades to moments (percentile fields = mean), the series are kept.
   bool keep_samples = true;
-  /// Replay each window event-driven (cursor + incremental allocator)
-  /// instead of re-allocating from scratch at every sample. Bit-identical
-  /// either way; off exists for oracle comparisons and CI diff jobs.
-  bool incremental = true;
-  /// Run the replay word-parallel: packed masks and per-word XOR deltas
-  /// end-to-end (see packed_mask.h). Bit-identical either way; off
-  /// restores the per-node flip pipeline for oracle comparisons and CI
-  /// diff jobs.
-  bool packed = true;
 };
 
 /// One window's fragment of a trace replay. merge_next() appends the
@@ -101,30 +84,18 @@ struct TraceWindowFragment {
 };
 
 /// Replay the samples days[window.begin .. window.begin+window.count) of
-/// `trace` (typically a FaultTrace::slice covering just that day range),
-/// re-allocating from scratch at every sample.
-TraceWindowFragment replay_trace_window(const HbdArchitecture& arch,
-                                        const fault::FaultTrace& trace,
-                                        int tp_size_gpus,
-                                        const std::vector<double>& days,
-                                        const fault::SampleWindow& window,
-                                        bool keep_samples = true,
-                                        bool packed = true);
-
-/// Event-driven variant of replay_trace_window: advances a
-/// fault::FaultMaskCursor across the window's sample days and feeds the
-/// flip deltas to a topo::IncrementalAllocator. Bit-identical fragment.
-/// Unlike the from-scratch variant this is normally handed the FULL trace
-/// (the cursor fast-forwards to the window start over the trace's shared
-/// cached timeline; no per-window slice is needed), though a slice
-/// covering the window also works. `step_days` must be the step that
-/// produced `days` (= trace.sample_days(step_days)): the packed tier binds
-/// its cursor to the trace's grid-folded word-delta timeline for that step.
+/// `trace`: advances a fault::FaultMaskCursor across the window's sample
+/// days and feeds the word deltas to a topo::IncrementalAllocator. Normally
+/// handed the FULL trace (the cursor fast-forwards to the window start over
+/// the trace's shared cached timeline; no per-window slice is needed),
+/// though a slice covering the window also works. `step_days` must be the
+/// step that produced `days` (= trace.sample_days(step_days)): the cursor
+/// binds to the trace's grid-folded word-delta timeline for that step.
 TraceWindowFragment replay_trace_window_incremental(
     const HbdArchitecture& arch, const fault::FaultTrace& trace,
     int tp_size_gpus, const std::vector<double>& days,
     const fault::SampleWindow& window, double step_days,
-    bool keep_samples = true, bool packed = true);
+    bool keep_samples = true);
 
 /// Windowed parallel replay of `trace` against `arch` with TP size
 /// `tp_size_gpus`; see the header comment for the determinism contract.
@@ -133,9 +104,9 @@ TraceWasteResult evaluate_waste_over_trace(const HbdArchitecture& arch,
                                            int tp_size_gpus,
                                            const TraceReplayOptions& options);
 
-/// Serial reference replay, sampling every `step_days`. Kept as the
-/// bit-equivalence oracle for the windowed replay (tests) and for callers
-/// that want no thread machinery.
+/// Serial oracle replay, sampling every `step_days`. Kept as the
+/// bit-equivalence reference for the windowed replay (tests, perfbench's
+/// correctness check) and for callers that want no thread machinery.
 TraceWasteResult evaluate_waste_over_trace(const HbdArchitecture& arch,
                                            const fault::FaultTrace& trace,
                                            int tp_size_gpus,

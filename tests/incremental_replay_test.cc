@@ -1,24 +1,28 @@
 // Event-driven incremental replay (src/fault/transitions.h +
 // src/topo/incremental.h): transition-cursor semantics (zero-length events,
 // same-day up/down, overlapping intervals, slice boundaries, the
-// monotonicity contract, word-delta equivalence), the KHopRing incremental
-// allocator's arc maintenance against allocate(), the word-parallel
-// apply_words paths against the flip-list paths, and the randomized
-// end-to-end property that the incremental replay is bit-identical to the
-// serial evaluate_waste_over_trace oracle across architectures, TP sizes
-// and the packed toggle.
+// monotonicity contract, word-delta contract), the KHopRing and per-island
+// allocators' apply_words against allocate(), and the randomized end-to-end
+// property that the fast replay is bit-identical to the serial
+// evaluate_waste_over_trace oracle across architectures, TP sizes and
+// trace models.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <limits>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "src/common/error.h"
 #include "src/common/rng.h"
 #include "src/fault/generator.h"
 #include "src/fault/packed_mask.h"
+#include "src/fault/physics_generator.h"
 #include "src/fault/trace.h"
 #include "src/fault/transitions.h"
+#include "src/obs/metrics.h"
 #include "src/topo/baselines.h"
 #include "src/topo/incremental.h"
 #include "src/topo/khop_ring.h"
@@ -65,59 +69,16 @@ TEST(TransitionTimeline, SortedAndComplete) {
 
 // --- cursor semantics -----------------------------------------------------
 
+/// The nodes whose bit a set of word deltas flips, ascending.
+std::vector<int> flipped_nodes(const std::vector<fault::WordDelta>& deltas) {
+  std::vector<int> nodes;
+  for (const auto& d : deltas)
+    fault::for_each_set_bit(d.xor_bits, d.word,
+                            [&](int i) { nodes.push_back(i); });
+  return nodes;
+}
+
 TEST(FaultMaskCursor, MatchesFaultyAtOnGeneratedTrace) {
-  const auto trace = gen_trace(96, 45.0, 11);
-  fault::FaultMaskCursor cursor(trace);
-  std::vector<bool> replayed(static_cast<std::size_t>(trace.node_count()),
-                             false);
-  for (const double day : trace.sample_days(0.25)) {
-    const auto& flipped = cursor.advance_to(day);
-    // The reported flips alone must transform the previous mask into the
-    // current one (no silent changes, no spurious reports).
-    for (const int node : flipped) {
-      const auto i = static_cast<std::size_t>(node);
-      replayed[i] = !replayed[i];
-    }
-    EXPECT_EQ(cursor.mask(), trace.faulty_at(day)) << "day " << day;
-    EXPECT_EQ(replayed, cursor.mask()) << "day " << day;
-  }
-  // Edges past the last sample day (repairs completing after the trace
-  // window) may remain; advancing past every event drains the timeline and
-  // clears the mask.
-  cursor.advance_to(std::numeric_limits<double>::max());
-  EXPECT_EQ(cursor.remaining(), 0u);
-  for (const bool faulty : cursor.mask()) EXPECT_FALSE(faulty);
-}
-
-TEST(FaultMaskCursor, ZeroLengthAndSameDayAndOverlappingEvents) {
-  // node 0: zero-length event (never faulty: start <= d < end is empty)
-  // node 1: overlapping intervals [1,3) and [2,5) (faulty through day 4)
-  // node 2: back-to-back [1,2) + [2,4): repair and re-fault on day 2 — the
-  //         bit never clears, so day 2 must report no flip for node 2
-  // node 3: plain [0,2)
-  const fault::FaultTrace trace(
-      5, 6.0,
-      {{0, 2.0, 2.0}, {1, 1.0, 3.0}, {1, 2.0, 5.0}, {2, 1.0, 2.0},
-       {2, 2.0, 4.0}, {3, 0.0, 2.0}});
-  fault::FaultMaskCursor cursor(trace);
-
-  EXPECT_EQ(cursor.advance_to(0.0), (std::vector<int>{3}));
-  EXPECT_EQ(cursor.advance_to(1.0), (std::vector<int>{1, 2}));
-  // Day 2: node 0's zero-length event cancels itself, node 1 stays down
-  // (second interval active), node 2's up+down cancel, node 3 comes up.
-  EXPECT_EQ(cursor.advance_to(2.0), (std::vector<int>{3}));
-  EXPECT_EQ(cursor.mask(),
-            (std::vector<bool>{false, true, true, false, false}));
-  EXPECT_EQ(cursor.advance_to(3.0), (std::vector<int>{}));  // 1 still overlapped
-  EXPECT_EQ(cursor.advance_to(4.0), (std::vector<int>{2}));
-  EXPECT_EQ(cursor.advance_to(5.0), (std::vector<int>{1}));
-  for (int node = 0; node < 5; ++node)
-    EXPECT_FALSE(cursor.mask()[static_cast<std::size_t>(node)]);
-  // Repeated advance to the same day is a no-op.
-  EXPECT_TRUE(cursor.advance_to(5.0).empty());
-}
-
-TEST(FaultMaskCursor, WordDeltasMatchFaultyAt) {
   const auto trace = gen_trace(96, 45.0, 11);
   fault::FaultMaskCursor cursor(trace);
   fault::PackedMask replayed(trace.node_count());
@@ -133,10 +94,46 @@ TEST(FaultMaskCursor, WordDeltasMatchFaultyAt) {
     }
     EXPECT_EQ(cursor.packed_mask(), trace.packed_faulty_at(day))
         << "day " << day;
+    // The reported deltas alone must transform the previous mask into the
+    // current one (no silent changes, no spurious reports).
     EXPECT_EQ(replayed, cursor.packed_mask()) << "day " << day;
-    // The bool mirror stays in sync with the packed mask.
-    EXPECT_EQ(cursor.mask(), cursor.packed_mask().to_bools()) << "day " << day;
   }
+  // Edges past the last sample day (repairs completing after the trace
+  // window) may remain; advancing past every event drains the timeline and
+  // clears the mask.
+  cursor.advance_to_words(std::numeric_limits<double>::max());
+  EXPECT_EQ(cursor.remaining(), 0u);
+  EXPECT_EQ(cursor.packed_mask().popcount(), 0);
+}
+
+TEST(FaultMaskCursor, ZeroLengthAndSameDayAndOverlappingEvents) {
+  // node 0: zero-length event (never faulty: start <= d < end is empty)
+  // node 1: overlapping intervals [1,3) and [2,5) (faulty through day 4)
+  // node 2: back-to-back [1,2) + [2,4): repair and re-fault on day 2 — the
+  //         bit never clears, so day 2 must report no flip for node 2
+  // node 3: plain [0,2)
+  const fault::FaultTrace trace(
+      5, 6.0,
+      {{0, 2.0, 2.0}, {1, 1.0, 3.0}, {1, 2.0, 5.0}, {2, 1.0, 2.0},
+       {2, 2.0, 4.0}, {3, 0.0, 2.0}});
+  fault::FaultMaskCursor cursor(trace);
+  const auto advance = [&](double day) {
+    return flipped_nodes(cursor.advance_to_words(day));
+  };
+
+  EXPECT_EQ(advance(0.0), (std::vector<int>{3}));
+  EXPECT_EQ(advance(1.0), (std::vector<int>{1, 2}));
+  // Day 2: node 0's zero-length event cancels itself, node 1 stays down
+  // (second interval active), node 2's up+down cancel, node 3 comes up.
+  EXPECT_EQ(advance(2.0), (std::vector<int>{3}));
+  EXPECT_EQ(cursor.packed_mask(),
+            fault::PackedMask::from_bools({false, true, true, false, false}));
+  EXPECT_EQ(advance(3.0), (std::vector<int>{}));  // 1 still overlapped
+  EXPECT_EQ(advance(4.0), (std::vector<int>{2}));
+  EXPECT_EQ(advance(5.0), (std::vector<int>{1}));
+  EXPECT_EQ(cursor.packed_mask().popcount(), 0);
+  // Repeated advance to the same day is a no-op.
+  EXPECT_TRUE(cursor.advance_to_words(5.0).empty());
 }
 
 TEST(FaultMaskCursor, GridAlignedCursorMatchesFaultyAt) {
@@ -172,40 +169,6 @@ TEST(FaultMaskCursor, GridAlignedCursorMatchesFaultyAt) {
   }
 }
 
-TEST(FaultMaskCursor, EntryPointsInterleave) {
-  // Both advance entry points share one timeline walk, so a caller may mix
-  // them; each reports exactly the flips since the previous advance.
-  const auto trace = gen_trace(96, 45.0, 11);
-  fault::FaultMaskCursor words_cursor(trace);
-  fault::FaultMaskCursor mixed_cursor(trace);
-  bool use_words = false;
-  for (const double day : trace.sample_days(0.5)) {
-    words_cursor.advance_to_words(day);
-    if (use_words)
-      mixed_cursor.advance_to_words(day);
-    else
-      mixed_cursor.advance_to(day);
-    use_words = !use_words;
-    EXPECT_EQ(mixed_cursor.packed_mask(), words_cursor.packed_mask())
-        << "day " << day;
-    EXPECT_EQ(mixed_cursor.mask(), words_cursor.mask()) << "day " << day;
-  }
-}
-
-TEST(FaultMaskCursor, FlipListMatchesWordDeltaExpansion) {
-  const auto trace = gen_trace(64, 30.0, 19);
-  fault::FaultMaskCursor flips_cursor(trace);
-  fault::FaultMaskCursor words_cursor(trace);
-  for (const double day : trace.sample_days(1.0)) {
-    const std::vector<int> flipped = flips_cursor.advance_to(day);
-    std::vector<int> expanded;
-    for (const auto& d : words_cursor.advance_to_words(day))
-      fault::for_each_set_bit(d.xor_bits, d.word,
-                              [&](int i) { expanded.push_back(i); });
-    EXPECT_EQ(flipped, expanded) << "day " << day;
-  }
-}
-
 // The documented forward-only contract (transitions.h): a cursor cannot
 // rewind, and the violation must trip the IHBD_EXPECTS guard rather than
 // silently corrupt the mask.
@@ -215,14 +178,15 @@ TEST(FaultMaskCursorDeathTest, RejectsNonMonotonicAdvance) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   const auto trace = gen_trace(32, 20.0, 23);
   fault::FaultMaskCursor cursor(trace);
-  cursor.advance_to(10.0);
-  EXPECT_DEATH(cursor.advance_to(9.5), "day >= day_");
+  cursor.advance_to_words(10.0);
+  EXPECT_DEATH(cursor.advance_to_words(9.5), "day >= day_");
   EXPECT_DEATH(cursor.advance_to_words(0.0), "day >= day_");
   // NaN never satisfies day >= day_, so it is rejected too.
-  EXPECT_DEATH(cursor.advance_to(std::numeric_limits<double>::quiet_NaN()),
-               "day >= day_");
+  EXPECT_DEATH(
+      cursor.advance_to_words(std::numeric_limits<double>::quiet_NaN()),
+      "day >= day_");
   // Equal day remains a legal no-op.
-  EXPECT_TRUE(cursor.advance_to(10.0).empty());
+  EXPECT_TRUE(cursor.advance_to_words(10.0).empty());
 }
 
 TEST(FaultMaskCursor, SliceBoundariesMatchTheFullTrace) {
@@ -231,8 +195,9 @@ TEST(FaultMaskCursor, SliceBoundariesMatchTheFullTrace) {
   const auto sliced = trace.slice(lo, hi);
   fault::FaultMaskCursor cursor(sliced);
   for (double day = lo; day <= hi; day += 0.5) {
-    cursor.advance_to(day);
-    EXPECT_EQ(cursor.mask(), trace.faulty_at(day)) << "day " << day;
+    cursor.advance_to_words(day);
+    EXPECT_EQ(cursor.packed_mask(), trace.packed_faulty_at(day))
+        << "day " << day;
   }
 }
 
@@ -246,7 +211,42 @@ void expect_same_aggregates(const Allocation& a, const Allocation& b,
   EXPECT_EQ(a.wasted_healthy_gpus, b.wasted_healthy_gpus) << what;
 }
 
+fault::PackedMask random_mask(int n, double p, Rng& rng) {
+  fault::PackedMask mask(n);
+  for (int i = 0; i < n; ++i) mask.set(i, rng.bernoulli(p));
+  return mask;
+}
+
+/// Flip `nodes` in `mask`, in order, and report each flip as its own
+/// one-bit WordDelta. A node listed twice nets out of the mask but stays
+/// in the deltas, which the allocators must tolerate as spurious.
+std::vector<fault::WordDelta> flip_nodes(fault::PackedMask& mask,
+                                         const std::vector<int>& nodes) {
+  std::vector<fault::WordDelta> deltas;
+  for (const int x : nodes) {
+    mask.flip(x);
+    deltas.push_back({x / fault::PackedMask::kWordBits,
+                      std::uint64_t{1} << (x % fault::PackedMask::kWordBits)});
+  }
+  return deltas;
+}
+
+/// 1-3 random node flips, possibly repeating a node.
+std::vector<int> random_flip_batch(int n, Rng& rng) {
+  std::vector<int> nodes;
+  const int batch = 1 + static_cast<int>(rng.uniform_index(3));
+  for (int b = 0; b < batch; ++b)
+    nodes.push_back(static_cast<int>(rng.uniform_index(n)));
+  return nodes;
+}
+
 TEST(KHopRingIncremental, RandomFlipSequencesMatchAllocate) {
+  const char* const kTiers[] = {"alloc.khop.residue_step",
+                                "alloc.khop.arc_patch",
+                                "alloc.khop.general_window"};
+  std::uint64_t tier_before[3];
+  for (int t = 0; t < 3; ++t) tier_before[t] = obs::counter(kTiers[t]).value();
+  obs::set_enabled(true);
   Rng rng(1234);
   for (const bool ring_variant : {true, false}) {
     for (const int k : {1, 2, 3}) {
@@ -256,23 +256,11 @@ TEST(KHopRingIncremental, RandomFlipSequencesMatchAllocate) {
         const KHopRing ring(n, g, k, ring_variant);
         KHopRingIncrementalAllocator inc(ring, m * g);
         // Start from a random mask, then walk 400 random flip batches.
-        std::vector<bool> mask(static_cast<std::size_t>(n), false);
-        for (auto&& bit : mask) bit = rng.bernoulli(0.2);
-        std::vector<int> flipped;
-        inc.apply(mask, flipped);
+        fault::PackedMask mask = random_mask(n, 0.2, rng);
+        inc.apply_words(mask, {});
         for (int step = 0; step < 400; ++step) {
-          flipped.clear();
-          const int batch = 1 + static_cast<int>(rng.uniform_index(3));
-          for (int b = 0; b < batch; ++b) {
-            const int x = static_cast<int>(rng.uniform_index(n));
-            mask[static_cast<std::size_t>(x)] =
-                !mask[static_cast<std::size_t>(x)];
-            flipped.push_back(x);
-          }
-          // A node flipped twice in one batch nets out; drop both entries
-          // the way a cursor would (the allocator must also tolerate them,
-          // so leave them in on odd steps).
-          const auto& got = inc.apply(mask, flipped);
+          const auto deltas = flip_nodes(mask, random_flip_batch(n, rng));
+          const auto& got = inc.apply_words(mask, deltas);
           const auto want = ring.allocate(mask, m * g);
           expect_same_aggregates(
               got, want,
@@ -283,6 +271,12 @@ TEST(KHopRingIncremental, RandomFlipSequencesMatchAllocate) {
       }
     }
   }
+  obs::set_enabled(false);
+  // Every flip tier (residue step, arc patch, general window) was hit.
+  if (IHBD_OBS) {
+    for (int t = 0; t < 3; ++t)
+      EXPECT_GT(obs::counter(kTiers[t]).value(), tier_before[t]) << kTiers[t];
+  }
 }
 
 TEST(KHopRingIncremental, ExtremeMasksMatchAllocate) {
@@ -290,19 +284,16 @@ TEST(KHopRingIncremental, ExtremeMasksMatchAllocate) {
   for (const bool ring_variant : {true, false}) {
     const KHopRing ring(n, g, 2, ring_variant);
     KHopRingIncrementalAllocator inc(ring, tp);
-    std::vector<bool> mask(static_cast<std::size_t>(n), false);
-    std::vector<int> flipped;
-    inc.apply(mask, flipped);  // all healthy
+    fault::PackedMask mask(n);
+    inc.apply_words(mask, {});  // all healthy
     // Take every node down one by one, then bring them all back.
     for (int x = 0; x < n; ++x) {
-      mask[static_cast<std::size_t>(x)] = true;
-      const auto& got = inc.apply(mask, {x});
+      const auto& got = inc.apply_words(mask, flip_nodes(mask, {x}));
       expect_same_aggregates(got, ring.allocate(mask, tp),
                              "down x=" + std::to_string(x));
     }
     for (int x = n - 1; x >= 0; --x) {
-      mask[static_cast<std::size_t>(x)] = false;
-      const auto& got = inc.apply(mask, {x});
+      const auto& got = inc.apply_words(mask, flip_nodes(mask, {x}));
       expect_same_aggregates(got, ring.allocate(mask, tp),
                              "up x=" + std::to_string(x));
     }
@@ -365,22 +356,13 @@ TEST(BaselineIncremental, RandomFlipSequencesMatchAllocate) {
   // (128), and m larger than the whole cluster (640).
   for (const int tp : {8, 64, 128, 640}) {
     for (auto& c : baseline_cases(n, g, tp)) {
-      std::vector<bool> mask(static_cast<std::size_t>(n), false);
-      for (auto&& bit : mask) bit = rng.bernoulli(0.15);
-      std::vector<int> flipped;
-      c.allocator->apply(mask, flipped);
+      fault::PackedMask mask = random_mask(n, 0.15, rng);
+      c.allocator->apply_words(mask, {});
       for (int step = 0; step < 400; ++step) {
-        flipped.clear();
-        const int batch = 1 + static_cast<int>(rng.uniform_index(3));
-        for (int b = 0; b < batch; ++b) {
-          const int x = static_cast<int>(rng.uniform_index(n));
-          mask[static_cast<std::size_t>(x)] =
-              !mask[static_cast<std::size_t>(x)];
-          flipped.push_back(x);
-        }
-        // Double flips of one node stay in the list: the allocator must
+        // Double flips of one node stay in the deltas: the allocator must
         // tolerate spurious (net-zero) entries.
-        const auto& got = c.allocator->apply(mask, flipped);
+        const auto deltas = flip_nodes(mask, random_flip_batch(n, rng));
+        const auto& got = c.allocator->apply_words(mask, deltas);
         const auto want = c.arch->allocate(mask, tp);
         expect_same_aggregates(got, want,
                                c.arch->name() + " tp=" + std::to_string(tp) +
@@ -394,25 +376,24 @@ TEST(BaselineIncremental, DegenerateMasksMatchAllocate) {
   const int n = 144, g = 4;
   for (const int tp : {32, 128}) {
     for (auto& c : baseline_cases(n, g, tp)) {
-      std::vector<bool> mask(static_cast<std::size_t>(n), false);
-      std::vector<int> flipped;
+      fault::PackedMask mask(n);
       // All healthy, then take one island (the first 18 nodes — one NVL-72
       // island, more than one TPUv4 cube span) fully down node by node,
       // then the whole cluster down, then everything back up.
-      expect_same_aggregates(c.allocator->apply(mask, flipped),
+      expect_same_aggregates(c.allocator->apply_words(mask, {}),
                              c.arch->allocate(mask, tp),
                              c.arch->name() + " all-healthy");
       for (int x = 0; x < n; ++x) {
-        mask[static_cast<std::size_t>(x)] = true;
+        const auto deltas = flip_nodes(mask, {x});
         expect_same_aggregates(
-            c.allocator->apply(mask, {x}), c.arch->allocate(mask, tp),
+            c.allocator->apply_words(mask, deltas), c.arch->allocate(mask, tp),
             c.arch->name() + " tp=" + std::to_string(tp) + " down x=" +
                 std::to_string(x));
       }
       for (int x = n - 1; x >= 0; --x) {
-        mask[static_cast<std::size_t>(x)] = false;
+        const auto deltas = flip_nodes(mask, {x});
         expect_same_aggregates(
-            c.allocator->apply(mask, {x}), c.arch->allocate(mask, tp),
+            c.allocator->apply_words(mask, deltas), c.arch->allocate(mask, tp),
             c.arch->name() + " tp=" + std::to_string(tp) + " up x=" +
                 std::to_string(x));
       }
@@ -421,20 +402,20 @@ TEST(BaselineIncremental, DegenerateMasksMatchAllocate) {
 }
 
 TEST(BaselineIncremental, InitializesFromDegenerateFirstMask) {
-  // First apply() seeds wholesale from the mask: start from all-faulty and
-  // from one-island-down instead of from all-healthy.
+  // First apply_words() seeds wholesale from the mask: start from
+  // all-faulty and from one-island-down instead of from all-healthy.
   const int n = 144, g = 4, tp = 32;
   for (const bool all_faulty : {true, false}) {
     for (auto& c : baseline_cases(n, g, tp)) {
-      std::vector<bool> mask(static_cast<std::size_t>(n), all_faulty);
-      if (!all_faulty)  // exactly one NVL-36 island (9 nodes) fully down
-        for (int x = 0; x < 9; ++x) mask[static_cast<std::size_t>(x)] = true;
+      fault::PackedMask mask(n);
+      // All faulty, or exactly one NVL-36 island (9 nodes) fully down.
+      for (int x = 0; x < (all_faulty ? n : 9); ++x) mask.set(x, true);
       expect_same_aggregates(
-          c.allocator->apply(mask, {}), c.arch->allocate(mask, tp),
+          c.allocator->apply_words(mask, {}), c.arch->allocate(mask, tp),
           c.arch->name() + (all_faulty ? " all-faulty" : " island-down"));
       // One repair out of the degenerate state.
-      mask[0] = false;
-      expect_same_aggregates(c.allocator->apply(mask, {0}),
+      const auto deltas = flip_nodes(mask, {0});
+      expect_same_aggregates(c.allocator->apply_words(mask, deltas),
                              c.arch->allocate(mask, tp),
                              c.arch->name() + " first repair");
     }
@@ -451,20 +432,41 @@ TEST(BaselineIncremental, DispatchCoversEveryPaperArchitecture) {
   for (const auto& arch : archs) {
     for (const int tp : {8, 64, 128}) {
       const auto allocator = make_incremental_allocator(*arch, tp);
-      std::vector<bool> mask(static_cast<std::size_t>(nodes), false);
-      for (auto&& bit : mask) bit = rng.bernoulli(0.1);
-      expect_same_aggregates(allocator->apply(mask, {}),
+      fault::PackedMask mask = random_mask(nodes, 0.1, rng);
+      expect_same_aggregates(allocator->apply_words(mask, {}),
                              arch->allocate(mask, tp),
                              arch->name() + " tp=" + std::to_string(tp));
       for (int step = 0; step < 32; ++step) {
         const int x = static_cast<int>(rng.uniform_index(nodes));
-        mask[static_cast<std::size_t>(x)] = !mask[static_cast<std::size_t>(x)];
+        const auto deltas = flip_nodes(mask, {x});
         expect_same_aggregates(
-            allocator->apply(mask, {x}), arch->allocate(mask, tp),
+            allocator->apply_words(mask, deltas), arch->allocate(mask, tp),
             arch->name() + " tp=" + std::to_string(tp) + " step " +
                 std::to_string(step));
       }
     }
+  }
+}
+
+/// An out-of-tree architecture with no incremental allocator.
+class UnknownArchitecture : public HbdArchitecture {
+ public:
+  std::string name() const override { return "Unknown-HBD"; }
+  int node_count() const override { return 8; }
+  int gpus_per_node() const override { return 4; }
+  Allocation allocate(const fault::PackedMask&, int) const override {
+    return {};
+  }
+};
+
+TEST(BaselineIncremental, DispatchRejectsUnknownArchitecture) {
+  const UnknownArchitecture arch;
+  try {
+    make_incremental_allocator(arch, 8);
+    FAIL() << "expected ConfigError";
+  } catch (const ConfigError& e) {
+    EXPECT_NE(std::string(e.what()).find("Unknown-HBD"), std::string::npos)
+        << e.what();
   }
 }
 
@@ -495,8 +497,7 @@ std::vector<fault::WordDelta> random_word_batch(fault::PackedMask& mask,
 
 TEST(ApplyWords, RandomWordBatchesMatchAllocate) {
   // Every allocator the dispatch hands out (KHop word-Fenwick, the
-  // per-island baselines, TPUv4's pooled regime) plus the memoizing
-  // fallback and the KHop allocator driven directly: word deltas in,
+  // per-island baselines, TPUv4's pooled regime): word deltas in,
   // aggregates bit-identical to a from-scratch allocate().
   Rng rng(9999);
   const int n = 144, g = 4;
@@ -506,9 +507,6 @@ TEST(ApplyWords, RandomWordBatchesMatchAllocate) {
     auto ring = std::make_unique<KHopRing>(n, g, 2);
     auto ring_alloc = std::make_unique<KHopRingIncrementalAllocator>(*ring, tp);
     cases.push_back({std::move(ring), std::move(ring_alloc), tp});
-    auto bs = std::make_unique<BigSwitch>(n, g);
-    auto memo = std::make_unique<MemoizingAllocator>(*bs, tp);
-    cases.push_back({std::move(bs), std::move(memo), tp});
   }
   for (auto& c : cases) {
     fault::PackedMask mask(n);
@@ -528,7 +526,7 @@ TEST(ApplyWords, RandomWordBatchesMatchAllocate) {
 
 TEST(ApplyWords, ToleratesSpuriousDeltas) {
   // A delta whose word already matches the mask (net-zero change) must be
-  // ignored, mirroring the flip-list paths' spurious-flip filtering.
+  // ignored.
   const int n = 144, g = 4, tp = 32;
   for (auto& c : baseline_cases(n, g, tp)) {
     fault::PackedMask mask(n);
@@ -579,35 +577,48 @@ TEST(ApplyWords, DegenerateMasksMatchAllocate) {
   }
 }
 
-// --- end-to-end: incremental replay vs serial oracle ----------------------
+// --- end-to-end: fast replay vs serial oracle -----------------------------
+
+fault::FaultTrace physics_trace(fault::TraceModel model, int nodes,
+                                double days) {
+  fault::PhysicsTraceConfig cfg = model == fault::TraceModel::kStorm
+                                      ? fault::storm_trace_defaults()
+                                      : fault::physics_trace_defaults();
+  cfg.node_count = nodes;
+  cfg.duration_days = days;
+  return fault::generate_physics_trace(cfg);
+}
 
 TEST(IncrementalReplay, BitIdenticalToSerialOracleAcrossArchitectures) {
   // 144 nodes x 4 GPUs = 576 GPUs: the smallest cluster every paper
-  // architecture (incl. NVL-576) accepts.
+  // architecture (incl. NVL-576) accepts. Every trace model the fault
+  // benches replay (--trace-model): two Poisson seeds, physics degradation,
+  // and degradation + correlated storms.
   const int nodes = 144;
-  for (const std::uint64_t seed : {1ull, 42ull}) {
-    const auto trace = gen_trace(nodes, 60.0, seed);
-    auto archs = make_paper_architectures(nodes, 4);
-    archs.push_back(std::make_unique<KHopRing>(nodes, 4, 2, /*ring=*/false));
+  std::vector<std::pair<std::string, fault::FaultTrace>> traces;
+  for (const std::uint64_t seed : {1ull, 42ull})
+    traces.emplace_back("poisson seed=" + std::to_string(seed),
+                        gen_trace(nodes, 60.0, seed));
+  for (const auto model : {fault::TraceModel::kPhysics,
+                           fault::TraceModel::kStorm})
+    traces.emplace_back(fault::trace_model_name(model),
+                        physics_trace(model, nodes, 60.0));
+  auto archs = make_paper_architectures(nodes, 4);
+  archs.push_back(std::make_unique<KHopRing>(nodes, 4, 2, /*ring=*/false));
+  for (const auto& [label, trace] : traces) {
     for (const auto& arch : archs) {
       // 128 exercises TPUv4's pooled regime and NVL-36/72 whole-island
       // waste through the full replay stack, not just the allocator units.
       for (const int tp : {8, 32, 64, 128}) {
         const auto serial = evaluate_waste_over_trace(*arch, trace, tp, 1.0);
         for (const std::size_t window : {1ul, 16ul, 0ul}) {
-          for (const bool packed : {false, true}) {
-            TraceReplayOptions opts;
-            opts.threads = 2;
-            opts.window_samples = window;
-            opts.incremental = true;
-            opts.packed = packed;
-            SCOPED_TRACE(arch->name() + " tp=" + std::to_string(tp) +
-                         " window=" + std::to_string(window) + " seed=" +
-                         std::to_string(seed) + " packed=" +
-                         std::to_string(packed));
-            expect_same_result(
-                serial, evaluate_waste_over_trace(*arch, trace, tp, opts));
-          }
+          TraceReplayOptions opts;
+          opts.threads = 2;
+          opts.window_samples = window;
+          SCOPED_TRACE(arch->name() + " tp=" + std::to_string(tp) +
+                       " window=" + std::to_string(window) + " " + label);
+          expect_same_result(
+              serial, evaluate_waste_over_trace(*arch, trace, tp, opts));
         }
       }
     }
@@ -622,7 +633,6 @@ TEST(IncrementalReplay, BitIdenticalOnFractionalStep) {
   opts.step_days = 0.7;
   opts.threads = 4;
   opts.window_samples = 5;
-  opts.incremental = true;
   expect_same_result(serial, evaluate_waste_over_trace(ring, trace, 16, opts));
 }
 

@@ -92,86 +92,6 @@ TEST(Scheduler, RejectsBadJob) {
   EXPECT_THROW(simulate_schedule(ring, trace, jobs), ConfigError);
 }
 
-// --- event-driven scheduler vs dense oracle ---------------------------------
-
-void expect_bit_identical(const ScheduleResult& dense,
-                          const ScheduleResult& events) {
-  // Bit-exact doubles: the event formulation must replay the oracle's FP
-  // accumulation order, not merely approximate it.
-  EXPECT_EQ(dense.goodput_gpu_days, events.goodput_gpu_days);
-  EXPECT_EQ(dense.offered_gpu_days, events.offered_gpu_days);
-  ASSERT_EQ(dense.outcomes.size(), events.outcomes.size());
-  for (std::size_t i = 0; i < dense.outcomes.size(); ++i) {
-    const auto& d = dense.outcomes[i];
-    const auto& e = events.outcomes[i];
-    EXPECT_EQ(d.id, e.id);
-    EXPECT_EQ(d.completed_day, e.completed_day) << "job " << d.id;
-    EXPECT_EQ(d.waiting_days, e.waiting_days) << "job " << d.id;
-    EXPECT_EQ(d.preemptions, e.preemptions) << "job " << d.id;
-  }
-}
-
-TEST(EventScheduler, MatchesOracleOnRegressionGrid) {
-  // Generated traces x step sizes x job mixes: every cell must agree
-  // bit-for-bit with the dense oracle.
-  topo::KHopRing ring(96, 4, 3);  // 384 GPUs
-  const std::vector<JobRequest> mixes[] = {
-      {{1, 32, 192, 11.0}, {2, 32, 128, 6.5}, {3, 32, 64, 3.25}},
-      {{1, 64, 256, 9.0}, {2, 32, 96, 4.0}, {3, 32, 96, 25.0}},
-      {{1, 32, 384, 7.0}, {2, 64, 128, 0.75}},
-  };
-  for (unsigned seed : {11u, 12u}) {
-    fault::TraceGenConfig cfg;
-    cfg.node_count = 96;
-    cfg.duration_days = 60.0;
-    cfg.node_fault_rate_per_day = 0.008;
-    cfg.seed = seed;
-    const auto trace = fault::generate_trace(cfg);
-    for (double step : {0.25, 0.5, 1.0}) {
-      for (const auto& jobs : mixes) {
-        const auto dense = simulate_schedule(ring, trace, jobs, step);
-        EventScheduleStats stats;
-        const auto events =
-            simulate_schedule_events(ring, trace, jobs, step, &stats);
-        expect_bit_identical(dense, events);
-        EXPECT_EQ(stats.grid_days,
-                  static_cast<std::uint64_t>(trace.sample_days(step).size()));
-        // Decisions never exceed the grid; on a fine grid (where mask
-        // changes land sparsely among the buckets) they must be sparser,
-        // and memoized allocate calls stay below the oracle's
-        // one-per-job-per-day.
-        EXPECT_LE(stats.decision_events, stats.grid_days);
-        if (step <= 0.25) {
-          EXPECT_LT(stats.decision_events, stats.grid_days / 2);
-          EXPECT_LT(stats.allocate_calls, stats.grid_days * jobs.size() / 2);
-        }
-      }
-    }
-  }
-}
-
-TEST(EventScheduler, MatchesOracleWithoutFaults) {
-  topo::KHopRing ring(64, 4, 2);
-  const auto trace = no_faults(64, 20.0);
-  std::vector<JobRequest> jobs{{1, 32, 160, 3.0}, {2, 32, 160, 3.0}};
-  EventScheduleStats stats;
-  expect_bit_identical(simulate_schedule(ring, trace, jobs, 0.5),
-                       simulate_schedule_events(ring, trace, jobs, 0.5,
-                                                &stats));
-  // Fault-free: decisions only at day 0 and after each completion.
-  EXPECT_EQ(stats.decision_events, 3u);
-}
-
-TEST(EventScheduler, HandlesEmptyJobListAndZeroRemaining) {
-  topo::KHopRing ring(64, 4, 2);
-  const auto trace = no_faults(64, 5.0);
-  expect_bit_identical(simulate_schedule(ring, trace, {}, 0.5),
-                       simulate_schedule_events(ring, trace, {}, 0.5));
-  std::vector<JobRequest> jobs{{1, 32, 128, 0.0}};  // nothing to run
-  expect_bit_identical(simulate_schedule(ring, trace, jobs, 0.5),
-                       simulate_schedule_events(ring, trace, jobs, 0.5));
-}
-
 TEST(Scheduler, ArchitectureComparisonFavorsInfiniteHbd) {
   // The same job mix on SiP-Ring suffers more waiting under faults.
   std::vector<fault::FaultEvent> events;

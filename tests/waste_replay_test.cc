@@ -108,21 +108,13 @@ TEST(WindowedReplay, BitIdenticalToSerialAcrossThreadsAndWindows) {
 
   for (int threads : {1, 2, 8}) {
     for (std::size_t window : {1ul, 3ul, 7ul, 64ul, 1000ul, 0ul}) {
-      for (bool incremental : {false, true}) {
-        for (bool packed : {false, true}) {
-          TraceReplayOptions opts;
-          opts.threads = threads;
-          opts.window_samples = window;
-          opts.incremental = incremental;
-          opts.packed = packed;
-          const auto windowed = evaluate_waste_over_trace(ring, trace, 8, opts);
-          SCOPED_TRACE("threads=" + std::to_string(threads) +
-                       " window=" + std::to_string(window) +
-                       " incremental=" + std::to_string(incremental) +
-                       " packed=" + std::to_string(packed));
-          expect_same_result(serial, windowed);
-        }
-      }
+      TraceReplayOptions opts;
+      opts.threads = threads;
+      opts.window_samples = window;
+      const auto windowed = evaluate_waste_over_trace(ring, trace, 8, opts);
+      SCOPED_TRACE("threads=" + std::to_string(threads) +
+                   " window=" + std::to_string(window));
+      expect_same_result(serial, windowed);
     }
   }
 }
@@ -210,7 +202,8 @@ TEST(TraceWindowFragment, MergeIsAssociativeAndMatchesSerial) {
   ASSERT_EQ(windows.size(), 3u);  // 45 samples -> 17 + 17 + 11
 
   auto replay = [&](std::size_t w) {
-    return replay_trace_window(ring, trace, 8, days, windows[w], true);
+    return replay_trace_window_incremental(ring, trace, 8, days, windows[w],
+                                           /*step_days=*/1.0);
   };
 
   // (a . b) . c
