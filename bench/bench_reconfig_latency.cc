@@ -1,13 +1,8 @@
 // Reproduces paper §5.1's reconfiguration-latency measurement: OCSTrx
 // hardware switch (60-80 us), fast-switch (preloaded session) vs cold
-// (control-plane) switching, and node-level session application. Uses
-// Google Benchmark when available, else the vendored bench/microbench.h
-// harness (same API subset), so the target always builds.
-#if defined(IHBD_HAVE_GOOGLE_BENCHMARK)
-#include <benchmark/benchmark.h>
-#else
+// (control-plane) switching, and node-level session application. Runs on
+// the vendored bench/microbench.h harness.
 #include "bench/microbench.h"
-#endif
 
 #include <memory>
 

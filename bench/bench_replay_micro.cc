@@ -4,8 +4,8 @@
 // production-calibrated sim trace (720 4-GPU nodes, same cluster as Figs.
 // 13/15/16/20). Covers the K-Hop Ring and the baseline architectures'
 // per-island allocators. Reports replayed samples per second per path; CI
-// runs it to track the speedups. Built directly on the vendored
-// bench/microbench.h harness so it needs no Google Benchmark.
+// runs it to track the speedups. Built on the vendored bench/microbench.h
+// harness.
 #include <chrono>
 #include <cstddef>
 #include <cstdlib>
@@ -137,7 +137,7 @@ static void BM_baseline_packed(benchmark::State& state) {
     for (const double day : days) {
       const auto& deltas = cursor.advance_to_words(day);
       sink +=
-          allocator->apply_words(cursor.packed_mask(), deltas).waste_ratio();
+          allocator->apply_words(cursor.mask(), deltas).waste_ratio();
     }
     benchmark::DoNotOptimize(sink);
     return days.size();

@@ -1,7 +1,7 @@
 // Vendored micro-benchmark harness: a drop-in for the subset of the Google
-// Benchmark API that bench_reconfig_latency uses, so the target builds and
-// runs even where Google Benchmark is not installed. Selected by CMake when
-// the real library is absent (or when -DIHBD_FORCE_MICROBENCH=ON).
+// Benchmark API that the micro-benches use, so they build and run with no
+// benchmark library installed. Every micro-bench target
+// (bench_reconfig_latency, bench_replay_micro) includes it directly.
 //
 // Supported surface: benchmark::State (range-for iteration, range(i),
 // counters), BENCHMARK(fn) registration with ->Arg(n), DoNotOptimize,

@@ -99,10 +99,6 @@ void Histogram::add(double x) {
   ++total_;
 }
 
-void Histogram::add_all(std::span<const double> xs) {
-  for (double x : xs) add(x);
-}
-
 double Histogram::bin_center(std::size_t bin) const {
   IHBD_EXPECTS(bin < counts_.size());
   return lo_ + (static_cast<double>(bin) + 0.5) * width_;

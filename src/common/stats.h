@@ -59,7 +59,6 @@ class Histogram {
   /// Bins `x` as documented above. NaN inputs fit no bin: they are counted
   /// in nan_count() only and excluded from total().
   void add(double x);
-  void add_all(std::span<const double> xs);
 
   std::size_t bin_count() const { return counts_.size(); }
   std::size_t count(std::size_t bin) const { return counts_.at(bin); }
@@ -71,7 +70,6 @@ class Histogram {
   double bin_center(std::size_t bin) const;
   /// Lower edge of a bin.
   double bin_lo(std::size_t bin) const;
-  double bin_width() const { return width_; }
 
   /// Render as a one-line-per-bin ASCII bar chart.
   std::string to_string(int max_bar = 40) const;

@@ -27,7 +27,4 @@ constexpr double to_us(double seconds) { return seconds * 1e6; }
 inline constexpr double kMiB = 1024.0 * 1024.0;
 inline constexpr double kGiB = 1024.0 * kMiB;
 
-/// TFLOPS -> FLOP/s.
-constexpr double tflops(double v) { return v * 1e12; }
-
 }  // namespace ihbd::units

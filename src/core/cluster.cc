@@ -12,7 +12,7 @@ using ocstrx::OcsPath;
 InfiniteHbdCluster::InfiniteHbdCluster(const Config& config)
     : config_(config),
       topo_(config.node_count, config.gpus_per_node, config.k, config.ring),
-      faulty_(static_cast<std::size_t>(config.node_count), false),
+      faulty_(config.node_count),
       rng_(config.seed) {
   // Wiring convention (see bundle_for_hop): externals need
   // ceil(2K / 2) = K bundles, plus we keep the remaining GPU-pair bundles
@@ -42,7 +42,7 @@ std::pair<int, OcsPath> InfiniteHbdCluster::bundle_for_hop(
 
 void InfiniteHbdCluster::fail_node(int node) {
   IHBD_EXPECTS(node >= 0 && node < config_.node_count);
-  faulty_[static_cast<std::size_t>(node)] = true;
+  faulty_.set(node, true);
   for (int b = 0; b < fabrics_[static_cast<std::size_t>(node)].bundle_count();
        ++b)
     fabrics_[static_cast<std::size_t>(node)].bundle(b).fail();
@@ -50,7 +50,7 @@ void InfiniteHbdCluster::fail_node(int node) {
 
 void InfiniteHbdCluster::repair_node(int node) {
   IHBD_EXPECTS(node >= 0 && node < config_.node_count);
-  faulty_[static_cast<std::size_t>(node)] = false;
+  faulty_.set(node, false);
   for (int b = 0; b < fabrics_[static_cast<std::size_t>(node)].bundle_count();
        ++b)
     fabrics_[static_cast<std::size_t>(node)].bundle(b).repair();
@@ -58,12 +58,7 @@ void InfiniteHbdCluster::repair_node(int node) {
 
 bool InfiniteHbdCluster::node_faulty(int node) const {
   IHBD_EXPECTS(node >= 0 && node < config_.node_count);
-  return faulty_[static_cast<std::size_t>(node)];
-}
-
-int InfiniteHbdCluster::faulty_node_count() const {
-  return static_cast<int>(
-      std::count(faulty_.begin(), faulty_.end(), true));
+  return faulty_.test(node);
 }
 
 void InfiniteHbdCluster::steer_group_links(const topo::TpGroup& group,
@@ -109,7 +104,7 @@ RingPlan InfiniteHbdCluster::build_rings(int tp_size_gpus) {
   // Park every healthy node's bundles in loopback first (§4.2: idle OCSTrx
   // operate in loopback mode), then activate the plan's links.
   for (int node = 0; node < config_.node_count; ++node) {
-    if (!faulty_[static_cast<std::size_t>(node)])
+    if (!faulty_.test(node))
       fabrics_[static_cast<std::size_t>(node)].park_all_loopback(rng_);
   }
   for (const auto& group : plan.allocation.groups)

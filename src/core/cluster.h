@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "src/common/rng.h"
+#include "src/fault/packed_mask.h"
 #include "src/ocstrx/fabric_manager.h"
 #include "src/topo/hbd.h"
 #include "src/topo/khop_ring.h"
@@ -70,8 +71,8 @@ class InfiniteHbdCluster {
   void fail_node(int node);
   void repair_node(int node);
   bool node_faulty(int node) const;
-  const std::vector<bool>& fault_mask() const { return faulty_; }
-  int faulty_node_count() const;
+  const fault::PackedMask& fault_mask() const { return faulty_; }
+  int faulty_node_count() const { return faulty_.popcount(); }
 
   /// ---- ring construction -------------------------------------------------
   /// Build as many `tp_size_gpus`-sized rings as the healthy topology
@@ -106,7 +107,7 @@ class InfiniteHbdCluster {
   Config config_;
   topo::KHopRing topo_;
   std::vector<ocstrx::NodeFabricManager> fabrics_;
-  std::vector<bool> faulty_;
+  fault::PackedMask faulty_;
   RingPlan plan_;
   Rng rng_;
 };

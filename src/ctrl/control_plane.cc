@@ -145,7 +145,7 @@ ControlPlane::ControlPlane(const ControlPlaneConfig& cfg,
            orch::JobSpec{arrivals_.empty() ? 32 : arrivals_[0].tp_size_gpus,
                          0},
            cfg.n_constraints < 0 ? orch_.max_constraints() : cfg.n_constraints,
-           std::vector<bool>(static_cast<std::size_t>(cfg.node_count), false)),
+           fault::PackedMask(cfg.node_count)),
       fleet_(cfg.node_count, cfg.gpus_per_node, cfg.bundles_per_node,
              cfg.trx_per_bundle,
              std::make_shared<const ocstrx::TrxModel>(ocstrx::TrxConfig{})),

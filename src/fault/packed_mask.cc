@@ -2,21 +2,10 @@
 
 namespace ihbd::fault {
 
-PackedMask PackedMask::from_bools(const std::vector<bool>& bits) {
-  PackedMask out(static_cast<int>(bits.size()));
-  for (int i = 0; i < out.bits_; ++i)
-    if (bits[static_cast<std::size_t>(i)])
-      out.words_[static_cast<std::size_t>(i / kWordBits)] |=
-          std::uint64_t{1} << (i % kWordBits);
-  return out;
-}
-
-std::vector<bool> PackedMask::to_bools() const {
-  std::vector<bool> out(static_cast<std::size_t>(bits_), false);
-  for (int w = 0; w < word_count(); ++w)
-    for_each_set_bit(words_[static_cast<std::size_t>(w)], w,
-                     [&](int i) { out[static_cast<std::size_t>(i)] = true; });
-  return out;
+PackedMask::PackedMask(const std::vector<bool>& bits)
+    : PackedMask(static_cast<int>(bits.size())) {
+  for (int i = 0; i < bits_; ++i)
+    if (bits[static_cast<std::size_t>(i)]) set(i, true);
 }
 
 int PackedMask::popcount_range(int begin, int end) const {

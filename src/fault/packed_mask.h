@@ -1,5 +1,9 @@
-// Packed 64-bit fault masks — the word-parallel mask currency of the
-// replay core.
+// Packed 64-bit fault masks — the library's one fault-mask type.
+//
+// Every API that takes, returns or stores a set of faulty nodes uses
+// PackedMask: trace sampling (FaultTrace::faulty_at, sample_fault_mask),
+// HBD allocation, orchestration and placement repair (src/orch), the
+// cluster facade (src/core) and the control plane (src/ctrl).
 //
 // A PackedMask stores one bit per node in 64-bit words, so the replay hot
 // path works at word granularity instead of node granularity: healthy and
@@ -47,8 +51,11 @@ class PackedMask {
     IHBD_EXPECTS(bit_count >= 0);
   }
 
-  static PackedMask from_bools(const std::vector<bool>& bits);
-  std::vector<bool> to_bools() const;
+  /// Bit i set iff bits[i]. Implicit on purpose: the repository benchmark
+  /// (perfbench/ctrl_workloads.cc, drive_orch) still passes a
+  /// std::vector<bool> to orch::IncrementalPlacement. Make this explicit
+  /// once that driver passes a PackedMask.
+  PackedMask(const std::vector<bool>& bits);
 
   int size() const { return bits_; }
   int word_count() const { return static_cast<int>(words_.size()); }

@@ -44,18 +44,9 @@ FaultTrace::FaultTrace(int node_count, double duration_days,
             });
 }
 
-std::vector<bool> FaultTrace::faulty_at(double day) const {
-  std::vector<bool> mask(static_cast<std::size_t>(node_count_), false);
-  // events_ sorted by start_day: stop scanning once start > day.
-  for (const auto& e : events_) {
-    if (e.start_day > day) break;
-    if (day < e.end_day) mask[static_cast<std::size_t>(e.node)] = true;
-  }
-  return mask;
-}
-
-PackedMask FaultTrace::packed_faulty_at(double day) const {
+PackedMask FaultTrace::faulty_at(double day) const {
   PackedMask mask(node_count_);
+  // events_ sorted by start_day: stop scanning once start > day.
   for (const auto& e : events_) {
     if (e.start_day > day) break;
     if (day < e.end_day) mask.set(e.node, true);
@@ -64,8 +55,7 @@ PackedMask FaultTrace::packed_faulty_at(double day) const {
 }
 
 int FaultTrace::faulty_count_at(double day) const {
-  const auto mask = faulty_at(day);
-  return static_cast<int>(std::count(mask.begin(), mask.end(), true));
+  return faulty_at(day).popcount();
 }
 
 std::vector<double> FaultTrace::sample_days(double step_days) const {
@@ -305,7 +295,7 @@ std::vector<SampleWindow> split_windows(std::size_t n, std::size_t window) {
   return windows;
 }
 
-std::vector<bool> sample_fault_mask(int node_count, double ratio, Rng& rng) {
+PackedMask sample_fault_mask(int node_count, double ratio, Rng& rng) {
   IHBD_EXPECTS(node_count > 0);
   IHBD_EXPECTS(ratio >= 0.0 && ratio <= 1.0);
   const int want = static_cast<int>(
@@ -313,18 +303,17 @@ std::vector<bool> sample_fault_mask(int node_count, double ratio, Rng& rng) {
   std::vector<int> ids(static_cast<std::size_t>(node_count));
   for (int i = 0; i < node_count; ++i) ids[static_cast<std::size_t>(i)] = i;
   rng.shuffle(ids);
-  std::vector<bool> mask(static_cast<std::size_t>(node_count), false);
+  PackedMask mask(node_count);
   for (int i = 0; i < want; ++i)
-    mask[static_cast<std::size_t>(ids[static_cast<std::size_t>(i)])] = true;
+    mask.set(ids[static_cast<std::size_t>(i)], true);
   return mask;
 }
 
-std::vector<bool> sample_fault_mask_iid(int node_count, double ratio,
-                                        Rng& rng) {
+PackedMask sample_fault_mask_iid(int node_count, double ratio, Rng& rng) {
   IHBD_EXPECTS(node_count > 0);
   IHBD_EXPECTS(ratio >= 0.0 && ratio <= 1.0);
-  std::vector<bool> mask(static_cast<std::size_t>(node_count), false);
-  for (auto&& m : mask) m = rng.bernoulli(ratio);
+  PackedMask mask(node_count);
+  for (int i = 0; i < node_count; ++i) mask.set(i, rng.bernoulli(ratio));
   return mask;
 }
 

@@ -73,12 +73,9 @@ class FaultTrace {
   double duration_days() const { return duration_days_; }
   const std::vector<FaultEvent>& events() const { return events_; }
 
-  /// Faulty-node mask at an instant. O(log E + active) via the sorted index.
-  std::vector<bool> faulty_at(double day) const;
-
-  /// faulty_at() in packed form: same event scan, same comparisons, so
-  /// packed_faulty_at(d).to_bools() == faulty_at(d) for every d.
-  PackedMask packed_faulty_at(double day) const;
+  /// Faulty-node mask at an instant. Scans the start-sorted events, so it is
+  /// linear in the number of events that started by `day`.
+  PackedMask faulty_at(double day) const;
 
   /// Number of faulty nodes at an instant.
   int faulty_count_at(double day) const;
@@ -179,11 +176,10 @@ std::vector<SampleWindow> split_windows(std::size_t n, std::size_t window);
 /// Draw an i.i.d. faulty-node mask with an *exact* number of faulty nodes:
 /// round(node_count * ratio) distinct nodes chosen uniformly. Used for the
 /// fault-ratio sweep figures (14, 17c, 22).
-std::vector<bool> sample_fault_mask(int node_count, double ratio, Rng& rng);
+PackedMask sample_fault_mask(int node_count, double ratio, Rng& rng);
 
 /// Bernoulli variant: each node faulty independently with probability
 /// `ratio` (used by property tests against the analytic bound).
-std::vector<bool> sample_fault_mask_iid(int node_count, double ratio,
-                                        Rng& rng);
+PackedMask sample_fault_mask_iid(int node_count, double ratio, Rng& rng);
 
 }  // namespace ihbd::fault

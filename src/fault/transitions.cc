@@ -38,9 +38,9 @@ FaultMaskCursor::FaultMaskCursor(
     const FaultTrace& trace, std::shared_ptr<const WordDeltaTimeline> words)
     : timeline_(trace.transition_timeline()),
       words_(std::move(words)),
-      packed_(trace.node_count()),
-      word_xor_(static_cast<std::size_t>(packed_.word_count()), 0),
-      word_stamp_(static_cast<std::size_t>(packed_.word_count()), 0),
+      mask_(trace.node_count()),
+      word_xor_(static_cast<std::size_t>(mask_.word_count()), 0),
+      word_stamp_(static_cast<std::size_t>(mask_.word_count()), 0),
       day_(-std::numeric_limits<double>::infinity()) {}
 
 std::size_t FaultMaskCursor::remaining() const {
@@ -68,7 +68,7 @@ const std::vector<WordDelta>& FaultMaskCursor::advance_to_words(double day) {
     // apply and emit them straight from the shared timeline.
     for (int i = words.offsets[first]; i < words.offsets[first + 1]; ++i) {
       const WordDelta& d = words.deltas[static_cast<std::size_t>(i)];
-      packed_.apply_xor(d.word, d.xor_bits);
+      mask_.apply_xor(d.word, d.xor_bits);
       deltas_.push_back(d);
     }
   } else {
@@ -91,7 +91,7 @@ const std::vector<WordDelta>& FaultMaskCursor::advance_to_words(double day) {
       word_stamp_[static_cast<std::size_t>(w)] = 0;
       const std::uint64_t bits = word_xor_[static_cast<std::size_t>(w)];
       if (bits == 0) continue;  // cross-day cancellation emptied the word
-      packed_.apply_xor(w, bits);
+      mask_.apply_xor(w, bits);
       deltas_.push_back({w, bits});
     }
     dirty_words_.clear();

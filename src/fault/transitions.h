@@ -7,8 +7,8 @@
 // FaultMaskCursor consumes the trace's pre-folded WordDeltaTimeline
 // (per-day net word-XOR groups, cached once per trace), so advancing a
 // sample step is a few word XORs — no per-node work at all — and reports
-// exactly what flipped as {word_index, xor_bits} spans. The packed mask it
-// exposes is bit-identical to packed_faulty_at() at every day.
+// exactly what flipped as {word_index, xor_bits} spans. The mask it
+// exposes is bit-identical to faulty_at() at every day.
 #pragma once
 
 #include <cstddef>
@@ -24,9 +24,9 @@ namespace ihbd::fault {
 /// advance_to_words() applies every transition with `transition.day <= day`
 /// and reports the net effect since the previous position — deduplicated
 /// and net of cancelling transitions, so a zero-length event or a same-day
-/// down+up pair reports nothing. packed_mask() equals
-/// trace.packed_faulty_at(day) bit-for-bit, including on overlapping events
-/// and on FaultTrace::slice sub-traces (within the sliced day range).
+/// down+up pair reports nothing. mask() equals trace.faulty_at(day)
+/// bit-for-bit, including on overlapping events and on FaultTrace::slice
+/// sub-traces (within the sliced day range).
 ///
 /// Contract: the cursor is forward-only. `day` must be monotonically
 /// non-decreasing across advance calls (NaN is rejected too); a smaller day
@@ -55,9 +55,8 @@ class FaultMaskCursor {
   /// ascending, every xor_bits nonzero. Valid until the next advance call.
   const std::vector<WordDelta>& advance_to_words(double day);
 
-  /// Current fault mask; equals trace.packed_faulty_at(day()) after an
-  /// advance.
-  const PackedMask& packed_mask() const { return packed_; }
+  /// Current fault mask; equals trace.faulty_at(day()) after an advance.
+  const PackedMask& mask() const { return mask_; }
 
   /// The day of the last advance (-inf before the first call).
   double day() const { return day_; }
@@ -73,7 +72,7 @@ class FaultMaskCursor {
   std::shared_ptr<const std::vector<FaultTransition>> timeline_;
   std::shared_ptr<const WordDeltaTimeline> words_;
   std::size_t gnext_ = 0;            // first unapplied delta group
-  PackedMask packed_;                // current mask
+  PackedMask mask_;                  // current mask
   std::vector<WordDelta> deltas_;    // result buffer for advance_to_words
   std::vector<std::uint64_t> word_xor_;  // scratch: per-word XOR accumulator
   std::vector<int> dirty_words_;     // scratch: words hit in current batch

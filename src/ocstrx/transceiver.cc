@@ -49,7 +49,6 @@ bool Transceiver::reconfigure(evsim::Engine& engine, OcsPath path, Rng& rng,
     if (epoch != epoch_) return;  // failed mid-flight; drop the completion
     state_ = TrxState::kActive;
     active_ = path;
-    ++reconfig_count_;
     if (d) d();
   });
   return true;
@@ -62,7 +61,6 @@ std::optional<double> Transceiver::reconfigure_now(OcsPath path, Rng& rng,
   const double latency = switch_latency_s(rng, preloaded);
   state_ = TrxState::kActive;
   active_ = path;
-  ++reconfig_count_;
   return latency;
 }
 

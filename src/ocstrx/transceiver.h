@@ -95,9 +95,6 @@ class Transceiver {
   void fail();
   void repair();
 
-  /// Count of completed reconfigurations (telemetry).
-  std::uint64_t reconfig_count() const { return reconfig_count_; }
-
   /// Physics access (loss / power / BER live in phy).
   const phy::OcsSwitchMatrix& matrix() const { return model_->matrix; }
 
@@ -108,7 +105,6 @@ class Transceiver {
   std::uint32_t id_;
   TrxState state_ = TrxState::kIdle;
   std::optional<OcsPath> active_;
-  std::uint64_t reconfig_count_ = 0;
   std::uint64_t epoch_ = 0;  ///< invalidates in-flight completions on fail()
 };
 

@@ -18,10 +18,10 @@ bool same_group(const dcn::PlacedGroup& a, const dcn::PlacedGroup& b) {
 IncrementalPlacement::IncrementalPlacement(const FatTreeOrchestrator& orch,
                                            const JobSpec& job,
                                            int n_constraints,
-                                           const std::vector<bool>& faulty)
+                                           const fault::PackedMask& faulty)
     : orch_(orch) {
   const dcn::FatTree& ft = orch.fat_tree();
-  if (static_cast<int>(faulty.size()) != ft.node_count())
+  if (faulty.size() != ft.node_count())
     throw ConfigError("fault mask size != node count");
   if (job.tp_size_gpus <= 0 ||
       job.tp_size_gpus % orch.gpus_per_node() != 0)
@@ -31,7 +31,6 @@ IncrementalPlacement::IncrementalPlacement(const FatTreeOrchestrator& orch,
 
   m_ = job.tp_size_gpus / orch.gpus_per_node();
   gpus_per_node_ = orch.gpus_per_node();
-  n_constraints_ = n_constraints;
   chunk_len_ = orch.subline_chunk_len();
   const int n_maxsubline = ft.node_count() / chunk_len_;
   n_align_ = std::max(0, n_constraints - n_maxsubline);
@@ -45,12 +44,11 @@ IncrementalPlacement::IncrementalPlacement(const FatTreeOrchestrator& orch,
   const int p = ft.nodes_per_tor();
   tor_faults_.assign(static_cast<std::size_t>((ft.node_count() + p - 1) / p),
                      0);
-  for (int n = 0; n < ft.node_count(); ++n)
-    if (faulty_[static_cast<std::size_t>(n)])
-      ++tor_faults_[static_cast<std::size_t>(n / p)];
-  expanded_.resize(faulty_.size());
-  for (int n = 0; n < ft.node_count(); ++n)
-    expanded_[static_cast<std::size_t>(n)] = expanded_bit(n);
+  fault::for_each_set_bit(faulty_, [&](int n) {
+    ++tor_faults_[static_cast<std::size_t>(n / p)];
+  });
+  expanded_ = fault::PackedMask(ft.node_count());
+  for (int n = 0; n < ft.node_count(); ++n) expanded_.set(n, expanded_bit(n));
 
   chunks_.resize(static_cast<std::size_t>(chunk_count_) + 1);
   for (int q = 0; q <= chunk_count_; ++q) {
@@ -69,7 +67,7 @@ int IncrementalPlacement::deploy_pos(int node) const {
 }
 
 bool IncrementalPlacement::expanded_bit(int node) const {
-  if (faulty_[static_cast<std::size_t>(node)]) return true;
+  if (faulty_.test(node)) return true;
   const dcn::FatTree& ft = orch_.fat_tree();
   if (ft.domain_of(node) >= n_align_) return false;
   const int p = ft.nodes_per_tor();
@@ -128,8 +126,8 @@ PlacementDelta IncrementalPlacement::set_faulty(int node, bool faulty) {
   const dcn::FatTree& ft = orch_.fat_tree();
   IHBD_EXPECTS(node >= 0 && node < ft.node_count());
   PlacementDelta delta;
-  if (faulty_[static_cast<std::size_t>(node)] == faulty) return delta;
-  faulty_[static_cast<std::size_t>(node)] = faulty;
+  if (faulty_.test(node) == faulty) return delta;
+  faulty_.set(node, faulty);
   const int p = ft.nodes_per_tor();
   const int tor = node / p;
   tor_faults_[static_cast<std::size_t>(tor)] += faulty ? 1 : -1;
@@ -143,8 +141,8 @@ PlacementDelta IncrementalPlacement::set_faulty(int node, bool faulty) {
   std::vector<int> dirty;  // chunk indices needing a re-carve
   for (int n = first; n < last; ++n) {
     const bool bit = expanded_bit(n);
-    if (expanded_[static_cast<std::size_t>(n)] == bit) continue;
-    expanded_[static_cast<std::size_t>(n)] = bit;
+    if (expanded_.test(n) == bit) continue;
+    expanded_.set(n, bit);
     const int pos = deploy_pos(n);
     dirty.push_back(pos < chunk_count_ * chunk_len_ ? pos / chunk_len_
                                                     : chunk_count_);

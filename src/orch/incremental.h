@@ -52,7 +52,7 @@ class IncrementalPlacement {
   /// `orch` must outlive this object. `n_constraints` in
   /// [0, orch.max_constraints()].
   IncrementalPlacement(const FatTreeOrchestrator& orch, const JobSpec& job,
-                       int n_constraints, const std::vector<bool>& faulty);
+                       int n_constraints, const fault::PackedMask& faulty);
 
   /// Flip one node's health and patch the affected chunks. A no-op flip
   /// (node already in that state) returns an empty delta.
@@ -65,10 +65,6 @@ class IncrementalPlacement {
   /// Groups / GPUs currently placed (maintained incrementally).
   int group_count() const { return group_count_; }
   int gpu_count() const { return group_count_ * m_ * gpus_per_node_; }
-
-  const std::vector<bool>& faulty() const { return faulty_; }
-  int nodes_per_group() const { return m_; }
-  int n_constraints() const { return n_constraints_; }
 
  private:
   struct ChunkCarve {
@@ -87,14 +83,13 @@ class IncrementalPlacement {
   const FatTreeOrchestrator& orch_;
   int m_;
   int gpus_per_node_;
-  int n_constraints_;
   int chunk_len_;
   int chunk_count_;  ///< whole chunks (n_maxsubline); 0 when n_constraints==0
   int n_subline_;
   int n_align_;
 
-  std::vector<bool> faulty_;
-  std::vector<bool> expanded_;
+  fault::PackedMask faulty_;
+  fault::PackedMask expanded_;
   std::vector<int> tor_faults_;  ///< faulty-node count per ToR
 
   std::vector<ChunkCarve> chunks_;  ///< chunk_count_ + 1 (residual last)

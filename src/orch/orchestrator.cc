@@ -21,17 +21,15 @@ std::vector<int> deployment_order(int node_count, int p) {
 
 std::vector<topo::TpGroup> orchestrate_dcn_free(
     const std::vector<int>& nodes_in_hbd_order, int k,
-    const std::vector<bool>& faulty, int m) {
+    const fault::PackedMask& faulty, int m) {
   IHBD_EXPECTS(k >= 1 && m >= 1);
   const int n = static_cast<int>(nodes_in_hbd_order.size());
 
   // Healthy positions in HBD order.
   std::vector<int> healthy_pos;
-  for (int pos = 0; pos < n; ++pos) {
-    const int node = nodes_in_hbd_order[static_cast<std::size_t>(pos)];
-    IHBD_EXPECTS(node >= 0 && node < static_cast<int>(faulty.size()));
-    if (!faulty[static_cast<std::size_t>(node)]) healthy_pos.push_back(pos);
-  }
+  for (int pos = 0; pos < n; ++pos)
+    if (!faulty.test(nodes_in_hbd_order[static_cast<std::size_t>(pos)]))
+      healthy_pos.push_back(pos);
 
   // Connected components of the healthy K-hop line: consecutive healthy
   // positions belong to one component iff their gap is <= k (edge exists).
@@ -60,15 +58,14 @@ std::vector<topo::TpGroup> orchestrate_dcn_free(
 }
 
 ChunkGroups orchestrate_chunk_aligned(const std::vector<int>& chunk, int k,
-                                      const std::vector<bool>& faulty,
+                                      const fault::PackedMask& faulty,
                                       int m) {
   IHBD_EXPECTS(k >= 1 && m >= 1);
   const int l = static_cast<int>(chunk.size());
   ChunkGroups out;
   std::vector<bool> used(static_cast<std::size_t>(l), false);
   auto is_faulty = [&](int pos) {
-    return faulty[static_cast<std::size_t>(
-        chunk[static_cast<std::size_t>(pos)])];
+    return faulty.test(chunk[static_cast<std::size_t>(pos)]);
   };
 
   // Pass 1: fault-free aligned windows [g*m, (g+1)*m).
@@ -138,9 +135,9 @@ int FatTreeOrchestrator::max_constraints() const {
 }
 
 dcn::PlacementScheme FatTreeOrchestrator::place(
-    const std::vector<bool>& faulty, const JobSpec& job,
+    const fault::PackedMask& faulty, const JobSpec& job,
     int n_constraints) const {
-  if (static_cast<int>(faulty.size()) != fat_tree_.node_count())
+  if (faulty.size() != fat_tree_.node_count())
     throw ConfigError("fault mask size != node count");
   if (job.tp_size_gpus <= 0 || job.tp_size_gpus % gpus_per_node_ != 0)
     throw ConfigError("TP size must be a positive multiple of GPUs/node");
@@ -154,15 +151,14 @@ dcn::PlacementScheme FatTreeOrchestrator::place(
   // Alignment constraint: ToR-expand faults within the first n_align
   // domains (a faulty node marks its whole ToR faulty, so every sub-line
   // cuts identically and TP ranks stay matched within each ToR).
-  std::vector<bool> expanded = faulty;
+  fault::PackedMask expanded = faulty;
   for (int dom = 0; dom < n_align; ++dom) {
     const int base = dom * fat_tree_.domain_size_nodes();
     for (int node = base; node < base + fat_tree_.domain_size_nodes();
          ++node) {
-      if (faulty[static_cast<std::size_t>(node)]) {
+      if (faulty.test(node)) {
         const int tor_base = (node / p) * p;
-        for (int t = tor_base; t < tor_base + p; ++t)
-          expanded[static_cast<std::size_t>(t)] = true;
+        for (int t = tor_base; t < tor_base + p; ++t) expanded.set(t, true);
       }
     }
   }
@@ -242,7 +238,7 @@ dcn::PlacementScheme FatTreeOrchestrator::place(
 }
 
 dcn::PlacementScheme FatTreeOrchestrator::orchestrate(
-    const std::vector<bool>& faulty, const JobSpec& job) const {
+    const fault::PackedMask& faulty, const JobSpec& job) const {
   int low = 0;
   int high = max_constraints();
   std::optional<dcn::PlacementScheme> best;
@@ -263,9 +259,9 @@ dcn::PlacementScheme FatTreeOrchestrator::orchestrate(
 
 dcn::PlacementScheme greedy_baseline(const dcn::FatTree& fat_tree, int k,
                                      int gpus_per_node,
-                                     const std::vector<bool>& faulty,
+                                     const fault::PackedMask& faulty,
                                      const JobSpec& job, Rng& rng) {
-  if (static_cast<int>(faulty.size()) != fat_tree.node_count())
+  if (faulty.size() != fat_tree.node_count())
     throw ConfigError("fault mask size != node count");
   const int m = job.tp_size_gpus / gpus_per_node;
   const auto deploy = deployment_order(fat_tree.node_count(),
@@ -277,7 +273,7 @@ dcn::PlacementScheme greedy_baseline(const dcn::FatTree& fat_tree, int k,
   // genuinely arbitrary feasible subset with no ToR-rank coordination.
   const int needed_groups =
       (job.gpu_count + job.tp_size_gpus - 1) / job.tp_size_gpus;
-  std::vector<bool> excluded = faulty;
+  fault::PackedMask excluded = faulty;
   std::vector<int> ids(static_cast<std::size_t>(fat_tree.node_count()));
   for (int i = 0; i < fat_tree.node_count(); ++i)
     ids[static_cast<std::size_t>(i)] = i;
@@ -286,13 +282,13 @@ dcn::PlacementScheme greedy_baseline(const dcn::FatTree& fat_tree, int k,
   int spare_groups = static_cast<int>(groups.size()) - needed_groups;
   for (int id : ids) {
     if (spare_groups <= 0) break;
-    if (excluded[static_cast<std::size_t>(id)]) continue;
-    excluded[static_cast<std::size_t>(id)] = true;
+    if (excluded.test(id)) continue;
+    excluded.set(id, true);
     auto candidate = orchestrate_dcn_free(deploy, k, excluded, m);
     const int candidate_spare =
         static_cast<int>(candidate.size()) - needed_groups;
     if (candidate_spare < 0) {
-      excluded[static_cast<std::size_t>(id)] = false;  // would break the job
+      excluded.set(id, false);  // would break the job
       continue;
     }
     groups = std::move(candidate);

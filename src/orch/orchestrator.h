@@ -21,6 +21,7 @@
 #include "src/common/rng.h"
 #include "src/dcn/fattree.h"
 #include "src/dcn/traffic.h"
+#include "src/fault/packed_mask.h"
 #include "src/topo/hbd.h"
 
 namespace ihbd::orch {
@@ -42,7 +43,7 @@ std::vector<int> deployment_order(int node_count, int p);
 /// physical node id.
 std::vector<topo::TpGroup> orchestrate_dcn_free(
     const std::vector<int>& nodes_in_hbd_order, int k,
-    const std::vector<bool>& faulty, int m);
+    const fault::PackedMask& faulty, int m);
 
 /// Alignment-aware chunk placement: groups are first carved from fault-free
 /// m-aligned windows (keeping TP ranks matched to ToR positions across
@@ -55,7 +56,7 @@ struct ChunkGroups {
   std::vector<int> aligned_pos;  ///< parallel to groups
 };
 ChunkGroups orchestrate_chunk_aligned(const std::vector<int>& chunk, int k,
-                                      const std::vector<bool>& faulty, int m);
+                                      const fault::PackedMask& faulty, int m);
 
 /// The Fat-Tree orchestrator (Algorithms 4 + 5).
 class FatTreeOrchestrator {
@@ -66,11 +67,11 @@ class FatTreeOrchestrator {
   /// Algorithm 5: binary-search n_constraints, return the placement with
   /// the most constraints that still satisfies the job. Throws
   /// InfeasibleError when even the unconstrained placement is too small.
-  dcn::PlacementScheme orchestrate(const std::vector<bool>& faulty,
+  dcn::PlacementScheme orchestrate(const fault::PackedMask& faulty,
                                    const JobSpec& job) const;
 
   /// Algorithm 4 for a fixed constraint count (exposed for tests/ablation).
-  dcn::PlacementScheme place(const std::vector<bool>& faulty,
+  dcn::PlacementScheme place(const fault::PackedMask& faulty,
                              const JobSpec& job, int n_constraints) const;
 
   /// n_domain + n_maxsubline: the binary search's upper bound.
@@ -96,7 +97,7 @@ class FatTreeOrchestrator {
 /// are essentially all cross-ToR.
 dcn::PlacementScheme greedy_baseline(const dcn::FatTree& fat_tree, int k,
                                      int gpus_per_node,
-                                     const std::vector<bool>& faulty,
+                                     const fault::PackedMask& faulty,
                                      const JobSpec& job, Rng& rng);
 
 }  // namespace ihbd::orch

@@ -33,12 +33,6 @@ double MziElement::mean_loss_db(double temp_c) const {
          params_.loss_temp_coeff_db * (temp_c - 25.0);
 }
 
-double MziElement::sample_loss_db(double temp_c, Rng& rng) const {
-  const double mu = mean_loss_db(temp_c);
-  const double sample = rng.normal(mu, params_.loss_sigma_db);
-  return std::max(sample, 0.4 * mu);
-}
-
 double MziElement::hold_power_w(double temp_c) const {
   // TO heaters hold a phase offset above ambient: as the ambient rises the
   // required heater power falls slightly (matches Fig. 10b's downward trend).

@@ -7,8 +7,6 @@
 // phase arm; its response time bounds the reconfiguration latency.
 #pragma once
 
-#include "src/common/rng.h"
-
 namespace ihbd::phy {
 
 /// Routing state of a 2x2 MZI element.
@@ -22,7 +20,6 @@ enum class MziState {
 struct MziParams {
   double insertion_loss_db = 0.60;   ///< mean per-element loss at 25 C
   double loss_temp_coeff_db = 0.002; ///< additional dB per degree C above 25
-  double loss_sigma_db = 0.12;       ///< device-to-device / measurement spread
   double extinction_ratio_db = 25.0; ///< bar/cross isolation
   double to_drive_power_w = 0.50;    ///< TO heater power to hold pi phase @25C
   double power_temp_coeff = 6e-4;    ///< heater power drops as ambient rises
@@ -48,9 +45,6 @@ class MziElement {
 
   /// Mean insertion loss (dB) of this element at ambient temperature (C).
   double mean_loss_db(double temp_c) const;
-  /// Sampled loss (dB): mean plus Gaussian device/measurement spread,
-  /// truncated at 60% of the mean so losses remain physical.
-  double sample_loss_db(double temp_c, Rng& rng) const;
 
   /// TO heater power (W) needed to hold the current state at `temp_c`.
   /// The cross state holds a pi phase shift (full heater drive); the bar

@@ -61,7 +61,6 @@ class BigSwitch : public HbdArchitecture {
   IslandPartition island_partition() const { return {node_count_, node_count_}; }
   Allocation allocate(const fault::PackedMask& faulty,
                       int tp_size_gpus) const override;
-  using HbdArchitecture::allocate;
 
  private:
   int node_count_;
@@ -86,7 +85,6 @@ class NvlSwitch : public HbdArchitecture {
   }
   Allocation allocate(const fault::PackedMask& faulty,
                       int tp_size_gpus) const override;
-  using HbdArchitecture::allocate;
 
  private:
   int node_count_;
@@ -115,7 +113,6 @@ class TpuV4 : public HbdArchitecture {
   }
   Allocation allocate(const fault::PackedMask& faulty,
                       int tp_size_gpus) const override;
-  using HbdArchitecture::allocate;
 
  private:
   int node_count_;
@@ -139,7 +136,6 @@ class SipRing : public HbdArchitecture {
   }
   Allocation allocate(const fault::PackedMask& faulty,
                       int tp_size_gpus) const override;
-  using HbdArchitecture::allocate;
 
  private:
   int node_count_;

@@ -37,7 +37,7 @@ RadiusReport measure_radius(const HbdArchitecture& arch, int tp_size_gpus,
   report.immediate_degraded_gpus =
       immediate_degraded_gpus(arch, tp_size_gpus);
 
-  std::vector<bool> clean(static_cast<std::size_t>(arch.node_count()), false);
+  const fault::PackedMask clean(arch.node_count());
   const int usable_clean = arch.allocate(clean, tp_size_gpus).usable_gpus;
 
   double total_loss = 0.0;
@@ -46,7 +46,7 @@ RadiusReport measure_radius(const HbdArchitecture& arch, int tp_size_gpus,
     auto mask = clean;
     const int victim =
         static_cast<int>(rng.uniform_index(arch.node_count()));
-    mask[static_cast<std::size_t>(victim)] = true;
+    mask.set(victim, true);
     const int usable = arch.allocate(mask, tp_size_gpus).usable_gpus;
     // Loss beyond the faulty node's own GPUs.
     const int loss =

@@ -52,19 +52,9 @@ class HbdArchitecture {
 
   /// Place as many TP groups of `tp_size_gpus` GPUs as the architecture
   /// allows given `faulty` (one bit per node). `tp_size_gpus` must be a
-  /// positive multiple of gpus_per_node(). This packed overload is the
-  /// primary virtual: the replay core hands architectures PackedMasks
-  /// directly.
+  /// positive multiple of gpus_per_node().
   virtual Allocation allocate(const fault::PackedMask& faulty,
                               int tp_size_gpus) const = 0;
-
-  /// Compatibility adapter for vector<bool> callers (the serial oracle,
-  /// sweep drivers, tests): packs the mask and dispatches to the packed
-  /// overload. Derived classes re-expose it with
-  /// `using HbdArchitecture::allocate;`.
-  Allocation allocate(const std::vector<bool>& faulty, int tp_size_gpus) const {
-    return allocate(fault::PackedMask::from_bools(faulty), tp_size_gpus);
-  }
 
  protected:
   /// Shared precondition checks; returns GPUs-per-group node count m.

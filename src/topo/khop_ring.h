@@ -51,15 +51,9 @@ class KHopRing : public HbdArchitecture {
   /// circular arc is returned when no breakpoint (faulty run >= K) exists.
   std::vector<HealthyArc> healthy_arcs(const fault::PackedMask& faulty) const;
 
-  /// vector<bool> adapter over the packed decomposition above.
-  std::vector<HealthyArc> healthy_arcs(const std::vector<bool>& faulty) const {
-    return healthy_arcs(fault::PackedMask::from_bools(faulty));
-  }
-
   /// Greedy ring construction: tile each arc with groups of `m` nodes.
   Allocation allocate(const fault::PackedMask& faulty,
                       int tp_size_gpus) const override;
-  using HbdArchitecture::allocate;
 
   /// The longest faulty run that can still be bypassed (= K - 1).
   int max_bypassable_run() const { return k_ - 1; }

@@ -101,7 +101,7 @@ TraceWindowFragment replay_trace_window_incremental(
         for (const fault::WordDelta& d : deltas)
           flips += static_cast<std::uint64_t>(std::popcount(d.xor_bits));
       const Allocation& alloc =
-          allocator->apply_words(cursor.packed_mask(), deltas);
+          allocator->apply_words(cursor.mask(), deltas);
       waste = alloc.waste_ratio();
       usable = static_cast<double>(alloc.usable_gpus);
       have_alloc = true;
@@ -252,25 +252,12 @@ TraceWasteResult evaluate_waste_over_trace(const HbdArchitecture& arch,
   IHBD_EXPECTS(step_days > 0.0);
   TraceWasteResult out;
   for (double day = 0.0; day < trace.duration_days(); day += step_days) {
-    const auto mask = trace.faulty_at(day);
-    const Allocation alloc = arch.allocate(mask, tp_size_gpus);
+    const Allocation alloc = arch.allocate(trace.faulty_at(day), tp_size_gpus);
     out.waste_ratio.push(day, alloc.waste_ratio());
     out.usable_gpus.push(day, static_cast<double>(alloc.usable_gpus));
   }
   out.waste_summary = out.waste_ratio.summarize_values();
   return out;
-}
-
-double mean_waste_at_ratio(const HbdArchitecture& arch, double fault_ratio,
-                           int tp_size_gpus, int trials, Rng& rng) {
-  IHBD_EXPECTS(trials > 0);
-  double total = 0.0;
-  for (int t = 0; t < trials; ++t) {
-    const auto mask =
-        fault::sample_fault_mask(arch.node_count(), fault_ratio, rng);
-    total += arch.allocate(mask, tp_size_gpus).waste_ratio();
-  }
-  return total / trials;
 }
 
 int max_job_scale(const TimeSeries& usable_gpus, double quantile,

@@ -23,7 +23,6 @@
 #include <cstddef>
 #include <vector>
 
-#include "src/common/rng.h"
 #include "src/common/stats.h"
 #include "src/fault/trace.h"
 #include "src/runtime/accumulate.h"
@@ -111,11 +110,6 @@ TraceWasteResult evaluate_waste_over_trace(const HbdArchitecture& arch,
                                            const fault::FaultTrace& trace,
                                            int tp_size_gpus,
                                            double step_days = 1.0);
-
-/// Mean waste ratio at an exact node-fault ratio (Fig. 14 sweep), averaged
-/// over `trials` random fault masks.
-double mean_waste_at_ratio(const HbdArchitecture& arch, double fault_ratio,
-                           int tp_size_gpus, int trials, Rng& rng);
 
 /// Maximum job scale (GPUs) supportable a `quantile` fraction of the time,
 /// e.g. quantile = 0.99 -> the job size that would have been placeable 99%

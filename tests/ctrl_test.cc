@@ -273,7 +273,7 @@ TEST(ControlPlane, DepthCountersAgreeWithFaultyAtUnderNestedIntervals) {
   plane.health_probe = [&](const ControlPlane& p, double day) {
     const auto expect = trace.faulty_at(day);
     for (int n = 0; n < 256; ++n)
-      ASSERT_EQ(p.node_faulty(n), static_cast<bool>(expect[n]))
+      ASSERT_EQ(p.node_faulty(n), expect.test(n))
           << "node " << n << " at day " << day;
     ++probes;
   };

@@ -15,12 +15,12 @@ TEST(FaultTrace, ValidatesEvents) {
 
 TEST(FaultTrace, FaultyAtRespectsIntervals) {
   FaultTrace trace(4, 10.0, {{1, 2.0, 4.0}, {3, 3.0, 5.0}});
-  EXPECT_FALSE(trace.faulty_at(1.0)[1]);
-  EXPECT_TRUE(trace.faulty_at(2.5)[1]);
-  EXPECT_TRUE(trace.faulty_at(3.5)[1]);
-  EXPECT_TRUE(trace.faulty_at(3.5)[3]);
-  EXPECT_FALSE(trace.faulty_at(4.5)[1]);
-  EXPECT_TRUE(trace.faulty_at(4.5)[3]);
+  EXPECT_FALSE(trace.faulty_at(1.0).test(1));
+  EXPECT_TRUE(trace.faulty_at(2.5).test(1));
+  EXPECT_TRUE(trace.faulty_at(3.5).test(1));
+  EXPECT_TRUE(trace.faulty_at(3.5).test(3));
+  EXPECT_FALSE(trace.faulty_at(4.5).test(1));
+  EXPECT_TRUE(trace.faulty_at(4.5).test(3));
   EXPECT_EQ(trace.faulty_count_at(3.5), 2);
 }
 
@@ -42,8 +42,8 @@ TEST(FaultTrace, SplitToHalfNodesPreservesTiming) {
   const auto half = trace.split_to_half_nodes(rng, /*inherit_prob=*/1.0);
   EXPECT_EQ(half.node_count(), 8);
   EXPECT_EQ(half.events().size(), 2u);
-  EXPECT_TRUE(half.faulty_at(2.0)[4]);
-  EXPECT_TRUE(half.faulty_at(2.0)[5]);
+  EXPECT_TRUE(half.faulty_at(2.0).test(4));
+  EXPECT_TRUE(half.faulty_at(2.0).test(5));
 }
 
 TEST(FaultTrace, SplitInheritProbabilityMatchesPaper) {
@@ -72,15 +72,35 @@ TEST(FaultTrace, RemapNodesDropsOutOfRange) {
 TEST(SampleFaultMask, ExactCount) {
   Rng rng(1);
   const auto mask = sample_fault_mask(1000, 0.05, rng);
-  EXPECT_EQ(std::count(mask.begin(), mask.end(), true), 50);
+  EXPECT_EQ(mask.popcount(), 50);
 }
 
 TEST(SampleFaultMask, ZeroAndFullRatios) {
   Rng rng(1);
   auto none = sample_fault_mask(100, 0.0, rng);
   auto all = sample_fault_mask(100, 1.0, rng);
-  EXPECT_EQ(std::count(none.begin(), none.end(), true), 0);
-  EXPECT_EQ(std::count(all.begin(), all.end(), true), 100);
+  EXPECT_EQ(none.popcount(), 0);
+  EXPECT_EQ(all.popcount(), 100);
+}
+
+std::vector<int> set_bits(const PackedMask& mask) {
+  std::vector<int> out;
+  for_each_set_bit(mask, [&](int i) { out.push_back(i); });
+  return out;
+}
+
+// Pins the samplers' RNG draw order (the shuffle, then one bernoulli per
+// node in index order): figs 14/17/17d, table 7 and the K-hop ablation
+// print numbers that depend on exactly these bits.
+TEST(SampleFaultMask, DrawOrderIsPinned) {
+  Rng exact_rng(7);
+  EXPECT_EQ(set_bits(sample_fault_mask(64, 0.25, exact_rng)),
+            (std::vector<int>{0, 1, 2, 3, 4, 9, 10, 11, 14, 19, 25, 34, 43,
+                              47, 51, 53}));
+  Rng iid_rng(7);
+  EXPECT_EQ(set_bits(sample_fault_mask_iid(64, 0.25, iid_rng)),
+            (std::vector<int>{6, 7, 9, 18, 19, 20, 25, 26, 28, 30, 31, 41, 43,
+                              45, 56, 60}));
 }
 
 TEST(SampleFaultMask, IidApproximatesRatio) {
@@ -88,7 +108,7 @@ TEST(SampleFaultMask, IidApproximatesRatio) {
   int total = 0;
   for (int t = 0; t < 50; ++t) {
     const auto mask = sample_fault_mask_iid(1000, 0.03, rng);
-    total += static_cast<int>(std::count(mask.begin(), mask.end(), true));
+    total += mask.popcount();
   }
   EXPECT_NEAR(total / 50.0 / 1000.0, 0.03, 0.005);
 }

@@ -76,7 +76,7 @@ TEST_P(HbdInvariant, GroupsAreExactHealthyAndDisjoint) {
   for (const auto& g : alloc.groups) {
     EXPECT_EQ(static_cast<int>(g.nodes.size()), m) << arch_->name();
     for (int node : g.nodes) {
-      EXPECT_FALSE(mask[static_cast<std::size_t>(node)]) << arch_->name();
+      EXPECT_FALSE(mask.test(node)) << arch_->name();
       EXPECT_TRUE(seen.insert(node).second)
           << arch_->name() << " reused node " << node;
     }
@@ -103,8 +103,8 @@ TEST_P(HbdInvariant, MoreFaultsNeverHelp) {
   const int before = arch_->allocate(mask, tp_).usable_gpus;
   // Fail the first healthy node.
   for (int i = 0; i < kNodes; ++i) {
-    if (!mask[static_cast<std::size_t>(i)]) {
-      mask[static_cast<std::size_t>(i)] = true;
+    if (!mask.test(i)) {
+      mask.set(i, true);
       break;
     }
   }
@@ -112,8 +112,7 @@ TEST_P(HbdInvariant, MoreFaultsNeverHelp) {
 }
 
 TEST_P(HbdInvariant, ZeroFaultsZeroFaultyGpus) {
-  std::vector<bool> clean(kNodes, false);
-  const auto alloc = arch_->allocate(clean, tp_);
+  const auto alloc = arch_->allocate(fault::PackedMask(kNodes), tp_);
   EXPECT_EQ(alloc.faulty_gpus, 0);
   if (alloc.usable_gpus > 0) {
     // Structural fragmentation only - strictly below total.
@@ -170,12 +169,11 @@ TEST_P(KHopStructure, ArcsPartitionHealthyNodes) {
   std::set<int> covered;
   for (const auto& arc : ring.healthy_arcs(mask)) {
     for (int node : arc.nodes) {
-      EXPECT_FALSE(mask[static_cast<std::size_t>(node)]);
+      EXPECT_FALSE(mask.test(node));
       EXPECT_TRUE(covered.insert(node).second) << "node in two arcs";
     }
   }
-  const auto healthy = static_cast<std::size_t>(
-      std::count(mask.begin(), mask.end(), false));
+  const auto healthy = static_cast<std::size_t>(kNodes - mask.popcount());
   EXPECT_EQ(covered.size(), healthy);
 }
 

@@ -92,18 +92,17 @@ TEST(FaultMaskCursor, MatchesFaultyAtOnGeneratedTrace) {
       prev_word = d.word;
       replayed.apply_xor(d.word, d.xor_bits);
     }
-    EXPECT_EQ(cursor.packed_mask(), trace.packed_faulty_at(day))
-        << "day " << day;
+    EXPECT_EQ(cursor.mask(), trace.faulty_at(day)) << "day " << day;
     // The reported deltas alone must transform the previous mask into the
     // current one (no silent changes, no spurious reports).
-    EXPECT_EQ(replayed, cursor.packed_mask()) << "day " << day;
+    EXPECT_EQ(replayed, cursor.mask()) << "day " << day;
   }
   // Edges past the last sample day (repairs completing after the trace
   // window) may remain; advancing past every event drains the timeline and
   // clears the mask.
   cursor.advance_to_words(std::numeric_limits<double>::max());
   EXPECT_EQ(cursor.remaining(), 0u);
-  EXPECT_EQ(cursor.packed_mask().popcount(), 0);
+  EXPECT_EQ(cursor.mask().popcount(), 0);
 }
 
 TEST(FaultMaskCursor, ZeroLengthAndSameDayAndOverlappingEvents) {
@@ -126,12 +125,12 @@ TEST(FaultMaskCursor, ZeroLengthAndSameDayAndOverlappingEvents) {
   // Day 2: node 0's zero-length event cancels itself, node 1 stays down
   // (second interval active), node 2's up+down cancel, node 3 comes up.
   EXPECT_EQ(advance(2.0), (std::vector<int>{3}));
-  EXPECT_EQ(cursor.packed_mask(),
-            fault::PackedMask::from_bools({false, true, true, false, false}));
+  const std::vector<bool> day2{false, true, true, false, false};
+  EXPECT_EQ(cursor.mask(), fault::PackedMask(day2));
   EXPECT_EQ(advance(3.0), (std::vector<int>{}));  // 1 still overlapped
   EXPECT_EQ(advance(4.0), (std::vector<int>{2}));
   EXPECT_EQ(advance(5.0), (std::vector<int>{1}));
-  EXPECT_EQ(cursor.packed_mask().popcount(), 0);
+  EXPECT_EQ(cursor.mask().popcount(), 0);
   // Repeated advance to the same day is a no-op.
   EXPECT_TRUE(cursor.advance_to_words(5.0).empty());
 }
@@ -155,17 +154,16 @@ TEST(FaultMaskCursor, GridAlignedCursorMatchesFaultyAt) {
         EXPECT_NE(d.xor_bits, 0u) << "day " << day;
         prev_word = d.word;
       }
-      EXPECT_EQ(cursor.packed_mask(), trace.packed_faulty_at(day))
-          << "day " << day;
+      EXPECT_EQ(cursor.mask(), trace.faulty_at(day)) << "day " << day;
     }
     // Window start: jump a fresh grid cursor straight to the middle.
     const double mid = days[days.size() / 2];
     fault::FaultMaskCursor jumped(trace, step);
     jumped.advance_to_words(mid);
-    EXPECT_EQ(jumped.packed_mask(), trace.packed_faulty_at(mid));
+    EXPECT_EQ(jumped.mask(), trace.faulty_at(mid));
     // Beyond the last grid day the exact-day tail groups still apply.
     jumped.advance_to_words(std::numeric_limits<double>::max());
-    EXPECT_EQ(jumped.packed_mask().popcount(), 0);
+    EXPECT_EQ(jumped.mask().popcount(), 0);
   }
 }
 
@@ -196,8 +194,7 @@ TEST(FaultMaskCursor, SliceBoundariesMatchTheFullTrace) {
   fault::FaultMaskCursor cursor(sliced);
   for (double day = lo; day <= hi; day += 0.5) {
     cursor.advance_to_words(day);
-    EXPECT_EQ(cursor.packed_mask(), trace.packed_faulty_at(day))
-        << "day " << day;
+    EXPECT_EQ(cursor.mask(), trace.faulty_at(day)) << "day " << day;
   }
 }
 

@@ -37,8 +37,8 @@ TEST(DcnFree, GroupsHealthyRuns) {
   // 8,9} bridges the gap -> 3 groups.
   std::vector<int> order(10);
   for (int i = 0; i < 10; ++i) order[i] = i;
-  std::vector<bool> faulty(10, false);
-  faulty[3] = true;
+  fault::PackedMask faulty(10);
+  faulty.set(3, true);
   const auto groups = orchestrate_dcn_free(order, 2, faulty, 3);
   ASSERT_EQ(groups.size(), 3u);
   EXPECT_EQ(groups[0].nodes, (std::vector<int>{0, 1, 2}));
@@ -48,8 +48,9 @@ TEST(DcnFree, GroupsHealthyRuns) {
 TEST(DcnFree, BreakpointSplitsComponents) {
   std::vector<int> order(10);
   for (int i = 0; i < 10; ++i) order[i] = i;
-  std::vector<bool> faulty(10, false);
-  faulty[4] = faulty[5] = true;  // gap of 2 > K-1 for K=2
+  fault::PackedMask faulty(10);
+  faulty.set(4, true);  // gap of 2 > K-1 for K=2
+  faulty.set(5, true);
   const auto groups = orchestrate_dcn_free(order, 2, faulty, 4);
   ASSERT_EQ(groups.size(), 2u);
   EXPECT_EQ(groups[0].nodes, (std::vector<int>{0, 1, 2, 3}));
@@ -59,7 +60,7 @@ TEST(DcnFree, BreakpointSplitsComponents) {
 TEST(DcnFree, RespectsCustomOrder) {
   // Deploy order is not physical order: groups follow the given order.
   std::vector<int> order{0, 4, 8, 12};
-  std::vector<bool> faulty(16, false);
+  fault::PackedMask faulty(16);
   const auto groups = orchestrate_dcn_free(order, 2, faulty, 2);
   ASSERT_EQ(groups.size(), 2u);
   EXPECT_EQ(groups[0].nodes, (std::vector<int>{0, 4}));
@@ -69,7 +70,7 @@ TEST(DcnFree, RespectsCustomOrder) {
 TEST(Orchestrator, FullConstraintsAlignedWhenHealthy) {
   const auto ft = test_tree();
   FatTreeOrchestrator orch(ft, 2, 4);
-  std::vector<bool> faulty(1024, false);
+  fault::PackedMask faulty(1024);
   JobSpec job;
   job.tp_size_gpus = 32;  // m = 8 = chunk length
   job.gpu_count = 3600;
@@ -86,7 +87,7 @@ TEST(Orchestrator, FullConstraintsAlignedWhenHealthy) {
 TEST(Orchestrator, ZeroConstraintsIsPureDcnFree) {
   const auto ft = test_tree();
   FatTreeOrchestrator orch(ft, 2, 4);
-  std::vector<bool> faulty(1024, false);
+  fault::PackedMask faulty(1024);
   JobSpec job{32, 2048};
   const auto placement = orch.place(faulty, job, 0);
   for (const auto& g : placement.groups) EXPECT_EQ(g.pos, -1);
@@ -109,8 +110,8 @@ TEST(Orchestrator, CapacityMonotoneInConstraints) {
 TEST(Orchestrator, AlignmentExpandsFaultsToToR) {
   const auto ft = test_tree();
   FatTreeOrchestrator orch(ft, 2, 4);
-  std::vector<bool> faulty(1024, false);
-  faulty[0] = true;  // domain 0, ToR 0
+  fault::PackedMask faulty(1024);
+  faulty.set(0, true);  // domain 0, ToR 0
   JobSpec job{32, 0};
   const int full = orch.max_constraints();
   const auto aligned = orch.place(faulty, job, full);
@@ -136,7 +137,7 @@ TEST(Orchestrator, BinarySearchSatisfiesJob) {
 TEST(Orchestrator, ThrowsWhenInfeasible) {
   const auto ft = test_tree();
   FatTreeOrchestrator orch(ft, 2, 4);
-  std::vector<bool> faulty(1024, true);  // everything down
+  const auto faulty = fault::PackedMask(1024).complement();  // everything down
   JobSpec job{32, 512};
   EXPECT_THROW(orch.orchestrate(faulty, job), InfeasibleError);
 }
@@ -151,7 +152,7 @@ TEST(Orchestrator, PlacedNodesAreHealthyAndUnique) {
   std::set<int> seen;
   for (const auto& g : placement.groups) {
     for (int node : g.group.nodes) {
-      EXPECT_FALSE(mask[static_cast<std::size_t>(node)]);
+      EXPECT_FALSE(mask.test(node));
       EXPECT_TRUE(seen.insert(node).second) << "node reused: " << node;
     }
   }
@@ -160,7 +161,7 @@ TEST(Orchestrator, PlacedNodesAreHealthyAndUnique) {
 TEST(Orchestrator, AllFaultyMaskPlacesNothing) {
   const auto ft = test_tree();
   FatTreeOrchestrator orch(ft, 2, 4);
-  std::vector<bool> faulty(1024, true);
+  const auto faulty = fault::PackedMask(1024).complement();
   JobSpec job{32, 0};
   // Every constraint level, including the relaxed floor, must carve zero
   // groups — and never touch out-of-range deploy windows doing so.
@@ -174,14 +175,14 @@ TEST(Orchestrator, AllFaultyMaskPlacesNothing) {
 TEST(Orchestrator, JobScaleEqualToFullCluster) {
   const auto ft = test_tree();
   FatTreeOrchestrator orch(ft, 2, 4);
-  std::vector<bool> faulty(1024, false);
+  fault::PackedMask faulty(1024);
   JobSpec job{32, 1024 * 4};  // s = every GPU in the cluster
   // A healthy cluster can place the full-scale job even fully aligned.
   const auto placement = orch.orchestrate(faulty, job);
   EXPECT_EQ(placement.gpu_count(4), 1024 * 4);
   // One faulty node makes the full-cluster scale infeasible at every
   // constraint level.
-  faulty[500] = true;
+  faulty.set(500, true);
   EXPECT_THROW(orch.orchestrate(faulty, job), InfeasibleError);
 }
 
@@ -190,8 +191,8 @@ TEST(DcnFree, HopReachAtLeastNodeCountBridgesAnyGap) {
   // spans the whole line no matter how faults are scattered.
   std::vector<int> order(12);
   for (int i = 0; i < 12; ++i) order[i] = i;
-  std::vector<bool> faulty(12, false);
-  faulty[1] = faulty[2] = faulty[3] = faulty[4] = faulty[5] = true;
+  fault::PackedMask faulty(12);
+  for (int i = 1; i <= 5; ++i) faulty.set(i, true);
   const auto groups = orchestrate_dcn_free(order, 12, faulty, 3);
   ASSERT_EQ(groups.size(), 2u);
   EXPECT_EQ(groups[0].nodes, (std::vector<int>{0, 6, 7}));
@@ -204,7 +205,7 @@ TEST(ChunkAligned, ChunkShorterThanGroupYieldsNothingAligned) {
   // chunk length 5 < m = 8: pass 1 has no whole aligned window; pass 2
   // cannot tile a whole group either -> empty carve.
   std::vector<int> chunk{0, 1, 2, 3, 4};
-  std::vector<bool> faulty(5, false);
+  fault::PackedMask faulty(5);
   const auto carved = orchestrate_chunk_aligned(chunk, 2, faulty, 8);
   EXPECT_TRUE(carved.groups.empty());
   EXPECT_TRUE(carved.aligned_pos.empty());
@@ -254,7 +255,7 @@ TEST(Incremental, DeltaReportsTrueChurnOnly) {
   const auto ft = test_tree();
   FatTreeOrchestrator orch(ft, 2, 4);
   JobSpec job{32, 0};
-  std::vector<bool> mask(1024, false);
+  fault::PackedMask mask(1024);
   IncrementalPlacement inc(orch, job, orch.max_constraints(), mask);
   const int before = inc.group_count();
 
@@ -293,7 +294,7 @@ TEST(Greedy, ProducesFeasiblePlacement) {
 TEST(Greedy, RandomizesGroupOrder) {
   const auto ft = test_tree();
   Rng rng_a(1), rng_b(2);
-  std::vector<bool> faulty(1024, false);
+  fault::PackedMask faulty(1024);
   JobSpec job{32, 4096};
   const auto a = greedy_baseline(ft, 2, 4, faulty, job, rng_a);
   const auto b = greedy_baseline(ft, 2, 4, faulty, job, rng_b);

@@ -12,9 +12,9 @@
 namespace ihbd::topo {
 namespace {
 
-std::vector<bool> mask_of(int n, std::initializer_list<int> faulty) {
-  std::vector<bool> m(static_cast<std::size_t>(n), false);
-  for (int f : faulty) m[static_cast<std::size_t>(f)] = true;
+fault::PackedMask mask_of(int n, std::initializer_list<int> faulty) {
+  fault::PackedMask m(n);
+  for (int f : faulty) m.set(f, true);
   return m;
 }
 
@@ -99,7 +99,7 @@ TEST(KHopRing, WrapAroundArcIsContiguous) {
 
 TEST(KHopRing, AllFaultyYieldsNoArcs) {
   KHopRing k2(8, 4, 2);
-  std::vector<bool> all(8, true);
+  const fault::PackedMask all = fault::PackedMask(8).complement();
   EXPECT_TRUE(k2.healthy_arcs(all).empty());
   const auto alloc = k2.allocate(all, 16);
   EXPECT_EQ(alloc.usable_gpus, 0);

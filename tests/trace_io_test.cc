@@ -37,7 +37,7 @@ TEST(TraceIo, InfersDimensions) {
   const auto trace = load_trace_csv(in);
   EXPECT_EQ(trace.node_count(), 8);
   EXPECT_DOUBLE_EQ(trace.duration_days(), 6.25);
-  EXPECT_TRUE(trace.faulty_at(1.5)[3]);
+  EXPECT_TRUE(trace.faulty_at(1.5).test(3));
 }
 
 TEST(TraceIo, SkipsCommentsAndHeader) {
