@@ -178,8 +178,9 @@ ControlPlane::ControlPlane(const ControlPlaneConfig& cfg,
   }
   fleet_.preload_session(hbd_session_, hbd);
   fleet_.preload_session(park_session_, park);
-  queue_ = ocstrx::ReconfigQueue(cfg.reconfig_batch, cfg.retry, cfg.inject);
-  owner_of_first_.assign(static_cast<std::size_t>(cfg.node_count), -1);
+  queue_ = ocstrx::ReconfigQueue(cfg.reconfig_batch, cfg.retry, cfg.inject,
+                                 static_cast<std::size_t>(cfg.node_count));
+  group_at_first_.assign(static_cast<std::size_t>(cfg.node_count), -1);
   waiter_of_node_.assign(static_cast<std::size_t>(cfg.node_count), -1);
 
   // Seed the free pool from the healthy placement, in placement order
@@ -188,29 +189,59 @@ ControlPlane::ControlPlane(const ControlPlaneConfig& cfg,
   for (const auto& g : inc_.placement().groups) add_free_group(g.group.nodes);
 
   jobs_.resize(arrivals_.size());
-  for (std::size_t i = 0; i < arrivals_.size(); ++i)
-    jobs_[i].pending_since = arrivals_[i].day;
 }
 
-void ControlPlane::add_free_group(std::vector<int> nodes) {
-  const int first = nodes.front();
-  free_list_.push_back(std::move(nodes));
-  free_by_first_.emplace(first, std::prev(free_list_.end()));
+void ControlPlane::link_back(GroupList& list, int group) {
+  Group& g = groups_[static_cast<std::size_t>(group)];
+  ++list.size;
+  if (list.head < 0) {
+    g.prev = g.next = list.head = group;
+    return;
+  }
+  Group& first = groups_[static_cast<std::size_t>(list.head)];
+  g.prev = first.prev;
+  g.next = list.head;
+  groups_[static_cast<std::size_t>(first.prev)].next = group;
+  first.prev = group;
 }
 
-bool ControlPlane::take_free_group(std::vector<int>& out) {
-  if (free_list_.empty()) return false;
-  out = std::move(free_list_.front());
-  free_by_first_.erase(out.front());
-  free_list_.pop_front();
-  return true;
+void ControlPlane::unlink(GroupList& list, int group) {
+  Group& g = groups_[static_cast<std::size_t>(group)];
+  --list.size;
+  if (g.next == group) {
+    list.head = -1;
+  } else {
+    groups_[static_cast<std::size_t>(g.prev)].next = g.next;
+    groups_[static_cast<std::size_t>(g.next)].prev = g.prev;
+    if (list.head == group) list.head = g.next;
+  }
+  g.prev = g.next = -1;
 }
 
-void ControlPlane::remove_free_group(int first_node) {
-  const auto it = free_by_first_.find(first_node);
-  IHBD_EXPECTS(it != free_by_first_.end());
-  free_list_.erase(it->second);
-  free_by_first_.erase(it);
+void ControlPlane::give_group(int job_id, int group) {
+  groups_[static_cast<std::size_t>(group)].owner = job_id;
+  link_back(jobs_[static_cast<std::size_t>(job_id)].groups, group);
+}
+
+void ControlPlane::add_free_group(const std::vector<int>& nodes) {
+  int group;
+  if (retired_groups_.empty()) {
+    group = static_cast<int>(groups_.size());
+    groups_.emplace_back();
+  } else {
+    group = retired_groups_.back();
+    retired_groups_.pop_back();
+  }
+  groups_[static_cast<std::size_t>(group)].nodes.assign(nodes.begin(),
+                                                        nodes.end());
+  group_at_first_[static_cast<std::size_t>(nodes.front())] = group;
+  link_back(free_, group);
+}
+
+int ControlPlane::take_free_group() {
+  const int group = free_.head;
+  if (group >= 0) unlink(free_, group);
+  return group;
 }
 
 void ControlPlane::arm_drain() {
@@ -237,9 +268,9 @@ void ControlPlane::on_drain() {
   static obs::Histogram& h_latency =
       obs::histogram("ctrl.reconfig_latency_seconds");
   static obs::Gauge& g_depth = obs::gauge("ctrl.reconfig_queue_depth");
-  const auto outcomes = queue_.drain_batch(fleet_, engine_.now(), rng_);
+  queue_.drain_batch(fleet_, engine_.now(), rng_, drained_);
   ++result_.reconfig_batches;
-  for (const auto& oc : outcomes) {
+  for (const auto& oc : drained_) {
     if (oc.ok()) {
       const double latency_s =
           (oc.drained_at - oc.request.enqueued_at) * kSecondsPerDay +
@@ -295,22 +326,18 @@ void ControlPlane::try_admit() {
   std::size_t scanned = 0;
   for (auto it = pending_.begin();
        it != pending_.end() && scanned < cfg_.backfill_window &&
-       !free_list_.empty();
+       free_.size > 0;
        ++scanned) {
     const int job_id = *it;
     Job& job = jobs_[static_cast<std::size_t>(job_id)];
     const auto needed = static_cast<std::size_t>(
         arrivals_[static_cast<std::size_t>(job_id)].groups);
-    if (free_list_.size() < needed) {
+    if (static_cast<std::size_t>(free_.size) < needed) {
       ++it;
       continue;
     }
-    for (std::size_t g = 0; g < needed; ++g) {
-      std::vector<int> nodes;
-      take_free_group(nodes);
-      owner_of_first_[static_cast<std::size_t>(nodes.front())] = job_id;
-      job.groups.push_back(std::move(nodes));
-    }
+    for (std::size_t n = 0; n < needed; ++n)
+      give_group(job_id, take_free_group());
     job.state = JobState::kStarting;
     job.degraded = false;  // fresh start attempt, fresh SLO attribution
     start_pending_reconfigs(job_id);
@@ -320,8 +347,11 @@ void ControlPlane::try_admit() {
 
 void ControlPlane::start_pending_reconfigs(int job_id) {
   const Job& job = jobs_[static_cast<std::size_t>(job_id)];
-  for (const auto& nodes : job.groups)
-    for (int n : nodes) enqueue_reconfig(n, hbd_session_, job_id);
+  for (int g = job.groups.head, k = 0; k < job.groups.size;
+       g = groups_[static_cast<std::size_t>(g)].next, ++k) {
+    for (int n : groups_[static_cast<std::size_t>(g)].nodes)
+      enqueue_reconfig(n, hbd_session_, job_id);
+  }
   // Degenerate case (already-drained nodes coalesced away): start at once.
   if (job.outstanding_reconfigs == 0 && job.state == JobState::kStarting)
     begin_running(job_id);
@@ -360,9 +390,12 @@ void ControlPlane::complete(int job_id) {
 
 void ControlPlane::release_groups(int job_id, bool park) {
   Job& job = jobs_[static_cast<std::size_t>(job_id)];
-  for (auto& nodes : job.groups) {
-    owner_of_first_[static_cast<std::size_t>(nodes.front())] = -1;
-    for (int n : nodes) {
+  while (job.groups.head >= 0) {
+    const int group = job.groups.head;
+    unlink(job.groups, group);
+    Group& g = groups_[static_cast<std::size_t>(group)];
+    g.owner = -1;
+    for (int n : g.nodes) {
       int& waiter = waiter_of_node_[static_cast<std::size_t>(n)];
       if (waiter == job_id) {
         waiter = -1;
@@ -370,11 +403,8 @@ void ControlPlane::release_groups(int job_id, bool park) {
       }
       if (park) enqueue_reconfig(n, park_session_, /*waiter_job=*/-1);
     }
-    add_free_group(std::move(nodes));
+    link_back(free_, group);
   }
-  // Free the capacity too: a done job never regrows it, and a preempted one
-  // regrows it only when readmitted.
-  std::vector<std::vector<int>>().swap(job.groups);
   job.outstanding_reconfigs = 0;
 }
 
@@ -405,26 +435,26 @@ void ControlPlane::apply_delta(const orch::PlacementDelta& delta) {
   // Jobs that lost at least one group, in loss order.
   std::vector<int> affected;
   for (const auto& g : delta.removed) {
-    const int first = g.group.nodes.front();
-    int& owner = owner_of_first_[static_cast<std::size_t>(first)];
-    if (owner < 0) {
-      remove_free_group(first);
+    int& at_first = group_at_first_[static_cast<std::size_t>(
+        g.group.nodes.front())];
+    const int group = at_first;
+    IHBD_EXPECTS(group >= 0);
+    at_first = -1;
+    retired_groups_.push_back(group);
+    const int job_id = groups_[static_cast<std::size_t>(group)].owner;
+    if (job_id < 0) {
+      unlink(free_, group);
       continue;
     }
-    const int job_id = owner;
+    groups_[static_cast<std::size_t>(group)].owner = -1;
     Job& job = jobs_[static_cast<std::size_t>(job_id)];
-    owner = -1;
-    for (auto it = job.groups.begin(); it != job.groups.end(); ++it) {
-      if (*it != g.group.nodes) continue;
-      for (int n : *it) {
-        int& waiter = waiter_of_node_[static_cast<std::size_t>(n)];
-        if (waiter == job_id) {
-          waiter = -1;
-          --job.outstanding_reconfigs;
-        }
+    unlink(job.groups, group);
+    for (int n : g.group.nodes) {
+      int& waiter = waiter_of_node_[static_cast<std::size_t>(n)];
+      if (waiter == job_id) {
+        waiter = -1;
+        --job.outstanding_reconfigs;
       }
-      job.groups.erase(it);
-      break;
     }
     if (std::find(affected.begin(), affected.end(), job_id) ==
         affected.end()) {
@@ -439,20 +469,20 @@ void ControlPlane::apply_delta(const orch::PlacementDelta& delta) {
     Job& job = jobs_[static_cast<std::size_t>(job_id)];
     bool whole = true;
     const int demand = arrivals_[static_cast<std::size_t>(job_id)].groups;
-    while (static_cast<int>(job.groups.size()) < demand) {
-      std::vector<int> nodes;
-      if (!take_free_group(nodes)) {
+    while (job.groups.size < demand) {
+      const int group = take_free_group();
+      if (group < 0) {
         whole = false;
         break;
       }
-      owner_of_first_[static_cast<std::size_t>(nodes.front())] = job_id;
       // Replacement nodes must be steered before they carry traffic: a
       // starting job adds them to its wait set; a running job keeps
       // running on the rest while the new group steers in the background.
       const int waiter =
           job.state == JobState::kStarting ? job_id : -1;
-      for (int n : nodes) enqueue_reconfig(n, hbd_session_, waiter);
-      job.groups.push_back(std::move(nodes));
+      for (int n : groups_[static_cast<std::size_t>(group)].nodes)
+        enqueue_reconfig(n, hbd_session_, waiter);
+      give_group(job_id, group);
     }
     if (!whole) preempt(job_id);
   }
@@ -509,7 +539,7 @@ ControlPlaneResult ControlPlane::run() {
   engine_.schedule_every(0.25, 0.25, [&](evsim::Engine&) {
     g_pending.set(static_cast<double>(pending_.size()));
     g_running.set(static_cast<double>(running_count_));
-    g_free.set(static_cast<double>(free_list_.size()));
+    g_free.set(static_cast<double>(free_.size));
     if (health_probe) health_probe(*this, engine_.now());
   });
 

@@ -37,9 +37,7 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <list>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "src/common/rng.h"
@@ -146,7 +144,7 @@ class ControlPlane {
   const evsim::Engine& engine() const { return engine_; }
   std::size_t pending_jobs() const { return pending_.size(); }
   std::size_t running_jobs() const { return running_count_; }
-  int free_groups() const { return static_cast<int>(free_list_.size()); }
+  int free_groups() const { return free_.size; }
   /// True while the node has >= 1 active fault interval (depth > 0) —
   /// the control plane's view of FaultTrace::faulty_at under overlapping
   /// intervals. Valid during/after run().
@@ -160,20 +158,41 @@ class ControlPlane {
   std::function<void(const ControlPlane&, double)> health_probe;
 
  private:
-  enum class JobState { kPending, kStarting, kRunning, kDone };
+  enum class JobState : std::uint8_t { kPending, kStarting, kRunning, kDone };
+
+  /// A circular list of groups_ indices, in the order they joined it.
+  struct GroupList {
+    int head = -1;  ///< -1: empty
+    int size = 0;
+  };
 
   /// A job's run state; its arrival is arrivals_[id] (jobs_ and arrivals_
-  /// share the index).
+  /// share the index). Every arrival gets one, so it stays small: the owned
+  /// groups live in groups_, and the pending clock shares a word with the
+  /// completion event because a job is never pending and running at once.
   struct Job {
     JobState state = JobState::kPending;
-    double pending_since = 0.0;  ///< arrival or last preemption day
-    std::vector<std::vector<int>> groups;  ///< owned node groups
-    int outstanding_reconfigs = 0;
     /// A steer for this start attempt failed permanently or dead-lettered:
     /// the job runs on its last good placement (graceful degradation) and
     /// its wait lands in the degraded SLO split.
     bool degraded = false;
-    evsim::EventId completion = 0;
+    int outstanding_reconfigs = 0;
+    GroupList groups;  ///< owned groups
+    union {
+      double pending_since = 0.0;  ///< kPending/kStarting: arrival or last
+                                   ///< preemption day
+      evsim::EventId completion;   ///< kRunning: the departure event
+    };
+  };
+  static_assert(sizeof(Job) == 24, "one Job per arrival: keep it small");
+
+  /// A placement group and its links in one GroupList: the free pool or
+  /// its owner's groups.
+  struct Group {
+    std::vector<int> nodes;
+    int prev = -1;
+    int next = -1;
+    int owner = -1;  ///< owning job, -1 while free
   };
 
   void on_arrival(std::size_t index);
@@ -186,9 +205,11 @@ class ControlPlane {
   void preempt(int job_id);
   void release_groups(int job_id, bool park);
   void apply_delta(const orch::PlacementDelta& delta);
-  void add_free_group(std::vector<int> nodes);
-  bool take_free_group(std::vector<int>& out);
-  void remove_free_group(int first_node);
+  void add_free_group(const std::vector<int>& nodes);
+  int take_free_group();  ///< -1 when the pool is empty
+  void link_back(GroupList& list, int group);
+  void unlink(GroupList& list, int group);
+  void give_group(int job_id, int group);
   void arm_drain();
   void enqueue_reconfig(int node, ocstrx::SessionId session, int waiter_job);
 
@@ -201,6 +222,7 @@ class ControlPlane {
   orch::IncrementalPlacement inc_;
   ocstrx::Fleet fleet_;
   ocstrx::ReconfigQueue queue_;
+  std::vector<ocstrx::ReconfigOutcome> drained_;  ///< on_drain's batch buffer
   ocstrx::SessionId hbd_session_;   ///< steer a node into its job's HBD
   ocstrx::SessionId park_session_;  ///< idle loopback park
   evsim::Engine engine_;
@@ -210,14 +232,16 @@ class ControlPlane {
   std::deque<int> pending_;        ///< FIFO (arrival order maintained)
   std::size_t running_count_ = 0;
 
-  /// Free groups: FIFO order (placement order at init, release/churn order
-  /// after), keyed by first node for O(1) removal on fault churn. A group's
-  /// first node identifies it uniquely: placement groups are disjoint.
-  std::list<std::vector<int>> free_list_;
-  std::unordered_map<int, std::list<std::vector<int>>::iterator>
-      free_by_first_;
-
-  std::vector<int> owner_of_first_;  ///< group first node -> job, -1 none
+  /// Every live placement group, by index; retired indices are reused
+  /// (their node buffers too).
+  std::vector<Group> groups_;
+  std::vector<int> retired_groups_;
+  /// Group first node -> index in groups_, -1 none. A group's first node
+  /// identifies it uniquely: placement groups are disjoint.
+  std::vector<int> group_at_first_;
+  /// Free pool: FIFO order (placement order at init, release/churn order
+  /// after).
+  GroupList free_;
   std::vector<int> waiter_of_node_;  ///< node -> starting job, -1 none
   std::vector<int> fault_depth_;  ///< active fault intervals per node
 

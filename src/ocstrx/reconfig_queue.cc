@@ -61,8 +61,8 @@ bool ReconfigQueue::enqueue(int node, SessionId session, double now) {
 }
 
 template <typename FleetT>
-std::vector<ReconfigOutcome> ReconfigQueue::drain(FleetT& fleet, double now,
-                                                  Rng& rng) {
+void ReconfigQueue::drain(FleetT& fleet, double now, Rng& rng,
+                          std::vector<ReconfigOutcome>& out) {
   // Due retries rejoin the FIFO tail in deadline order before the batch is
   // cut, so a recovered request competes fairly with fresh arrivals.
   while (!retry_.empty() && retry_.front().not_before <= now) {
@@ -72,7 +72,7 @@ std::vector<ReconfigOutcome> ReconfigQueue::drain(FleetT& fleet, double now,
     ready_.push_back(node);
   }
 
-  std::vector<ReconfigOutcome> out;
+  out.clear();
   out.reserve(std::min(max_batch_, ready_.size()));
   while (!ready_.empty() && out.size() < max_batch_) {
     const int node = ready_.front();
@@ -122,17 +122,18 @@ std::vector<ReconfigOutcome> ReconfigQueue::drain(FleetT& fleet, double now,
     retry_.insert(pos, Backoff{s.request.not_before, node});
     ++retried_;
   }
-  return out;
 }
 
-std::vector<ReconfigOutcome> ReconfigQueue::drain_batch(Fleet& fleet,
-                                                       double now, Rng& rng) {
-  return drain(fleet, now, rng);
+void ReconfigQueue::drain_batch(Fleet& fleet, double now, Rng& rng,
+                                std::vector<ReconfigOutcome>& out) {
+  drain(fleet, now, rng, out);
 }
 
 std::vector<ReconfigOutcome> ReconfigQueue::drain_batch(
     std::vector<NodeFabricManager>& fleet, double now, Rng& rng) {
-  return drain(fleet, now, rng);
+  std::vector<ReconfigOutcome> out;
+  drain(fleet, now, rng, out);
+  return out;
 }
 
 }  // namespace ihbd::ocstrx

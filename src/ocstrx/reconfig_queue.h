@@ -33,6 +33,7 @@
 // queueing and draining a request allocates nothing.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <deque>
@@ -94,9 +95,15 @@ struct ReconfigOutcome {
 /// capped-exponential retry of transient failures.
 class ReconfigQueue {
  public:
+  /// `nodes` sizes the per-node slot table once, for node ids [0, nodes);
+  /// other ids still get a slot on first use.
   explicit ReconfigQueue(std::size_t max_batch = 64, RetryPolicy retry = {},
-                         fault::InjectionPlan inject = {})
-      : max_batch_(max_batch), policy_(retry), inject_(inject) {}
+                         fault::InjectionPlan inject = {},
+                         std::size_t nodes = 0)
+      : max_batch_(max_batch),
+        policy_(retry),
+        inject_(inject),
+        slots_(std::min<std::size_t>(nodes, kDenseNodes)) {}
 
   /// Queue (or coalesce) a request for `node`. Returns true when a new
   /// entry was created, false when an in-queue request was coalesced.
@@ -140,7 +147,10 @@ class ReconfigQueue {
   /// and apply each to its node's actuators (preloaded fast path). Nodes
   /// are fleet indices. One outcome per attempt. Both fleet types run the
   /// same algorithm and, for the same state and Rng, the same outcomes.
-  std::vector<ReconfigOutcome> drain_batch(Fleet& fleet, double now, Rng& rng);
+  /// The Fleet form fills a caller-owned buffer (cleared first), so the
+  /// control plane's drain loop reuses one allocation across batches.
+  void drain_batch(Fleet& fleet, double now, Rng& rng,
+                   std::vector<ReconfigOutcome>& out);
   std::vector<ReconfigOutcome> drain_batch(std::vector<NodeFabricManager>& fleet,
                                            double now, Rng& rng);
 
@@ -164,14 +174,15 @@ class ReconfigQueue {
   static constexpr int kDenseNodes = 1 << 20;
   Slot& slot(int node);
   template <typename FleetT>
-  std::vector<ReconfigOutcome> drain(FleetT& fleet, double now, Rng& rng);
+  void drain(FleetT& fleet, double now, Rng& rng,
+             std::vector<ReconfigOutcome>& out);
 
   std::size_t max_batch_;
   RetryPolicy policy_;
   fault::InjectionPlan inject_;
   std::deque<int> ready_;       ///< FIFO of nodes, due now
   std::deque<Backoff> retry_;   ///< sorted by not_before (stable)
-  std::vector<Slot> slots_;     ///< by node id, grown on demand
+  std::vector<Slot> slots_;     ///< by node id
   std::map<int, Slot> strays_;
   std::vector<ReconfigRequest> dead_;
   std::uint64_t inject_seq_ = 0;  ///< per-attempt injection sequence

@@ -17,15 +17,20 @@
 //
 //   plan    — shard::plan_shards partitions the grid into ShardSpecs,
 //             deterministically from the spec alone.
-//   execute — each shard's cells run on a work-stealing ThreadPool; each
-//             (cell, trial) pair draws from its own RNG substream derived
-//             from (spec.seed, global trial index), so the result is
-//             bit-identical for any thread count, execution order, shard
+//   execute — each (cell, trial) pair draws from its own RNG substream
+//             derived from (spec.seed, global trial index), so the result
+//             is bit-identical for any thread count, execution order, shard
 //             count, or kill/resume history; trials within one cell always
-//             accumulate in trial order. Sharded executors serialize
-//             per-cell state through a ShardCodec and periodically persist
-//             versioned, checksummed checkpoints (src/runtime/checkpoint.h)
-//             so a killed worker resumes mid-shard.
+//             fold in trial order. Locally the unit of parallel work on the
+//             work-stealing ThreadPool is one (cell, trial) pair, so the
+//             trials of one cell run on several workers at once; each
+//             result waits in its own slot until the cell's last trial
+//             finishes, then the cell folds in trial order. Sharded
+//             executors run whole cells (their checkpoints are per cell),
+//             serialize per-cell state through a ShardCodec and
+//             periodically persist versioned, checksummed checkpoints
+//             (src/runtime/checkpoint.h) so a killed worker resumes
+//             mid-shard.
 //   reduce  — shard results fold back into the grid, order-respecting.
 //
 // The single-process path is the degenerate one-shard plan executed in
@@ -51,6 +56,7 @@
 #pragma once
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
@@ -102,68 +108,120 @@ using TrialFn = std::function<double(const Scenario&, Rng&)>;
 
 namespace detail {
 
-/// Sweep-engine metrics (src/obs): cells/trials completed and per-cell wall
-/// time. Handles are interned once; recording is skipped unless obs is
-/// enabled, so the engine's determinism and throughput are untouched.
+/// Sweep-engine metrics (src/obs). Handles are interned once; recording is
+/// skipped unless obs is enabled, so the engine's determinism and
+/// throughput are untouched.
+///   sweep.cells         — cells folded, each counted once;
+///   sweep.trials        — trials run, each counted once;
+///   sweep.cell_ns       — the sum of trial-body wall ns, whichever thread
+///                         ran each trial (so busy time / (threads x wall)
+///                         stays a pool-utilisation measure when the trials
+///                         of one cell overlap);
+///   sweep.trial_seconds — one observation per trial body.
+/// Every trial body also emits one `sweep_trial` span, so a --trace-out
+/// timeline shows the trials of one cell side by side.
 struct SweepObs {
   obs::Counter& cells;
   obs::Counter& trials;
   obs::Counter& cell_ns;
-  obs::Histogram& cell_seconds;
+  obs::Histogram& trial_seconds;
 };
 inline SweepObs& sweep_obs() {
   static SweepObs o{obs::counter("sweep.cells"), obs::counter("sweep.trials"),
                     obs::counter("sweep.cell_ns"),
-                    obs::histogram("sweep.cell_seconds")};
+                    obs::histogram("sweep.trial_seconds")};
   return o;
 }
 
-/// The execute stage's inner loop: fold trials [trial_begin, trial_end) of
-/// one cell into `acc`, strictly in trial order. Every execution path —
-/// local, sharded, resumed — funnels through here, which is what makes
-/// them bit-interchangeable.
-template <typename Acc, typename Trial, typename Fold>
-void run_cell_into(const SweepSpec& spec, std::size_t cell, int trial_begin,
-                   int trial_end, Acc& acc, Trial& trial, Fold& fold) {
-  IHBD_TRACE_SPAN("sweep_cell");
+/// What `trial` returns for one (cell, trial) pair.
+template <typename Trial>
+using TrialResult = std::decay_t<std::invoke_result_t<
+    Trial&, const Scenario&, Rng&>>;
+
+/// Run one (cell, trial) pair on its own RNG substream. Every execution
+/// path funnels each trial through here.
+template <typename Trial>
+TrialResult<Trial> run_trial(const SweepSpec& spec, const Scenario& scenario,
+                             Trial& trial) {
+  IHBD_TRACE_SPAN("sweep_trial");
   const bool obs_on = obs::enabled();
   const auto t0 = obs_on ? std::chrono::steady_clock::now()
                          : std::chrono::steady_clock::time_point{};
-  const std::vector<std::size_t> idx = decode_cell(spec, cell);
-  for (int t = trial_begin; t < trial_end; ++t) {
-    Rng rng = trial_rng(spec, cell, t);
-    const Scenario scenario(spec, cell, idx, t);
-    if constexpr (std::is_invocable_v<Fold&, Acc&,
-                                      decltype(trial(scenario, rng)),
-                                      const Scenario&>) {
-      fold(acc, trial(scenario, rng), scenario);
-    } else {
-      fold(acc, trial(scenario, rng));
-    }
-  }
+  Rng rng = trial_rng(spec, scenario.cell(), scenario.trial());
+  TrialResult<Trial> result = trial(scenario, rng);
   if (obs_on) {
     const auto ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
                         std::chrono::steady_clock::now() - t0)
                         .count();
     SweepObs& o = sweep_obs();
-    o.cells.add(1);
-    o.trials.add(static_cast<std::uint64_t>(trial_end - trial_begin));
+    o.trials.add(1);
     o.cell_ns.add(static_cast<std::uint64_t>(ns));
-    o.cell_seconds.observe(static_cast<double>(ns) * 1e-9);
+    o.trial_seconds.observe(static_cast<double>(ns) * 1e-9);
+  }
+  return result;
+}
+
+/// Fold one trial's result into its cell's accumulator, as fold(acc, r) or,
+/// if `fold` accepts it, fold(acc, r, scenario).
+template <typename Acc, typename Result, typename Fold>
+void fold_trial(Acc& acc, Result&& result, const Scenario& scenario,
+                Fold& fold) {
+  if constexpr (std::is_invocable_v<Fold&, Acc&, Result&&, const Scenario&>) {
+    fold(acc, std::forward<Result>(result), scenario);
+  } else {
+    fold(acc, std::forward<Result>(result));
   }
 }
 
+inline void note_cell_folded() {
+  if (obs::enabled()) sweep_obs().cells.add(1);
+}
+
+/// Run trials [trial_begin, trial_end) of one cell on the calling thread,
+/// folding each into `acc` as it finishes — the whole-cell unit of the
+/// durable path, whose checkpoints are per cell.
+template <typename Acc, typename Trial, typename Fold>
+void run_cell_into(const SweepSpec& spec, std::size_t cell, int trial_begin,
+                   int trial_end, Acc& acc, Trial& trial, Fold& fold) {
+  const std::vector<std::size_t> idx = decode_cell(spec, cell);
+  for (int t = trial_begin; t < trial_end; ++t) {
+    const Scenario scenario(spec, cell, idx, t);
+    fold_trial(acc, run_trial(spec, scenario, trial), scenario, fold);
+  }
+  note_cell_folded();
+}
+
 /// Execute one shard directly into the result grid (the local path: no
-/// serialization boundary). Scheduling is identical to the pre-pipeline
-/// engine: one parallel_for index per cell of the shard.
+/// serialization boundary). The unit of parallel work is one (cell, trial)
+/// pair: parallel_for index u runs trial u % trials of cell u / trials, so
+/// the trials of one cell overlap on idle workers, and with one trial per
+/// cell the schedule is one index per cell. Each trial's result waits in
+/// its own slot; whichever thread finishes a cell's last trial folds that
+/// cell's slots in trial order, so every fold sees the sequence a serial
+/// loop would — bit-identical for any thread count, with no merge step.
 template <typename Acc, typename Trial, typename Fold>
 void execute_shard_into(const SweepSpec& spec, const shard::ShardSpec& sh,
                         std::vector<Acc>& cells, Trial& trial, Fold& fold,
                         const PoolRef& pool_ref) {
-  pool_ref->parallel_for(sh.cells(), [&](std::size_t i) {
+  const auto trials = static_cast<std::size_t>(sh.trial_end - sh.trial_begin);
+  std::vector<std::optional<TrialResult<Trial>>> slots(sh.cells() * trials);
+  std::vector<std::atomic<std::size_t>> finished(sh.cells());
+  pool_ref->parallel_for(slots.size(), [&](std::size_t u) {
+    const std::size_t i = u / trials;
     const std::size_t cell = sh.cell_begin + i;
-    run_cell_into(spec, cell, sh.trial_begin, sh.trial_end, cells[cell],
-                  trial, fold);
+    const std::vector<std::size_t> idx = decode_cell(spec, cell);
+    const int t = sh.trial_begin + static_cast<int>(u % trials);
+    slots[u].emplace(run_trial(spec, Scenario(spec, cell, idx, t), trial));
+    // The last finisher of a cell sees every other trial's slot write.
+    if (finished[i].fetch_add(1) + 1 < trials) return;
+    for (std::size_t k = 0; k < trials; ++k) {
+      std::optional<TrialResult<Trial>>& slot = slots[i * trials + k];
+      const Scenario scenario(spec, cell, idx,
+                              sh.trial_begin + static_cast<int>(k));
+      fold_trial(cells[cell], std::move(*slot), scenario, fold);
+      slot.reset();
+    }
+    note_cell_folded();
   });
 }
 
@@ -383,9 +441,11 @@ GenericSweepResult<Acc> run_sweep_sharded(const SweepSpec& spec, Acc init,
 /// each trial's result into that cell's accumulator, strictly in trial
 /// order within a cell. `init` seeds every cell (copied). `fold` is invoked
 /// as fold(acc, result) or, if it accepts a third parameter,
-/// fold(acc, result, scenario). Cells are distributed dynamically; because
-/// every trial draws from its own substream and folds in trial order,
-/// results are bit-identical for any thread count.
+/// fold(acc, result, scenario). (cell, trial) pairs are distributed
+/// dynamically — trials of one cell may run concurrently, so `trial` must
+/// only write state owned by its (cell, trial) — and because every trial
+/// draws from its own substream and folds in trial order, results are
+/// bit-identical for any thread count.
 ///
 /// Execution substrate: an explicit `pool` wins (pass the SAME pool into
 /// any nested fan-out inside the trial — e.g. TraceReplayOptions::pool — so

@@ -12,6 +12,7 @@
 #include "src/fault/generator.h"
 #include "src/fault/physics_generator.h"
 #include "src/fault/trace.h"
+#include "src/runtime/sweep.h"
 
 namespace ihbd::ctrl {
 namespace {
@@ -410,6 +411,77 @@ TEST(ControlPlane, GoldenResultBytes) {
             0xff64f18daf7d69deull);
   EXPECT_EQ(golden_digest(fault::TraceModel::kStorm, 0.10),
             0x9a736555d56a4dd2ull);
+}
+
+// --- the control plane as one sweep cell -------------------------------------
+
+/// One trial of the benchmark's ctrl shape in miniature: a loaded 256-node
+/// fleet on a storm trace with injected switch failures, its trace, seeds
+/// and workload all drawn from the trial's substream.
+ControlPlaneResult storm_trial(Rng& rng) {
+  constexpr int kNodes = 256;
+  constexpr double kDays = 2.0;
+  ControlPlaneConfig cfg = small_config();
+  fault::PhysicsTraceConfig pc = fault::storm_trace_defaults();
+  pc.node_count = kNodes;
+  pc.duration_days = kDays;
+  pc.seed = rng.next();
+  cfg.seed = rng.next();
+  cfg.inject.session_failure_rate = 0.10;
+  cfg.inject.seed = rng.next();
+  WorkloadConfig wl;
+  wl.duration_days = kDays;
+  wl.tp_size_gpus = 32;  // m = 8 nodes per group -> 32 groups
+  wl.arrival_rate_per_day =
+      0.75 * (kNodes / 8.0) /
+      (wl.mean_run_days * 0.5 * (wl.min_groups + wl.max_groups));
+  const fault::FaultTrace trace = fault::generate_physics_trace(pc);
+  return run_control_plane(cfg, trace, generate_workload(wl, rng));
+}
+
+TEST(ControlPlaneSweep, OneCellOfFourTrialsIsThreadCountInvariant) {
+  runtime::SweepSpec spec;
+  spec.seed = 1;
+  spec.trials = 4;
+  spec.keep_samples = false;
+  spec.axes = {runtime::Axis::of_labels("Workload", {"storm"})};
+  const auto run = [&](int threads, std::vector<ControlPlaneResult>& trials) {
+    trials.assign(static_cast<std::size_t>(spec.trials), {});
+    return runtime::run_sweep_reduce(
+               spec, ControlPlaneResult{},
+               [&](const runtime::Scenario& s, Rng& rng) {
+                 ControlPlaneResult r = storm_trial(rng);
+                 trials[static_cast<std::size_t>(s.trial())] = r;
+                 return r;
+               },
+               [](ControlPlaneResult& acc, ControlPlaneResult&& r) {
+                 acc.merge(r);
+               },
+               threads)
+        .cells.front();
+  };
+  std::vector<ControlPlaneResult> serial_trials;
+  std::vector<ControlPlaneResult> wide_trials;
+  const ControlPlaneResult serial = run(1, serial_trials);
+  const ControlPlaneResult wide = run(4, wide_trials);
+  EXPECT_EQ(result_bytes(serial), result_bytes(wide));
+
+  ControlPlaneResult folded;
+  for (std::size_t t = 0; t < serial_trials.size(); ++t) {
+    const ControlPlaneResult& r = serial_trials[t];
+    EXPECT_EQ(result_bytes(r), result_bytes(wide_trials[t])) << "trial " << t;
+    EXPECT_GT(r.starts, 0u) << "trial " << t;
+    EXPECT_GT(r.reconfig_retried, 0u) << "trial " << t;
+    EXPECT_EQ(r.reconfig_drained + r.reconfig_pending_end,
+              r.reconfig_enqueued)
+        << "trial " << t;
+    EXPECT_EQ(r.starts, r.job_wait_s.count() + r.job_wait_degraded_s.count())
+        << "trial " << t;
+    EXPECT_LE(r.completions, r.starts) << "trial " << t;
+    folded.merge(r);
+  }
+  // The cell is its trials folded in trial order.
+  EXPECT_EQ(result_bytes(folded), result_bytes(serial));
 }
 
 }  // namespace

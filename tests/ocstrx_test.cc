@@ -712,6 +712,7 @@ TEST(Fleet, DrainBatchMatchesObjectModel) {
     ReconfigQueue object_q(/*max_batch=*/8, retry, inject);
     Rng ops(3), a(9), b(9);
     std::size_t outcomes = 0;
+    std::vector<ReconfigOutcome> flat_out;  // reused, as the plane does
     for (int tick = 0; tick < 600; ++tick) {
       const double now = tick;
       for (int r = 0; r < 6; ++r) {
@@ -727,7 +728,7 @@ TEST(Fleet, DrainBatchMatchesObjectModel) {
         twins.set_down(static_cast<int>(ops.uniform_index(kNodes)),
                        ops.bernoulli(0.5));
       }
-      const auto flat_out = flat_q.drain_batch(twins.flat, now, a);
+      flat_q.drain_batch(twins.flat, now, a, flat_out);
       const auto object_out = object_q.drain_batch(twins.objects, now, b);
       ASSERT_EQ(flat_out.size(), object_out.size()) << "tick " << tick;
       for (std::size_t i = 0; i < flat_out.size(); ++i)

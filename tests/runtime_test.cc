@@ -1,8 +1,14 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cmath>
+#include <condition_variable>
+#include <cstdint>
+#include <mutex>
 #include <stdexcept>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "src/common/error.h"
@@ -398,6 +404,66 @@ TEST(GenericSweep, FoldMaySeeTheScenario) {
       2);
   EXPECT_DOUBLE_EQ(result.cell({0, 0}), 3 * 0.1);
   EXPECT_DOUBLE_EQ(result.cell({2, 1}), 3 * 0.9);
+}
+
+TEST(GenericSweep, TrialsOfOneCellFoldInTrialOrderForAnyThreadCount) {
+  // One cell of 8 trials whose bodies finish in reverse trial order: the
+  // fold appends (trial, first draw), so any reordering shows.
+  SweepSpec spec;
+  spec.seed = 21;
+  spec.trials = 8;
+  spec.axes = {Axis::of_labels("cell", {"only"})};
+  const auto run = [&](int threads) {
+    return run_sweep_reduce(
+               spec, std::vector<std::uint64_t>{},
+               [&](const Scenario& s, Rng& rng) {
+                 std::this_thread::sleep_for(
+                     std::chrono::milliseconds(spec.trials - s.trial()));
+                 return std::pair<int, std::uint64_t>{s.trial(), rng.next()};
+               },
+               [](std::vector<std::uint64_t>& acc,
+                  std::pair<int, std::uint64_t>&& r) {
+                 acc.push_back(static_cast<std::uint64_t>(r.first));
+                 acc.push_back(r.second);
+               },
+               threads)
+        .cells.front();
+  };
+  std::vector<std::uint64_t> expected;
+  for (int t = 0; t < spec.trials; ++t) {
+    Rng rng = trial_rng(spec, 0, t);
+    expected.push_back(static_cast<std::uint64_t>(t));
+    expected.push_back(rng.next());
+  }
+  for (const int threads : {1, 2, 4})
+    EXPECT_EQ(run(threads), expected) << threads << " threads";
+}
+
+TEST(GenericSweep, TrialsOfOneCellRunConcurrently) {
+  // A two-trial rendezvous: each trial waits (bounded) for the other to
+  // start. Serialized trials time out instead of hanging, and fail.
+  SweepSpec spec;
+  spec.seed = 3;
+  spec.trials = 2;
+  spec.axes = {Axis::of_labels("cell", {"only"})};
+  for (const int threads : {2, 4}) {
+    std::mutex mu;
+    std::condition_variable cv;
+    int arrived = 0;
+    const auto result = run_sweep_reduce(
+        spec, 0,
+        [&](const Scenario&, Rng&) {
+          std::unique_lock<std::mutex> lock(mu);
+          ++arrived;
+          cv.notify_all();
+          return cv.wait_for(lock, std::chrono::seconds(10),
+                             [&] { return arrived == 2; })
+                     ? 1
+                     : 0;
+        },
+        [](int& met, int saw) { met += saw; }, threads);
+    EXPECT_EQ(result.cells.front(), 2) << threads << " threads";
+  }
 }
 
 TEST(GenericSweep, TrialRngMatchesEngineSubstreams) {
