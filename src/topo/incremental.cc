@@ -12,22 +12,24 @@ namespace ihbd::topo {
 
 namespace {
 
-/// Incremental-allocator metrics (src/obs): how often each KHop flip tier
+/// Incremental-allocator metrics (src/obs): how often each KHop flip case
 /// fires, per-island flip volume, and the dirty-word traffic. All
-/// recording sits behind obs::enabled() so the allocators'
-/// O(1)/O(log N) hot paths are unperturbed by default.
+/// recording sits behind obs::enabled() so the allocators' flip paths are
+/// unperturbed by default.
 struct AllocObs {
-  obs::Counter& khop_residue_step;   ///< tier 1: unbroken-ring residue step
-  obs::Counter& khop_arc_patch;      ///< tier 2: arc-interior length patch
-  obs::Counter& khop_general;        ///< tier 3: window subtract/re-add
-  obs::Counter& island_flips;        ///< per-island O(1) flips applied
-  obs::Counter& dirty_words;         ///< word deltas consumed by apply_words
+  obs::Counter& khop_interior;  ///< KHop flip, cut keys unchanged
+  obs::Counter& khop_cut_move;  ///< KHop flip, one cut key moves p <-> x
+  obs::Counter& khop_split;     ///< KHop flip, a cut key appears
+  obs::Counter& khop_merge;     ///< KHop flip, a cut key disappears
+  obs::Counter& island_flips;   ///< per-island O(1) flips applied
+  obs::Counter& dirty_words;    ///< word deltas consumed by apply_words
 };
 
 AllocObs& alloc_obs() {
-  static AllocObs o{obs::counter("alloc.khop.residue_step"),
-                    obs::counter("alloc.khop.arc_patch"),
-                    obs::counter("alloc.khop.general_window"),
+  static AllocObs o{obs::counter("alloc.khop.interior"),
+                    obs::counter("alloc.khop.cut_move"),
+                    obs::counter("alloc.khop.split"),
+                    obs::counter("alloc.khop.merge"),
                     obs::counter("alloc.island.flips"),
                     obs::counter("alloc.dirty_words")};
   return o;
@@ -39,34 +41,36 @@ AllocObs& alloc_obs() {
 // KHopRingIncrementalAllocator
 //
 // Invariants (mirroring KHopRing::healthy_arcs exactly):
-//   * healthy_ (set bit = healthy node) / fenwick_ / healthy_count_ track
-//     the healthy node set, and prev_/next_ link the healthy nodes into a
-//     circular list (entries for faulty nodes are stale until they come
-//     back up).
-//   * fenwick_ is word-granular: leaf w holds popcount(healthy_.word(w)),
-//     so healthy_prefix(i) is a tree walk over i/64 words plus one masked
-//     popcount of the word containing i — and a flip updates the single
-//     leaf of its word.
+//   * healthy_ (set bit = healthy node) / healthy_count_ track the healthy
+//     node set, and prev_/next_ link the healthy nodes into a circular
+//     list (entries for faulty nodes are stale until they come back up).
 //   * cuts_ holds every healthy position p whose link to the next healthy
 //     node s (clockwise, wrapping) is NOT bypassable: the faulty gap
 //     between them exceeds K-1 hops, or it is the wrap link of the line
-//     variant. A lone healthy node's self-link is always a cut.
-//   * Arcs are the intervals between consecutive cuts: for each c in
-//     cuts_, one arc holding the healthy nodes in (c, next_cut(c)]. With
+//     variant.
+//   * Arcs are the intervals between consecutive cuts: key cuts_[i] opens
+//     the arc holding the healthy nodes in (cuts_[i], cuts_[i+1]], and
+//     lens_[i] is its length. A single key's arc is the whole circle. With
 //     no cuts (and any healthy nodes) the ring is one unbroken circular
-//     arc of healthy_count_ nodes.
+//     arc of healthy_count_ nodes, and lens_ is empty.
 //   * wasted_nodes_ is the sum of len % m over all arcs — exactly what
 //     allocate() derives from its arc walk; usable nodes follow as
 //     healthy_count_ - wasted_nodes_ (usable + wasted = healthy, always).
 //
-// A single-node flip only disturbs the links incident to the flipped node
-// x and its healthy neighbors p and s: cut membership can change at keys p
-// and x only. Every affected arc therefore lies between the nearest
-// *persistent* cuts around the neighborhood (cA counterclockwise of p, cB
-// clockwise of x); flip() subtracts the arcs in that window, mutates the
-// structures, and re-adds the window's arcs — O(log(N/64)) per flip. When
-// no persistent cut exists the whole ring holds at most three arcs and is
-// re-accumulated globally at the same cost.
+// A flip of node x with healthy neighbors p and s (ring order p -> x -> s)
+// only changes the links incident to x, so cut membership can change at
+// keys p and x only and every case edits at most two adjacent arcs:
+//   * interior — no key changes: the arc holding x grows or shrinks by 1;
+//   * cut_move — the key moves between p and x and keeps its arc length;
+//     the arc before it gains or loses x;
+//   * split    — a key appears: a down-flip cuts the arc holding x at p (one
+//     word popcount over the shorter side), an up-flip opens the
+//     one-node arc {x} after p;
+//   * merge    — a key disappears: the two arcs either side of it join.
+// A faulty run only grows on a down-flip (gap(p, s) = gap(p, x) + 1 +
+// gap(x, s)), so a down-flip that keeps p -> x or x -> s as a cut makes
+// p -> s one too; on an up-flip, a bypassable p -> s makes both new links
+// bypassable. The case tables in take_down/bring_up rely on this.
 // ---------------------------------------------------------------------------
 
 KHopRingIncrementalAllocator::KHopRingIncrementalAllocator(const KHopRing& ring,
@@ -77,36 +81,11 @@ KHopRingIncrementalAllocator::KHopRingIncrementalAllocator(const KHopRing& ring,
   m_ = tp_size_gpus / ring.gpus_per_node();
 }
 
-void KHopRingIncrementalAllocator::fenwick_word_add(int w, int delta) {
-  const int words = static_cast<int>(fenwick_.size()) - 1;
-  for (++w; w <= words; w += w & -w)
-    fenwick_[static_cast<std::size_t>(w)] += delta;
-}
-
-int KHopRingIncrementalAllocator::healthy_prefix(int i) const {
-  const int w = i / fault::PackedMask::kWordBits;
-  const int r = i % fault::PackedMask::kWordBits;
-  // Low r+1 bits of the word containing i, plus full words before it.
-  int s = std::popcount(healthy_.word(w) &
-                        (~std::uint64_t{0} >>
-                         (fault::PackedMask::kWordBits - 1 - r)));
-  for (int j = w; j > 0; j -= j & -j)
-    s += fenwick_[static_cast<std::size_t>(j)];
-  return s;
-}
-
 int KHopRingIncrementalAllocator::next_healthy_of_faulty(int x) const {
   // Word-scan the packed healthy set clockwise, wrapping. Callers
   // guarantee at least one healthy node exists.
   const int s = healthy_.find_first_from(x + 1 == n_ ? 0 : x + 1);
   return s >= 0 ? s : healthy_.find_first_from(0);
-}
-
-int KHopRingIncrementalAllocator::arc_len(int a, int b) const {
-  if (a == b) return healthy_count_;  // full circle
-  const int pa = healthy_prefix(a);
-  const int pb = healthy_prefix(b);
-  return a < b ? pb - pa : healthy_count_ - pa + pb;
 }
 
 int KHopRingIncrementalAllocator::gap(int p, int s) const {
@@ -119,243 +98,227 @@ bool KHopRingIncrementalAllocator::is_cut_link(int p, int s) const {
   return !circular_ && s <= p;  // the line variant has no wrap link
 }
 
-int KHopRingIncrementalAllocator::next_cut(int c) const {
-  const auto it = std::upper_bound(cuts_.begin(), cuts_.end(), c);
-  return it == cuts_.end() ? cuts_.front() : *it;
+int KHopRingIncrementalAllocator::healthy_in(int a, int b) const {
+  if (a < b) return healthy_.popcount_range(a + 1, b + 1);
+  return healthy_.popcount_range(a + 1, n_) +
+         healthy_.popcount_range(0, b + 1);
 }
 
-int KHopRingIncrementalAllocator::prev_cut_excluding(int from, int e1,
-                                                     int e2) const {
-  std::size_t idx = static_cast<std::size_t>(
-      std::lower_bound(cuts_.begin(), cuts_.end(), from) - cuts_.begin());
-  for (std::size_t i = 0; i < cuts_.size(); ++i) {
-    idx = (idx == 0 ? cuts_.size() : idx) - 1;  // step backwards, wrapping
-    const int v = cuts_[idx];
-    if (v != e1 && v != e2) return v;
-  }
-  return -1;
+std::size_t KHopRingIncrementalAllocator::key_index(int key) const {
+  return static_cast<std::size_t>(
+      std::lower_bound(cuts_.begin(), cuts_.end(), key) - cuts_.begin());
 }
 
-int KHopRingIncrementalAllocator::next_cut_excluding(int from, int e1,
-                                                     int e2) const {
-  std::size_t idx = static_cast<std::size_t>(
-      std::upper_bound(cuts_.begin(), cuts_.end(), from) - cuts_.begin());
-  for (std::size_t i = 0; i < cuts_.size(); ++i) {
-    if (idx == cuts_.size()) idx = 0;
-    const int v = cuts_[idx];
-    if (v != e1 && v != e2) return v;
-    ++idx;
-  }
-  return -1;
+std::size_t KHopRingIncrementalAllocator::before(std::size_t i) const {
+  return (i == 0 ? cuts_.size() : i) - 1;
 }
 
-void KHopRingIncrementalAllocator::cut_erase(int key) {
-  const auto it = std::lower_bound(cuts_.begin(), cuts_.end(), key);
-  if (it != cuts_.end() && *it == key) cuts_.erase(it);
+std::size_t KHopRingIncrementalAllocator::arc_holding(int x) const {
+  // The largest key below x, wrapping to the last; x must not be a key.
+  return before(key_index(x));
 }
 
-void KHopRingIncrementalAllocator::cut_insert(int key) {
-  cuts_.insert(std::lower_bound(cuts_.begin(), cuts_.end(), key), key);
+void KHopRingIncrementalAllocator::resize_arc(std::size_t i, int len) {
+  wasted_nodes_ += len % m_ - lens_[i] % m_;
+  lens_[i] = len;
 }
 
-void KHopRingIncrementalAllocator::add_arc(int len, int sign) {
-  wasted_nodes_ += sign * (len % m_);
-}
-
-void KHopRingIncrementalAllocator::accumulate_window(int from_cut, int to_cut,
-                                                     int sign) {
-  // Consecutive arcs share a boundary, so chain the prefix sums: one
-  // Fenwick query per cut instead of two per arc.
-  int c = from_cut;
-  int pc = healthy_prefix(c);
-  while (true) {
-    const int cn = next_cut(c);
-    const int pn = c == cn ? pc : healthy_prefix(cn);
-    const int len =
-        c == cn ? healthy_count_
-                : (c < cn ? pn - pc : healthy_count_ - pc + pn);
-    add_arc(len, sign);
-    if (cn == to_cut) break;
-    c = cn;
-    pc = pn;
+void KHopRingIncrementalAllocator::step_arc_holding(int x, int delta) {
+  if (obs::enabled()) alloc_obs().khop_interior.add(1);
+  if (cuts_.empty()) {
+    wasted_nodes_ = healthy_count_ % m_;  // the unbroken circle
+  } else {
+    const std::size_t i = arc_holding(x);
+    resize_arc(i, lens_[i] + delta);
   }
 }
 
-void KHopRingIncrementalAllocator::accumulate_all(int sign) {
-  if (healthy_count_ == 0) return;
-  if (cuts_.empty()) {  // unbroken circular arc
-    add_arc(healthy_count_, sign);
+void KHopRingIncrementalAllocator::move_key(std::size_t i, int key) {
+  // No other key lies between the old and the new position in ring order,
+  // so the key keeps its slot unless the move crosses the wrap point.
+  if ((i == 0 || cuts_[i - 1] < key) &&
+      (i + 1 == cuts_.size() || key < cuts_[i + 1])) {
+    cuts_[i] = key;
     return;
   }
-  const int c0 = *cuts_.begin();
-  accumulate_window(c0, c0, sign);
+  const int len = lens_[i];
+  cuts_.erase(cuts_.begin() + static_cast<std::ptrdiff_t>(i));
+  lens_.erase(lens_.begin() + static_cast<std::ptrdiff_t>(i));
+  const std::size_t j = key_index(key);
+  cuts_.insert(cuts_.begin() + static_cast<std::ptrdiff_t>(j), key);
+  lens_.insert(lens_.begin() + static_cast<std::ptrdiff_t>(j), len);
+}
+
+void KHopRingIncrementalAllocator::insert_key(int key, int len) {
+  const std::size_t j = key_index(key);
+  cuts_.insert(cuts_.begin() + static_cast<std::ptrdiff_t>(j), key);
+  lens_.insert(lens_.begin() + static_cast<std::ptrdiff_t>(j), len);
+  wasted_nodes_ += len % m_;
+}
+
+void KHopRingIncrementalAllocator::merge_key(std::size_t i, int delta) {
+  const std::size_t b = before(i);
+  resize_arc(b, lens_[b] + delta + lens_[i]);
+  wasted_nodes_ -= lens_[i] % m_;
+  cuts_.erase(cuts_.begin() + static_cast<std::ptrdiff_t>(i));
+  lens_.erase(lens_.begin() + static_cast<std::ptrdiff_t>(i));
 }
 
 void KHopRingIncrementalAllocator::rebuild_from_healthy() {
   prev_.assign(static_cast<std::size_t>(n_), 0);
   next_.assign(static_cast<std::size_t>(n_), 0);
-  const int words = healthy_.word_count();
-  fenwick_.assign(static_cast<std::size_t>(words) + 1, 0);
-  // Linear-time Fenwick build: add each leaf into its parent once.
-  for (int j = 1; j <= words; ++j) {
-    fenwick_[static_cast<std::size_t>(j)] +=
-        std::popcount(healthy_.word(j - 1));
-    const int parent = j + (j & -j);
-    if (parent <= words)
-      fenwick_[static_cast<std::size_t>(parent)] +=
-          fenwick_[static_cast<std::size_t>(j)];
-  }
   healthy_count_ = healthy_.popcount();
   cuts_.clear();
-  wasted_nodes_ = 0;
+  lens_.clear();
   // Link the healthy nodes circularly and collect cuts, straight off the
-  // packed words. Cut keys come out ascending: stays sorted.
+  // packed words. Cut keys come out ascending: stays sorted. Each key
+  // first records its rank (#healthy up to and including it); consecutive
+  // ranks differ by the arc length between them.
   int first = -1;
   int prev_node = -1;
+  int rank = 0;
   fault::for_each_set_bit(healthy_, [&](int i) {
     if (first < 0) {
       first = i;
     } else {
       next_[static_cast<std::size_t>(prev_node)] = i;
       prev_[static_cast<std::size_t>(i)] = prev_node;
-      if (is_cut_link(prev_node, i)) cuts_.push_back(prev_node);
+      if (is_cut_link(prev_node, i)) {
+        cuts_.push_back(prev_node);
+        lens_.push_back(rank);
+      }
     }
     prev_node = i;
+    ++rank;
   });
   if (prev_node >= 0) {  // close the circle (self-link for a lone node)
     next_[static_cast<std::size_t>(prev_node)] = first;
     prev_[static_cast<std::size_t>(first)] = prev_node;
-    if (is_cut_link(prev_node, first)) cuts_.push_back(prev_node);
+    if (is_cut_link(prev_node, first)) {
+      cuts_.push_back(prev_node);
+      lens_.push_back(rank);
+    }
   }
-  accumulate_all(+1);
+  wasted_nodes_ = 0;
+  if (cuts_.empty()) {
+    wasted_nodes_ = healthy_count_ % m_;
+  } else {
+    const int first_rank = lens_.front();
+    for (std::size_t i = 0; i + 1 < lens_.size(); ++i)
+      lens_[i] = lens_[i + 1] - lens_[i];
+    lens_.back() = healthy_count_ - lens_.back() + first_rank;
+    for (const int len : lens_) wasted_nodes_ += len % m_;
+  }
   initialized_ = true;
 }
 
-void KHopRingIncrementalAllocator::flip(int x) {
-  const bool to_faulty = healthy_.test(x);
-  const int xw = x / fault::PackedMask::kWordBits;
-
-  // Lone-node transitions have no healthy neighbors to define links.
-  // (Counted under the general tier: they rewrite cut structure wholesale.)
-  if ((to_faulty ? healthy_count_ == 1 : healthy_count_ == 0) &&
-      obs::enabled())
-    alloc_obs().khop_general.add(1);
-  if (to_faulty && healthy_count_ == 1) {
-    accumulate_all(-1);
-    healthy_.set(x, false);
-    fenwick_word_add(xw, -1);
-    healthy_count_ = 0;
+void KHopRingIncrementalAllocator::take_down(int x) {
+  const int p = prev_[static_cast<std::size_t>(x)];
+  const int s = next_[static_cast<std::size_t>(x)];
+  healthy_.set(x, false);
+  if (--healthy_count_ == 0) {  // the lone node's arc vanishes
+    if (obs::enabled())
+      (cuts_.empty() ? alloc_obs().khop_interior : alloc_obs().khop_merge)
+          .add(1);
     cuts_.clear();
+    lens_.clear();
+    wasted_nodes_ = 0;
     return;
   }
-  if (!to_faulty && healthy_count_ == 0) {
-    healthy_.set(x, true);
-    fenwick_word_add(xw, +1);
-    healthy_count_ = 1;
+  next_[static_cast<std::size_t>(p)] = s;
+  prev_[static_cast<std::size_t>(s)] = p;
+
+  const bool cut_px = is_cut_link(p, x);
+  if (is_cut_link(x, s)) {
+    const std::size_t ix = key_index(x);
+    if (cut_px) {
+      // Merge: x's key disappears; p's arc {x} takes over x's old arc.
+      if (obs::enabled()) alloc_obs().khop_merge.add(1);
+      merge_key(ix, -1);
+    } else {
+      // Cut move x -> p: x leaves the arc before the key (the key's own
+      // arc when it is the only one), which keeps its length.
+      if (obs::enabled()) alloc_obs().khop_cut_move.add(1);
+      const std::size_t b = before(ix);
+      resize_arc(b, lens_[b] - 1);
+      move_key(ix, p);
+    }
+  } else if (cut_px || !is_cut_link(p, s)) {
+    step_arc_holding(x, -1);
+  } else {
+    // Split at p: the arc holding x loses it and breaks into (ca, p] and
+    // (p, cb]. Popcount the shorter side; the other is the remainder.
+    if (obs::enabled()) alloc_obs().khop_split.add(1);
+    if (cuts_.empty()) {
+      wasted_nodes_ = 0;
+      insert_key(p, healthy_count_);
+      return;
+    }
+    const std::size_t ia = arc_holding(p);
+    const int ca = cuts_[ia];
+    const int cb = cuts_[ia + 1 == cuts_.size() ? 0 : ia + 1];
+    const int len = lens_[ia] - 1;
+    const int head = gap(ca, p) <= gap(p, cb)
+                         ? healthy_in(ca, p)
+                         : len - healthy_in(p, cb);
+    resize_arc(ia, head);
+    insert_key(p, len - head);
+  }
+}
+
+void KHopRingIncrementalAllocator::bring_up(int x) {
+  healthy_.set(x, true);
+  if (++healthy_count_ == 1) {  // a lone node: self-linked
     prev_[static_cast<std::size_t>(x)] = x;
     next_[static_cast<std::size_t>(x)] = x;
-    cut_insert(x);  // a lone node's self-link is always a cut
-    accumulate_all(+1);
-    return;
-  }
-
-  // Healthy neighbors of x, excluding x itself (ring order p -> x -> s with
-  // only faulty nodes in between; p == s when only one other node exists).
-  // Down-flips read them off the linked list in O(1); up-flips word-scan
-  // the packed healthy set to the successor.
-  const int s = to_faulty ? next_[static_cast<std::size_t>(x)]
-                          : next_healthy_of_faulty(x);
-  const int p = to_faulty ? prev_[static_cast<std::size_t>(x)]
-                          : prev_[static_cast<std::size_t>(s)];
-
-  // Structural mutations shared by all tiers below.
-  const auto unlink_x = [&] {
-    healthy_.set(x, false);
-    fenwick_word_add(xw, -1);
-    --healthy_count_;
-    next_[static_cast<std::size_t>(p)] = s;
-    prev_[static_cast<std::size_t>(s)] = p;
-  };
-  const auto link_x = [&] {
-    healthy_.set(x, true);
-    fenwick_word_add(xw, +1);
-    ++healthy_count_;
-    next_[static_cast<std::size_t>(p)] = x;
-    prev_[static_cast<std::size_t>(x)] = p;
-    next_[static_cast<std::size_t>(x)] = s;
-    prev_[static_cast<std::size_t>(s)] = x;
-  };
-
-  // An up-flip can only shrink gaps, so it introduces a cut only via the
-  // line variant's wrap link (s <= p); a down-flip only via the new (p, s)
-  // link. Everything else leaves cut membership untouched.
-  if (to_faulty ? (!is_cut_link(p, x) && !is_cut_link(x, s) &&
-                   !is_cut_link(p, s))
-                : !is_cut_link(p, s)) {
-    if (cuts_.empty()) {
-      // Tier 1: unbroken ring stays unbroken. The single circular arc
-      // changes length by one, so the wasted residue (== healthy_count_ %
-      // m_ here) steps modularly — no division, no search, no Fenwick
-      // range query.
-      if (obs::enabled()) alloc_obs().khop_residue_step.add(1);
-      if (to_faulty) {
-        unlink_x();
-        wasted_nodes_ = wasted_nodes_ == 0 ? m_ - 1 : wasted_nodes_ - 1;
-      } else {
-        link_x();
-        if (++wasted_nodes_ == m_) wasted_nodes_ = 0;
-      }
-    } else {
-      // Tier 2: arc-interior flip with cuts elsewhere. Only the arc
-      // containing x changes length; locate it with two plain binary
-      // searches (p and x hold no cuts here, so no exclusions needed).
-      if (obs::enabled()) alloc_obs().khop_arc_patch.add(1);
-      const auto lb = std::lower_bound(cuts_.begin(), cuts_.end(), x);
-      const int ca = lb == cuts_.begin() ? cuts_.back() : *(lb - 1);
-      const int cb = next_cut(ca);
-      const int len = arc_len(ca, cb);  // before the mutation, so with x
-      if (to_faulty) {
-        unlink_x();
-        wasted_nodes_ += (len - 1) % m_ - len % m_;
-      } else {
-        link_x();
-        wasted_nodes_ += (len + 1) % m_ - len % m_;
-      }
+    wasted_nodes_ = 1 % m_;
+    const bool cut = is_cut_link(x, x);
+    if (obs::enabled())
+      (cut ? alloc_obs().khop_split : alloc_obs().khop_interior).add(1);
+    if (cut) {
+      cuts_.assign(1, x);
+      lens_.assign(1, 1);
     }
     return;
   }
+  // Healthy neighbors of x (p == s when x joins a lone node): word-scan
+  // the packed healthy set to the successor.
+  const int s = next_healthy_of_faulty(x);
+  const int p = prev_[static_cast<std::size_t>(s)];
+  next_[static_cast<std::size_t>(p)] = x;
+  prev_[static_cast<std::size_t>(x)] = p;
+  next_[static_cast<std::size_t>(x)] = s;
+  prev_[static_cast<std::size_t>(s)] = x;
 
-  // Tier 3 (general): cut membership changes at keys p and x only; the
-  // affected arcs lie between the nearest persistent cuts around the
-  // neighborhood. Subtract those arcs, mutate, re-add them.
-  if (obs::enabled()) alloc_obs().khop_general.add(1);
-  const int ca = prev_cut_excluding(p, p, x);
-  const int cb = ca < 0 ? -1 : next_cut_excluding(x, p, x);
-
-  if (ca < 0) {
-    accumulate_all(-1);
+  const bool cut_px = is_cut_link(p, x);
+  const bool cut_xs = is_cut_link(x, s);
+  if (!is_cut_link(p, s) || (cut_px && !cut_xs)) {
+    step_arc_holding(x, +1);
+  } else if (cut_px) {
+    // Split: p's arc shrinks to {x}; x's new key opens the rest of it.
+    if (obs::enabled()) alloc_obs().khop_split.add(1);
+    const std::size_t ip = key_index(p);
+    const int rest = lens_[ip];
+    resize_arc(ip, 1);
+    insert_key(x, rest);
+  } else if (cut_xs) {
+    // Cut move p -> x: x joins the arc before the key (the key's own arc
+    // when it is the only one), which keeps its length.
+    if (obs::enabled()) alloc_obs().khop_cut_move.add(1);
+    const std::size_t ip = key_index(p);
+    const std::size_t b = before(ip);
+    resize_arc(b, lens_[b] + 1);
+    move_key(ip, x);
   } else {
-    accumulate_window(ca, cb, -1);
-  }
-
-  if (to_faulty) {
-    unlink_x();
-    cut_erase(x);  // old link x -> s
-    cut_erase(p);  // old link p -> x
-    const int s2 = healthy_count_ == 1 ? p : s;
-    if (is_cut_link(p, s2)) cut_insert(p);  // new link p -> s
-  } else {
-    link_x();
-    cut_erase(p);  // old link p -> s
-    if (is_cut_link(p, x)) cut_insert(p);
-    const int s2 = healthy_count_ == 2 ? p : s;
-    if (is_cut_link(x, s2)) cut_insert(x);
-  }
-
-  if (ca < 0) {
-    accumulate_all(+1);
-  } else {
-    accumulate_window(ca, cb, +1);
+    // Merge: p's key disappears; the arcs either side of it join through x.
+    if (obs::enabled()) alloc_obs().khop_merge.add(1);
+    if (cuts_.size() == 1) {
+      cuts_.clear();
+      lens_.clear();
+      wasted_nodes_ = healthy_count_ % m_;
+      return;
+    }
+    merge_key(key_index(p), +1);
   }
 }
 
@@ -384,11 +347,14 @@ const Allocation& KHopRingIncrementalAllocator::apply_words(
       const std::uint64_t changed = mask.word(d.word) ^ ours;
       if (changed == 0) continue;
       if (obs::enabled()) alloc_obs().dirty_words.add(1);
-      // flip() interleaves Fenwick queries with cut/arc bookkeeping, so
-      // bits are applied one at a time — but all of a word's flips hit the
-      // same Fenwick leaf, and the word compare above already filtered
-      // the spurious ones.
-      fault::for_each_set_bit(changed, d.word, [&](int x) { flip(x); });
+      // Each flip reads its neighbors off the state the previous one left,
+      // so bits are applied one at a time.
+      fault::for_each_set_bit(changed, d.word, [&](int x) {
+        if (healthy_.test(x))
+          take_down(x);
+        else
+          bring_up(x);
+      });
     }
   }
   fill_alloc();

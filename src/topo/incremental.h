@@ -6,14 +6,15 @@
 // IncrementalAllocator keeps the allocation state alive across samples and
 // updates it from the word-parallel {word_index, xor_bits} spans of
 // FaultMaskCursor::advance_to_words: it filters spurious flips with one word
-// XOR, seeds per-island healthy counts with masked popcounts, and batches
-// KHop's Fenwick updates at word granularity:
+// XOR and seeds per-island healthy counts with masked popcounts.
 //
 //   * KHopRingIncrementalAllocator — true incremental implementation for
-//     the K-Hop Ring: maintains the healthy-arc decomposition (a Fenwick
-//     tree over healthy-popcounts per 64-node word plus the set of
-//     non-bypassable cut links) under single-node flips in O(log(N/64))
-//     per flip, never rebuilding the full N-node arc walk.
+//     the K-Hop Ring: keeps the sorted non-bypassable cut links with each
+//     arc's healthy length stored beside its cut key. A single-node flip
+//     edits at most two adjacent arcs: one binary search over the cut
+//     keys, plus one word popcount over the shorter side when a down-flip
+//     splits an arc. It never re-walks arcs or rebuilds the N-node arc
+//     walk.
 //   * Per-island allocators for the baseline architectures (§6.1): every
 //     baseline decomposes into independent islands (the one Big-Switch
 //     domain, NVL HBDs, TPUv4 cubes, SiP-Ring's static TP-sized rings), so
@@ -30,6 +31,7 @@
 // metrics never read them).
 #pragma once
 
+#include <cstddef>
 #include <memory>
 #include <vector>
 
@@ -70,22 +72,21 @@ class KHopRingIncrementalAllocator : public IncrementalAllocator {
 
  private:
   // --- arc bookkeeping (see incremental.cc for the invariants) ---
-  int healthy_prefix(int i) const;      // #healthy in [0..i]
-  int arc_len(int a, int b) const;      // #healthy in ring-interval (a, b]
   int gap(int p, int s) const;          // #faulty strictly between p and s
   bool is_cut_link(int p, int s) const; // link p -> s not bypassable
-  int next_cut(int c) const;            // smallest cut > c, wrapping
-  int prev_cut_excluding(int from, int e1, int e2) const;
-  int next_cut_excluding(int from, int e1, int e2) const;
-  void cut_erase(int key);
-  void cut_insert(int key);
   int next_healthy_of_faulty(int x) const;  // smallest healthy > x, wrapping
-  void add_arc(int len, int sign);
-  void accumulate_window(int from_cut, int to_cut, int sign);
-  void accumulate_all(int sign);
-  void fenwick_word_add(int w, int delta);
+  int healthy_in(int a, int b) const;   // #healthy in ring-interval (a, b]
+  std::size_t key_index(int key) const;     // lower bound of key in cuts_
+  std::size_t before(std::size_t i) const;  // previous key, wrapping
+  std::size_t arc_holding(int x) const;     // key whose arc holds non-key x
+  void resize_arc(std::size_t i, int len);  // set lens_[i], re-tally waste
+  void step_arc_holding(int x, int delta);  // the interior case
+  void move_key(std::size_t i, int key);    // keeps the arc's length
+  void insert_key(int key, int len);
+  void merge_key(std::size_t i, int delta); // fold arc i into the previous
   void rebuild_from_healthy();
-  void flip(int x);
+  void take_down(int x);
+  void bring_up(int x);
   void fill_alloc();
 
   const KHopRing& ring_;
@@ -93,22 +94,20 @@ class KHopRingIncrementalAllocator : public IncrementalAllocator {
   int m_;                    // nodes per TP group
   bool circular_;            // ring (true) vs line variant
   bool initialized_ = false;
-  // Set bit = healthy node (the complement of the fault mask): arc lengths
-  // are masked popcounts and faulty-run walks are word scans.
+  // Set bit = healthy node (the complement of the fault mask): split
+  // lengths are masked popcounts and faulty-run walks are word scans.
   fault::PackedMask healthy_;
   // Circular doubly-linked list over healthy nodes (entries of faulty
   // nodes are stale): O(1) neighbor lookup on down-flips.
   std::vector<int> prev_, next_;
-  // Fenwick tree over per-word healthy popcounts (1-based, one leaf per
-  // 64-node word): a word's worth of flips hits one leaf, and the tree is
-  // 64x smaller than the node-granular one it replaces.
-  std::vector<int> fenwick_;
   int healthy_count_ = 0;
-  // Healthy positions p whose following link is a cut, sorted ascending.
-  // A flat vector: cut sets are tiny on realistic fault ratios (a cut
-  // needs a faulty run >= K), so binary search + memmove beat a node-based
-  // set on every operation.
+  // Healthy positions p whose following link is a cut, sorted ascending,
+  // and beside each key the healthy length of the arc it opens:
+  // lens_[i] = #healthy in (cuts_[i], cuts_[i+1]] (wrapping). Flat vectors:
+  // cut sets are tiny on realistic fault ratios (a cut needs a faulty run
+  // >= K), so binary search + memmove beat a node-based set.
   std::vector<int> cuts_;
+  std::vector<int> lens_;
   // Sum over arcs of len % m. Usable nodes need no separate counter:
   // usable + wasted = healthy, always.
   int wasted_nodes_ = 0;

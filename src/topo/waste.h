@@ -11,8 +11,8 @@
 //     (fault::split_windows) replayed on ThreadPool workers. Each window
 //     walks the trace's word-delta timeline with a fault::FaultMaskCursor
 //     and patches a topo::IncrementalAllocator by per-word XOR spans, so
-//     samples with no transitions never re-allocate and KHopRing windows
-//     update their healthy-arc state in O(log N) per transition (see
+//     samples with no transitions never re-allocate and a KHopRing
+//     transition edits at most two adjacent healthy arcs (see
 //     incremental.h). The per-window Accumulator/TimeSeries fragments merge
 //     in window order.
 // Both produce bit-identical output for any thread count and window size

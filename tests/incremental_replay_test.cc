@@ -237,42 +237,78 @@ std::vector<int> random_flip_batch(int n, Rng& rng) {
   return nodes;
 }
 
+/// 1-3 random adjacent node pairs {2j, 2j+1}, each flipped as a unit: the
+/// shape split_to_half_nodes gives a trace, where both halves of a node
+/// fail and recover together. `n` must be even.
+std::vector<int> random_pair_batch(int n, Rng& rng) {
+  std::vector<int> nodes;
+  const int batch = 1 + static_cast<int>(rng.uniform_index(3));
+  for (int b = 0; b < batch; ++b) {
+    const int j = static_cast<int>(rng.uniform_index(n / 2));
+    nodes.push_back(2 * j);
+    nodes.push_back(2 * j + 1);
+  }
+  return nodes;
+}
+
+/// A random mask whose adjacent pairs {2j, 2j+1} are faulty together.
+fault::PackedMask random_pair_mask(int n, double p, Rng& rng) {
+  fault::PackedMask mask(n);
+  for (int j = 0; j < n / 2; ++j) {
+    const bool down = rng.bernoulli(p);
+    mask.set(2 * j, down);
+    mask.set(2 * j + 1, down);
+  }
+  return mask;
+}
+
 TEST(KHopRingIncremental, RandomFlipSequencesMatchAllocate) {
-  const char* const kTiers[] = {"alloc.khop.residue_step",
-                                "alloc.khop.arc_patch",
-                                "alloc.khop.general_window"};
-  std::uint64_t tier_before[3];
-  for (int t = 0; t < 3; ++t) tier_before[t] = obs::counter(kTiers[t]).value();
+  const char* const kCases[] = {"alloc.khop.interior", "alloc.khop.cut_move",
+                                "alloc.khop.split", "alloc.khop.merge"};
+  std::uint64_t case_before[4];
+  for (int c = 0; c < 4; ++c) case_before[c] = obs::counter(kCases[c]).value();
   obs::set_enabled(true);
   Rng rng(1234);
   for (const bool ring_variant : {true, false}) {
-    for (const int k : {1, 2, 3}) {
-      for (const int m : {2, 4, 8}) {
-        const int n = 48;
-        const int g = 4;
-        const KHopRing ring(n, g, k, ring_variant);
-        KHopRingIncrementalAllocator inc(ring, m * g);
-        // Start from a random mask, then walk 400 random flip batches.
-        fault::PackedMask mask = random_mask(n, 0.2, rng);
-        inc.apply_words(mask, {});
-        for (int step = 0; step < 400; ++step) {
-          const auto deltas = flip_nodes(mask, random_flip_batch(n, rng));
-          const auto& got = inc.apply_words(mask, deltas);
-          const auto want = ring.allocate(mask, m * g);
-          expect_same_aggregates(
-              got, want,
-              (ring_variant ? "ring" : "line") + std::string(" k=") +
-                  std::to_string(k) + " m=" + std::to_string(m) + " step " +
-                  std::to_string(step));
+    // 48 nodes fit one word; 130 span two full words and a 2-bit tail, so
+    // split popcounts and wrap arcs cross word boundaries.
+    for (const int n : {48, 130}) {
+      for (const int k : {1, 2, 3}) {
+        for (const int m : {2, 4, 8}) {
+          // Pair-shaped flips only for K=2, the replay workload's shape.
+          for (const bool pairs : {false, true}) {
+            if (pairs && k != 2) continue;
+            const int g = 4;
+            const KHopRing ring(n, g, k, ring_variant);
+            KHopRingIncrementalAllocator inc(ring, m * g);
+            // Start from a random mask, then walk 400 random flip batches.
+            fault::PackedMask mask = pairs ? random_pair_mask(n, 0.2, rng)
+                                           : random_mask(n, 0.2, rng);
+            inc.apply_words(mask, {});
+            for (int step = 0; step < 400; ++step) {
+              const auto deltas = flip_nodes(
+                  mask, pairs ? random_pair_batch(n, rng)
+                              : random_flip_batch(n, rng));
+              const auto& got = inc.apply_words(mask, deltas);
+              const auto want = ring.allocate(mask, m * g);
+              expect_same_aggregates(
+                  got, want,
+                  (ring_variant ? "ring" : "line") + std::string(" n=") +
+                      std::to_string(n) + " k=" + std::to_string(k) +
+                      " m=" + std::to_string(m) +
+                      (pairs ? " pairs" : "") + " step " +
+                      std::to_string(step));
+            }
+          }
         }
       }
     }
   }
   obs::set_enabled(false);
-  // Every flip tier (residue step, arc patch, general window) was hit.
+  // Every flip case (interior, cut move, split, merge) was hit.
   if (IHBD_OBS) {
-    for (int t = 0; t < 3; ++t)
-      EXPECT_GT(obs::counter(kTiers[t]).value(), tier_before[t]) << kTiers[t];
+    for (int c = 0; c < 4; ++c)
+      EXPECT_GT(obs::counter(kCases[c]).value(), case_before[c]) << kCases[c];
   }
 }
 
@@ -493,7 +529,7 @@ std::vector<fault::WordDelta> random_word_batch(fault::PackedMask& mask,
 }
 
 TEST(ApplyWords, RandomWordBatchesMatchAllocate) {
-  // Every allocator the dispatch hands out (KHop word-Fenwick, the
+  // Every allocator the dispatch hands out (KHop arc lengths, the
   // per-island baselines, TPUv4's pooled regime): word deltas in,
   // aggregates bit-identical to a from-scratch allocate().
   Rng rng(9999);
