@@ -153,10 +153,7 @@ int main(int argc, char** argv) {
 
   const runtime::shard::ShardCodec<ctrl::ControlPlaneResult> codec{
       [](serde::Writer& w, const ctrl::ControlPlaneResult& r) { r.save(w); },
-      [](serde::Reader& r) { return ctrl::ControlPlaneResult::load(r); },
-      [](ctrl::ControlPlaneResult& into, ctrl::ControlPlaneResult&& next) {
-        into.merge(next);
-      }};
+      [](serde::Reader& r) { return ctrl::ControlPlaneResult::load(r); }};
 
   const auto t0 = std::chrono::steady_clock::now();
   const auto result = runtime::run_sweep_reduce(

@@ -59,10 +59,6 @@ const runtime::shard::ShardCodec<RateAcc>& rate_codec() {
         a.optimized = runtime::Accumulator::load(r);
         a.baseline = runtime::Accumulator::load(r);
         return a;
-      },
-      [](RateAcc& into, RateAcc&& next) {
-        into.optimized.merge(next.optimized);
-        into.baseline.merge(next.baseline);
       }};
   return codec;
 }

@@ -19,6 +19,7 @@ struct CheckpointObs {
   obs::Counter& writes;
   obs::Counter& bytes;
   obs::Counter& write_ns;
+  obs::Counter& write_failures;
   obs::Counter& loads;
   obs::Counter& fallbacks;
   obs::Counter& corrupt;
@@ -28,6 +29,7 @@ CheckpointObs& ckpt_obs() {
   static CheckpointObs o{obs::counter("sweepd.checkpoint_writes"),
                          obs::counter("sweepd.checkpoint_bytes"),
                          obs::counter("sweepd.checkpoint_write_ns"),
+                         obs::counter("sweepd.checkpoint_write_failures"),
                          obs::counter("sweepd.checkpoint_loads"),
                          obs::counter("sweepd.checkpoint_fallbacks"),
                          obs::counter("sweepd.checkpoint_corrupt")};
@@ -64,6 +66,10 @@ bool write(const std::string& path, std::string_view payload) {
   const auto t0 = obs_on ? std::chrono::steady_clock::now()
                          : std::chrono::steady_clock::time_point{};
   const std::string framed = serde::frame_record(kMagic, kVersion, payload);
+  const auto fail = [obs_on] {
+    if (obs_on) ckpt_obs().write_failures.add(1);
+    return false;
+  };
 
   // Stage the new generation under a per-process unique name so two owners
   // racing after a lease reclaim never share a temp file.
@@ -73,20 +79,20 @@ bool write(const std::string& path, std::string_view payload) {
     std::error_code ec;
     fs::remove(tmp, ec);
   }
-  if (!serde::write_file_atomic(tmp, framed)) return false;
+  if (!serde::write_file_atomic(tmp, framed)) return fail();
 
   std::error_code ec;
   if (fs::exists(path, ec)) {
     fs::rename(path, path + ".1", ec);
     if (ec) {
       fs::remove(tmp, ec);
-      return false;
+      return fail();
     }
   }
   fs::rename(tmp, path, ec);
   if (ec) {
     fs::remove(tmp, ec);
-    return false;
+    return fail();
   }
 
   if (obs_on) {

@@ -1,10 +1,11 @@
 // Durable, versioned, checksummed checkpoints for shard executors.
 //
-// A checkpoint file is a serde record frame (magic "IHCK", version 1)
+// A checkpoint file is a serde record frame (magic "IHCK", version 2)
 // whose payload is an opaque byte string chosen by the caller (the sweep
-// executor stores an encoded shard::ShardPayload: completed cell/trial
-// ranges with their serialized accumulators, plus an obs metrics
-// snapshot).
+// executor stores an encoded shard::ShardPayload: the shard's completed
+// cells with their serialized accumulators, plus an obs metrics
+// snapshot). Version 1 frames carried per-cell trial ranges; they load as
+// bad_version, so their shard re-runs instead of being misread.
 //
 // Durability model — two generations, atomic rotation:
 //   write(path, payload):  <path>.tmp.<pid>  --rename-->  keeps old <path>
@@ -26,7 +27,7 @@
 namespace ihbd::runtime::checkpoint {
 
 inline constexpr std::uint32_t kMagic = 0x4B434849;  // "IHCK" little-endian
-inline constexpr std::uint32_t kVersion = 1;
+inline constexpr std::uint32_t kVersion = 2;
 
 enum class LoadStatus {
   ok,
@@ -40,7 +41,8 @@ const char* to_string(LoadStatus status);
 
 /// Persist `payload` durably at `path`, rotating any existing checkpoint to
 /// `<path>.1` first. Returns false on IO failure (the previous generations
-/// are left untouched). Records sweepd.checkpoint_* obs metrics.
+/// are left untouched). Records sweepd.checkpoint_* obs metrics, counting
+/// each failed call in sweepd.checkpoint_write_failures.
 bool write(const std::string& path, std::string_view payload);
 
 /// Validate and decode one checkpoint generation.

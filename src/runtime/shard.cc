@@ -68,60 +68,26 @@ ShardPlan plan_shards(const SweepSpec& spec, const PlanPolicy& policy) {
   plan.spec_hash = spec_fingerprint(spec);
   std::uint64_t ph = plan.spec_hash;
   fnv_u64(ph, policy.max_shards);
-  fnv_u64(ph, policy.split_trials ? 1 : 0);
   plan.plan_hash = ph;
   plan.cell_count = spec.cell_count();
   plan.trials = spec.trials;
 
+  // Contiguous ranges balanced to within one cell (the first `cells % n`
+  // shards take one extra).
   const std::size_t cells = plan.cell_count;
-  if (!policy.split_trials || cells >= policy.max_shards) {
-    // Whole-cell shards: contiguous ranges balanced to within one cell
-    // (the first `cells % n` shards take one extra).
-    const std::size_t n = std::min(policy.max_shards, cells);
-    const std::size_t base = cells / n;
-    const std::size_t extra = cells % n;
-    std::size_t begin = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-      ShardSpec s;
-      s.index = i;
-      s.cell_begin = begin;
-      s.cell_end = begin + base + (i < extra ? 1 : 0);
-      s.trial_begin = 0;
-      s.trial_end = spec.trials;
-      begin = s.cell_end;
-      plan.shards.push_back(s);
-    }
-  } else {
-    // Fewer cells than shards and trial-splitting allowed: give every cell
-    // floor(max_shards / cells) shards (the first `max_shards % cells`
-    // cells one more), each a contiguous trial range balanced to within
-    // one trial. Cells with fewer trials than slots collapse to one shard
-    // per trial.
-    const std::size_t slots_base = policy.max_shards / cells;
-    const std::size_t slots_extra = policy.max_shards % cells;
-    for (std::size_t cell = 0; cell < cells; ++cell) {
-      const std::size_t want = slots_base + (cell < slots_extra ? 1 : 0);
-      const std::size_t pieces =
-          std::min(want, static_cast<std::size_t>(spec.trials));
-      const int base = spec.trials / static_cast<int>(pieces);
-      const int extra = spec.trials % static_cast<int>(pieces);
-      int t = 0;
-      for (std::size_t p = 0; p < pieces; ++p) {
-        ShardSpec s;
-        s.index = plan.shards.size();
-        s.cell_begin = cell;
-        s.cell_end = cell + 1;
-        s.trial_begin = t;
-        s.trial_end = t + base + (static_cast<int>(p) < extra ? 1 : 0);
-        t = s.trial_end;
-        plan.shards.push_back(s);
-      }
-    }
-  }
-  for (ShardSpec& s : plan.shards) {
-    std::uint64_t id = plan.plan_hash;
-    fnv_u64(id, s.index);
-    s.id = id;
+  const std::size_t n = std::min(policy.max_shards, cells);
+  const std::size_t base = cells / n;
+  const std::size_t extra = cells % n;
+  std::size_t begin = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    ShardSpec s;
+    s.index = i;
+    s.cell_begin = begin;
+    s.cell_end = begin + base + (i < extra ? 1 : 0);
+    s.id = plan.plan_hash;
+    fnv_u64(s.id, i);
+    begin = s.cell_end;
+    plan.shards.push_back(s);
   }
   return plan;
 }
@@ -137,7 +103,6 @@ const ShardCodec<Accumulator>& accumulator_codec() {
   static const ShardCodec<Accumulator> codec{
       [](serde::Writer& w, const Accumulator& acc) { acc.save(w); },
       [](serde::Reader& r) { return Accumulator::load(r); },
-      [](Accumulator& into, Accumulator&& next) { into.merge(next); },
   };
   return codec;
 }
@@ -150,8 +115,6 @@ std::string encode_shard_payload(const ShardPayload& payload) {
   w.u64(payload.entries.size());
   for (const ShardPayloadEntry& e : payload.entries) {
     w.u64(e.cell);
-    w.u64(static_cast<std::uint64_t>(e.trial_begin));
-    w.u64(static_cast<std::uint64_t>(e.trial_end));
     w.str(e.acc_bytes);
   }
   w.str(payload.metrics);
@@ -169,8 +132,6 @@ ShardPayload decode_shard_payload(std::string_view bytes) {
   for (std::uint64_t i = 0; i < n; ++i) {
     ShardPayloadEntry e;
     e.cell = static_cast<std::size_t>(r.u64());
-    e.trial_begin = static_cast<int>(r.u64());
-    e.trial_end = static_cast<int>(r.u64());
     e.acc_bytes = r.str();
     payload.entries.push_back(std::move(e));
   }

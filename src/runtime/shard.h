@@ -2,25 +2,24 @@
 // serializable boundary types the three stages exchange.
 //
 //   plan    — plan_shards() deterministically partitions a SweepSpec's
-//             cells x trials into ShardSpecs with stable ids derived from
-//             the spec fingerprint. Any process holding an equal spec and
-//             policy computes the identical plan: shards need no
-//             distribution channel, only the spec itself.
+//             cells into ShardSpecs with stable ids derived from the spec
+//             fingerprint. Any process holding an equal spec and policy
+//             computes the identical plan: shards need no distribution
+//             channel, only the spec itself.
 //   execute — the engine (sweep.h) runs one shard on the work-stealing
-//             pool and serializes per-cell partial state through a
-//             ShardCodec into an opaque ShardPayload (also the checkpoint
-//             payload — see src/runtime/checkpoint.h).
-//   reduce  — reduce_shard_payloads (sweep.h) folds payloads back into the
-//             result grid, order-respecting, bit-identical to the
+//             pool and serializes each completed cell's accumulator
+//             through a ShardCodec into an opaque ShardPayload (also the
+//             checkpoint payload — see src/runtime/checkpoint.h).
+//   reduce  — reduce_shard_payloads (sweep.h) places each payload's cells
+//             back into the result grid, bit-identical to the
 //             single-process engine.
 //
-// Granularity: the default plan partitions whole cells. Trials within a
-// cell always fold in trial order and Accumulator's Chan moment merge is
-// associative but not bit-identical to the sequential fold, so splitting
-// one cell's trials across shards is opt-in (PlanPolicy::split_trials);
-// with it enabled, count/min/max/samples stay exact and the moments agree
-// up to FP rounding. Replay sweeps (trials == 1 per cell) are unaffected
-// either way — their reduce is pure placement.
+// Granularity: a shard is a contiguous range of whole cells and always
+// covers every trial [0, spec.trials) of each. Trials within a cell fold in
+// trial order, and Accumulator's Chan moment merge is not bit-identical to
+// that sequential fold, so a cell is never split across shards: the reduce
+// is pure placement, with no merge step. Within a shard the trials of one
+// cell still run on several pool workers at once (sweep.h).
 //
 // ShardContext is the transport seam: the engine asks an installed context
 // which shards to execute, where to checkpoint and how to publish/collect
@@ -50,26 +49,19 @@ namespace ihbd::runtime::shard {
 /// plan_hash): every participant must run the same policy.
 struct PlanPolicy {
   /// Upper bound on shard count; the planner never splits finer than one
-  /// cell (or one trial with split_trials), so the actual count is
-  /// min(max_shards, cells) without trial-splitting.
+  /// cell, so the actual count is min(max_shards, cells).
   std::size_t max_shards = 16;
-  /// Allow splitting one cell's trial range across shards when there are
-  /// fewer cells than max_shards (see the granularity note above).
-  bool split_trials = false;
 };
 
-/// One unit of distributable work: a contiguous cell range, and (when a
-/// single cell's trials are split) a trial sub-range of one cell.
+/// One unit of distributable work: a contiguous range of whole cells, each
+/// with all of its trials.
 struct ShardSpec {
   std::size_t index = 0;       ///< position in the plan (reduce order)
   std::size_t cell_begin = 0;  ///< first cell, inclusive
   std::size_t cell_end = 0;    ///< last cell, exclusive
-  int trial_begin = 0;         ///< first trial, inclusive
-  int trial_end = 0;           ///< last trial, exclusive
   std::uint64_t id = 0;        ///< stable: hash(plan_hash, index)
 
   std::size_t cells() const { return cell_end - cell_begin; }
-  int trials() const { return trial_end - trial_begin; }
 };
 
 struct ShardPlan {
@@ -88,25 +80,22 @@ std::uint64_t spec_fingerprint(const SweepSpec& spec);
 
 /// Deterministically partition the spec: contiguous cell ranges balanced to
 /// within one cell, in cell order (shard 0 owns the lowest cells), so the
-/// reduce is a simple in-order walk. With policy.split_trials and fewer
-/// cells than max_shards, single-cell shards are further split into
-/// contiguous trial ranges. Shard ids are content-derived and stable.
+/// reduce is a simple in-order walk. Shard ids are content-derived and
+/// stable.
 ShardPlan plan_shards(const SweepSpec& spec, const PlanPolicy& policy = {});
 
 /// 16-hex-digit rendering used in file names and logs.
 std::string shard_id_hex(std::uint64_t id);
 
 /// How the engine serializes one cell's accumulator across the shard
-/// boundary. `merge` is needed only for trial-split plans: it folds the
-/// partial result of the NEXT trial range of the same cell into `into`.
+/// boundary: load(save(acc)) must restore `acc` bit-exactly.
 template <typename Acc>
 struct ShardCodec {
   std::function<void(serde::Writer&, const Acc&)> save;
   std::function<Acc(serde::Reader&)> load;
-  std::function<void(Acc& into, Acc&& next)> merge;
 };
 
-/// Codec for the scalar engine's moments Accumulator (merge = Chan fold).
+/// Codec for the scalar engine's moments Accumulator.
 const ShardCodec<Accumulator>& accumulator_codec();
 
 // --- shard payload ----------------------------------------------------------
@@ -117,8 +106,6 @@ const ShardCodec<Accumulator>& accumulator_codec();
 
 struct ShardPayloadEntry {
   std::size_t cell = 0;
-  int trial_begin = 0;
-  int trial_end = 0;
   std::string acc_bytes;  ///< ShardCodec-serialized accumulator
 };
 
@@ -126,7 +113,7 @@ struct ShardPayload {
   std::uint64_t plan_hash = 0;
   std::uint64_t shard_id = 0;
   std::size_t shard_index = 0;
-  std::vector<ShardPayloadEntry> entries;  ///< ascending (cell, trial_begin)
+  std::vector<ShardPayloadEntry> entries;  ///< completed cells, ascending
   std::string metrics;  ///< serialized obs::MetricsSnapshot; "" = none
 };
 

@@ -21,15 +21,4 @@ Rng substream(std::uint64_t seed, std::uint64_t i) {
   return Rng(mix64(seed ^ mix64(i * 0xA24BAED4963EE407ull)));
 }
 
-SubstreamSeq::SubstreamSeq(std::uint64_t seed) : seed_(seed), cursor_(seed) {}
-
-Rng SubstreamSeq::at(std::uint64_t i) {
-  if (i < cursor_index_) {
-    cursor_ = Rng(seed_);
-    cursor_index_ = 0;
-  }
-  for (; cursor_index_ < i; ++cursor_index_) cursor_.long_jump();
-  return cursor_;
-}
-
 }  // namespace ihbd::runtime

@@ -1,18 +1,10 @@
 // Deterministic RNG substreams for parallel Monte-Carlo experiments.
 //
-// Two complements to Rng::jump()/long_jump():
-//
-//  * substream(seed, i)  — O(1), order-independent derivation of the i-th
-//    stream from a master seed via splitmix64 key mixing. Any worker can
-//    materialize any stream at any time, so sweep results are bit-stable
-//    regardless of thread count or execution order. This is what the sweep
-//    engine uses.
-//
-//  * SubstreamSeq — the textbook jump-based splitting: stream i is the
-//    master generator advanced by i long-jumps (2^192 steps each), which
-//    carries xoshiro's non-overlap guarantee. A cached cursor makes
-//    sequential access O(1) amortized. Not thread-safe; intended for
-//    single-threaded reproducibility baselines and tests.
+// substream(seed, i) is an O(1), order-independent derivation of the i-th
+// stream from a master seed via splitmix64 key mixing. Any worker can
+// materialize any stream at any time, so sweep results are bit-stable
+// regardless of thread count or execution order. This is what the sweep
+// engine uses.
 #pragma once
 
 #include <cstdint>
@@ -24,21 +16,5 @@ namespace ihbd::runtime {
 /// The i-th independent stream of a master seed. Bit-stable in (seed, i)
 /// and safe to call concurrently from any thread.
 Rng substream(std::uint64_t seed, std::uint64_t i);
-
-/// Jump-based substream sequence with guaranteed non-overlapping streams.
-class SubstreamSeq {
- public:
-  explicit SubstreamSeq(std::uint64_t seed);
-
-  /// Generator for stream `i` (the seed generator advanced i long-jumps).
-  /// Sequential/non-decreasing access is O(1) amortized; going backwards
-  /// restarts from the seed.
-  Rng at(std::uint64_t i);
-
- private:
-  std::uint64_t seed_;
-  Rng cursor_;
-  std::uint64_t cursor_index_ = 0;
-};
 
 }  // namespace ihbd::runtime

@@ -20,24 +20,25 @@
 //   execute — each (cell, trial) pair draws from its own RNG substream
 //             derived from (spec.seed, global trial index), so the result
 //             is bit-identical for any thread count, execution order, shard
-//             count, or kill/resume history; trials within one cell always
-//             fold in trial order. Locally the unit of parallel work on the
+//             count, or kill/resume history. One slot scheduler (run_cells)
+//             executes for both paths: the unit of parallel work on the
 //             work-stealing ThreadPool is one (cell, trial) pair, so the
 //             trials of one cell run on several workers at once; each
-//             result waits in its own slot until the cell's last trial
-//             finishes, then the cell folds in trial order. Sharded
-//             executors run whole cells (their checkpoints are per cell),
-//             serialize per-cell state through a ShardCodec and
-//             periodically persist versioned, checksummed checkpoints
+//             result waits in its own slot, and the worker that finishes a
+//             cell's last trial folds the cell in trial order and hands it
+//             to a per-cell completion step. Locally that step stores the
+//             cell in the result grid; the durable (sharded) path
+//             serializes it through a ShardCodec and periodically persists
+//             versioned, checksummed per-cell checkpoints
 //             (src/runtime/checkpoint.h) so a killed worker resumes
 //             mid-shard.
-//   reduce  — shard results fold back into the grid, order-respecting.
+//   reduce  — each shard's cells are placed back into the grid.
 //
-// The single-process path is the degenerate one-shard plan executed in
-// place: no serialization, no files, byte-identical to the pre-pipeline
-// engine. The distributed path engages only when BOTH an ambient
-// shard::ShardContext is installed (bench_util --shard-dir) AND the caller
-// passes a ShardCodec — sweeps without a codec always run locally.
+// The single-process path runs every cell through the same scheduler in
+// place: no serialization, no files. The distributed path engages only
+// when BOTH an ambient shard::ShardContext is installed (bench_util
+// --shard-dir) AND the caller passes a ShardCodec — sweeps without a codec
+// always run locally.
 //
 // A trial may return NaN to mark its cell "not applicable" (e.g. an
 // architecture that cannot host the requested TP size); such cells stay
@@ -60,9 +61,11 @@
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
+#include <cstdio>
 #include <functional>
 #include <limits>
 #include <mutex>
+#include <numeric>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -177,59 +180,51 @@ inline void note_cell_folded() {
   if (obs::enabled()) sweep_obs().cells.add(1);
 }
 
-/// Run trials [trial_begin, trial_end) of one cell on the calling thread,
-/// folding each into `acc` as it finishes — the whole-cell unit of the
-/// durable path, whose checkpoints are per cell.
-template <typename Acc, typename Trial, typename Fold>
-void run_cell_into(const SweepSpec& spec, std::size_t cell, int trial_begin,
-                   int trial_end, Acc& acc, Trial& trial, Fold& fold) {
-  const std::vector<std::size_t> idx = decode_cell(spec, cell);
-  for (int t = trial_begin; t < trial_end; ++t) {
-    const Scenario scenario(spec, cell, idx, t);
-    fold_trial(acc, run_trial(spec, scenario, trial), scenario, fold);
-  }
-  note_cell_folded();
-}
-
-/// Execute one shard directly into the result grid (the local path: no
-/// serialization boundary). The unit of parallel work is one (cell, trial)
-/// pair: parallel_for index u runs trial u % trials of cell u / trials, so
-/// the trials of one cell overlap on idle workers, and with one trial per
-/// cell the schedule is one index per cell. Each trial's result waits in
-/// its own slot; whichever thread finishes a cell's last trial folds that
-/// cell's slots in trial order, so every fold sees the sequence a serial
-/// loop would — bit-identical for any thread count, with no merge step.
-template <typename Acc, typename Trial, typename Fold>
-void execute_shard_into(const SweepSpec& spec, const shard::ShardSpec& sh,
-                        std::vector<Acc>& cells, Trial& trial, Fold& fold,
-                        const PoolRef& pool_ref) {
-  const auto trials = static_cast<std::size_t>(sh.trial_end - sh.trial_begin);
-  std::vector<std::optional<TrialResult<Trial>>> slots(sh.cells() * trials);
-  std::vector<std::atomic<std::size_t>> finished(sh.cells());
+/// The one execute stage of both paths: run every trial of `cells` (flat
+/// cell indices) on the pool. parallel_for index u runs trial u % trials of
+/// cells[u / trials], so the trials of one cell overlap on idle workers,
+/// and with one trial per cell the schedule is one index per cell. Each
+/// trial's result waits in its own slot; the worker that finishes a cell's
+/// last trial folds that cell's slots, in trial order, into a fresh copy of
+/// `init` and passes (cell, acc) to `complete`. Every fold thus sees the
+/// sequence a serial loop would — bit-identical for any thread count, with
+/// no merge step. `complete` runs on pool workers, possibly concurrently.
+template <typename Acc, typename Trial, typename Fold, typename Complete>
+void run_cells(const SweepSpec& spec, const std::vector<std::size_t>& cells,
+               const Acc& init, Trial& trial, Fold& fold, Complete& complete,
+               const PoolRef& pool_ref) {
+  const auto trials = static_cast<std::size_t>(spec.trials);
+  std::vector<std::optional<TrialResult<Trial>>> slots(cells.size() * trials);
+  std::vector<std::atomic<std::size_t>> finished(cells.size());
   pool_ref->parallel_for(slots.size(), [&](std::size_t u) {
     const std::size_t i = u / trials;
-    const std::size_t cell = sh.cell_begin + i;
+    const std::size_t cell = cells[i];
     const std::vector<std::size_t> idx = decode_cell(spec, cell);
-    const int t = sh.trial_begin + static_cast<int>(u % trials);
+    const int t = static_cast<int>(u % trials);
     slots[u].emplace(run_trial(spec, Scenario(spec, cell, idx, t), trial));
     // The last finisher of a cell sees every other trial's slot write.
     if (finished[i].fetch_add(1) + 1 < trials) return;
+    Acc acc = init;
     for (std::size_t k = 0; k < trials; ++k) {
       std::optional<TrialResult<Trial>>& slot = slots[i * trials + k];
-      const Scenario scenario(spec, cell, idx,
-                              sh.trial_begin + static_cast<int>(k));
-      fold_trial(cells[cell], std::move(*slot), scenario, fold);
+      const Scenario scenario(spec, cell, idx, static_cast<int>(k));
+      fold_trial(acc, std::move(*slot), scenario, fold);
       slot.reset();
     }
     note_cell_folded();
+    complete(cell, std::move(acc));
   });
 }
 
 /// Execute one shard durably: resume completed cells from the newest valid
-/// checkpoint generation, run the rest on the pool, persist a checkpoint
-/// every checkpoint_every() completions, and return the complete encoded
-/// ShardPayload. Completed cells are held serialized (codec bytes), so a
-/// checkpoint is a pure concatenation and resume needs no re-execution.
+/// checkpoint generation, run the rest through run_cells, persist a
+/// checkpoint every checkpoint_every() completed cells, and return the
+/// complete encoded ShardPayload. Completed cells are held serialized
+/// (codec bytes), so a checkpoint is a pure concatenation and resume needs
+/// no re-execution. A failed checkpoint write is counted
+/// (sweepd.checkpoint_write_failures), warned about once per shard on
+/// stderr, and otherwise ignored: the published result, not the
+/// checkpoint, is what makes the run durable.
 template <typename Acc, typename Trial, typename Fold>
 std::string execute_shard_durable(const SweepSpec& spec,
                                   const shard::ShardPlan& plan,
@@ -250,9 +245,7 @@ std::string execute_shard_durable(const SweepSpec& spec,
         // path collisions across runs) must not leak cells into this one.
         if (saved.plan_hash == plan.plan_hash && saved.shard_id == sh.id) {
           for (shard::ShardPayloadEntry& e : saved.entries) {
-            if (e.cell >= sh.cell_begin && e.cell < sh.cell_end &&
-                e.trial_begin == sh.trial_begin &&
-                e.trial_end == sh.trial_end) {
+            if (e.cell >= sh.cell_begin && e.cell < sh.cell_end) {
               done[e.cell - sh.cell_begin] = std::move(e.acc_bytes);
             }
           }
@@ -267,24 +260,20 @@ std::string execute_shard_durable(const SweepSpec& spec,
 
   std::vector<std::size_t> pending;
   for (std::size_t i = 0; i < done.size(); ++i) {
-    if (!done[i].has_value()) pending.push_back(i);
+    if (!done[i].has_value()) pending.push_back(sh.cell_begin + i);
   }
 
-  auto build_payload = [&](bool with_metrics) {
+  auto build_payload = [&] {
     shard::ShardPayload payload;
     payload.plan_hash = plan.plan_hash;
     payload.shard_id = sh.id;
     payload.shard_index = sh.index;
     for (std::size_t i = 0; i < done.size(); ++i) {
-      if (!done[i].has_value()) continue;
-      shard::ShardPayloadEntry e;
-      e.cell = sh.cell_begin + i;
-      e.trial_begin = sh.trial_begin;
-      e.trial_end = sh.trial_end;
-      e.acc_bytes = *done[i];
-      payload.entries.push_back(std::move(e));
+      if (done[i].has_value()) {
+        payload.entries.push_back({sh.cell_begin + i, *done[i]});
+      }
     }
-    if (with_metrics && obs::enabled()) {
+    if (obs::enabled()) {
       serde::Writer mw;
       obs::snapshot().save(mw);
       payload.metrics = mw.take();
@@ -294,32 +283,32 @@ std::string execute_shard_durable(const SweepSpec& spec,
 
   std::mutex mu;
   std::size_t since_checkpoint = 0;
+  bool warned = false;
   const std::size_t every = std::max<std::size_t>(1, ctx.checkpoint_every());
-  pool_ref->parallel_for(pending.size(), [&](std::size_t k) {
-    const std::size_t i = pending[k];
-    const std::size_t cell = sh.cell_begin + i;
-    Acc acc = init;
-    run_cell_into(spec, cell, sh.trial_begin, sh.trial_end, acc, trial, fold);
+  auto complete = [&](std::size_t cell, Acc&& acc) {
     serde::Writer w;
     codec.save(w, acc);
     std::lock_guard<std::mutex> lock(mu);
-    done[i] = w.take();
+    done[cell - sh.cell_begin] = w.take();
     ctx.note_progress(sh.index);
-    if (!ckpt_path.empty() && ++since_checkpoint >= every) {
-      since_checkpoint = 0;
-      checkpoint::write(ckpt_path, build_payload(/*with_metrics=*/true));
+    if (ckpt_path.empty() || ++since_checkpoint < every) return;
+    since_checkpoint = 0;
+    if (!checkpoint::write(ckpt_path, build_payload()) && !warned) {
+      warned = true;
+      std::fprintf(stderr,
+                   "sweep: cannot write checkpoint %s; shard %zu continues "
+                   "without one\n",
+                   ckpt_path.c_str(), sh.index);
     }
-  });
+  };
+  run_cells(spec, pending, init, trial, fold, complete, pool_ref);
 
-  return build_payload(/*with_metrics=*/true);
+  return build_payload();
 }
 
-/// The reduce stage: validate and fold shard payloads (in plan order) back
-/// into the result grid. Whole-cell entries are placed directly — a
-/// deserialize of exactly the bytes the executor serialized, hence
-/// bit-identical to local execution. When a plan split one cell's trials,
-/// the partial accumulators are combined with an order-respecting tree
-/// merge (adjacent pairs, trial order preserved at every level).
+/// The reduce stage: validate shard payloads (in plan order) and place one
+/// entry per cell into the result grid — a deserialize of exactly the
+/// bytes the executor serialized, hence bit-identical to local execution.
 template <typename Acc>
 void reduce_shard_payloads(const shard::ShardPlan& plan,
                            const std::vector<std::string>& payloads,
@@ -330,8 +319,7 @@ void reduce_shard_payloads(const shard::ShardPlan& plan,
                       std::to_string(plan.shards.size()) + " shard results, got " +
                       std::to_string(payloads.size()));
   }
-  std::vector<int> next_trial(cells.size(), 0);
-  std::vector<std::vector<Acc>> parts(cells.size());
+  std::vector<bool> placed(cells.size(), false);
   for (std::size_t i = 0; i < plan.shards.size(); ++i) {
     const shard::ShardSpec& sh = plan.shards[i];
     shard::ShardPayload payload = shard::decode_shard_payload(payloads[i]);
@@ -340,46 +328,26 @@ void reduce_shard_payloads(const shard::ShardPlan& plan,
       throw ConfigError("sweep reduce: shard result " + std::to_string(i) +
                         " does not match the plan");
     }
+    // With the count equal to the shard's cells, rejecting out-of-range
+    // and duplicate entries also rejects a missing cell.
     if (payload.entries.size() != sh.cells()) {
       throw ConfigError("sweep reduce: shard " + std::to_string(i) +
                         " result is incomplete");
     }
     for (shard::ShardPayloadEntry& e : payload.entries) {
-      if (e.cell < sh.cell_begin || e.cell >= sh.cell_end ||
-          e.trial_begin != sh.trial_begin || e.trial_end != sh.trial_end) {
+      if (e.cell < sh.cell_begin || e.cell >= sh.cell_end) {
         throw ConfigError("sweep reduce: shard " + std::to_string(i) +
                           " entry outside its shard range");
       }
-      if (e.trial_begin != next_trial[e.cell]) {
-        throw ConfigError("sweep reduce: non-contiguous trial coverage for "
-                          "cell " + std::to_string(e.cell));
+      if (placed[e.cell]) {
+        throw ConfigError("sweep reduce: shard " + std::to_string(i) +
+                          " lists cell " + std::to_string(e.cell) + " twice");
       }
-      next_trial[e.cell] = e.trial_end;
+      placed[e.cell] = true;
       serde::Reader r(e.acc_bytes);
-      parts[e.cell].push_back(codec.load(r));
+      cells[e.cell] = codec.load(r);
       r.expect_done("shard accumulator");
     }
-  }
-  for (std::size_t cell = 0; cell < cells.size(); ++cell) {
-    if (next_trial[cell] != plan.trials) {
-      throw ConfigError("sweep reduce: cell " + std::to_string(cell) +
-                        " not fully covered by shard results");
-    }
-    std::vector<Acc>& v = parts[cell];
-    if (v.size() > 1 && !codec.merge) {
-      throw ConfigError("sweep reduce: trial-split plan needs a codec with "
-                        "merge()");
-    }
-    while (v.size() > 1) {
-      std::vector<Acc> merged;
-      merged.reserve((v.size() + 1) / 2);
-      for (std::size_t i = 0; i < v.size(); i += 2) {
-        if (i + 1 < v.size()) codec.merge(v[i], std::move(v[i + 1]));
-        merged.push_back(std::move(v[i]));
-      }
-      v = std::move(merged);
-    }
-    cells[cell] = std::move(v.front());
   }
 }
 
@@ -458,8 +426,8 @@ GenericSweepResult<Acc> run_sweep_sharded(const SweepSpec& spec, Acc init,
 /// (bench_util --shard-dir) AND `codec` is non-null, the sweep runs as
 /// plan -> claim/execute -> reduce across every participating process,
 /// returning the identical result grid in each. Without a codec (or
-/// without a context) the sweep runs locally as the degenerate one-shard
-/// plan — byte-identical to the distributed result.
+/// without a context) the sweep runs every cell locally through the same
+/// scheduler — byte-identical to the distributed result.
 template <typename Acc, typename Trial, typename Fold>
 GenericSweepResult<Acc> run_sweep_reduce(
     const SweepSpec& spec, Acc init, Trial&& trial, Fold&& fold,
@@ -473,12 +441,14 @@ GenericSweepResult<Acc> run_sweep_reduce(
   }
   GenericSweepResult<Acc> result;
   result.spec = spec;
-  result.cells.assign(spec.cell_count(), std::move(init));
-  const shard::ShardPlan plan =
-      shard::plan_shards(spec, shard::PlanPolicy{.max_shards = 1});
-  const PoolRef pool_ref(threads, pool);
-  detail::execute_shard_into(spec, plan.shards.front(), result.cells, trial,
-                             fold, pool_ref);
+  result.cells.assign(spec.cell_count(), init);
+  std::vector<std::size_t> cells(result.cells.size());
+  std::iota(cells.begin(), cells.end(), std::size_t{0});
+  auto store = [&](std::size_t cell, Acc&& acc) {
+    result.cells[cell] = std::move(acc);
+  };
+  detail::run_cells(spec, cells, init, trial, fold, store,
+                    PoolRef(threads, pool));
   return result;
 }
 

@@ -89,8 +89,8 @@ std::size_t flat_cell_index(const SweepSpec& spec,
 /// The RNG substream of one (cell, trial) pair: O(1), order-independent,
 /// shared by the scalar and generic engines (and usable by callers that
 /// need to re-materialize a trial's stream, e.g. for resume or debugging).
-/// This is why a shard checkpoint needs no RNG state beyond the (cell,
-/// trial-range) cursor: every pending trial's stream is re-derived here.
+/// This is why a shard checkpoint needs no RNG state beyond the list of
+/// completed cells: every pending trial's stream is re-derived here.
 Rng trial_rng(const SweepSpec& spec, std::size_t cell, int trial);
 
 namespace detail {

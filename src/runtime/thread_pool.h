@@ -47,7 +47,6 @@
 #include <functional>
 #include <memory>
 #include <mutex>
-#include <type_traits>
 #include <vector>
 
 namespace ihbd::obs {
@@ -229,29 +228,5 @@ class PoolRef {
   std::unique_ptr<ThreadPool> owned_;
   ThreadPool* pool_;
 };
-
-/// Map fn over items preserving order: result[i] == fn(items[i]). The
-/// result type must be default-constructible. Fans out on `pool` — pass the
-/// same pool at every nesting level that should cooperate.
-template <typename T, typename Fn>
-auto parallel_map(const std::vector<T>& items, Fn&& fn, ThreadPool& pool)
-    -> std::vector<std::decay_t<decltype(fn(items[std::size_t{0}]))>> {
-  using R = std::decay_t<decltype(fn(items[std::size_t{0}]))>;
-  std::vector<R> out(items.size());
-  pool.parallel_for(items.size(),
-                    [&](std::size_t i) { out[i] = fn(items[i]); });
-  return out;
-}
-
-/// parallel_map on the process-wide shared() pool (threads == 0) or, for an
-/// explicit width, a dedicated transient pool. The shared default means a
-/// bare parallel_map call no longer spawns and tears down threads.
-template <typename T, typename Fn>
-auto parallel_map(const std::vector<T>& items, Fn&& fn, int threads = 0)
-    -> std::vector<std::decay_t<decltype(fn(items[std::size_t{0}]))>> {
-  if (threads == 0) return parallel_map(items, fn, ThreadPool::shared());
-  ThreadPool pool(threads);
-  return parallel_map(items, fn, pool);
-}
 
 }  // namespace ihbd::runtime

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <charconv>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
@@ -53,14 +54,38 @@ std::string default_owner() {
          std::to_string(static_cast<long long>(::getpid()));
 }
 
-/// Atomic exclusive create: succeeds iff the file did not exist ("wx").
-/// This is the only claim primitive the protocol needs.
+/// Atomic exclusive create: succeeds iff `path` did not exist, and whoever
+/// sees `path` sees all of `content`. The content is staged in a temp file
+/// unique to this call and published with link(), which fails rather than
+/// replace an existing file. This is the only claim primitive the protocol
+/// needs.
 bool create_exclusive(const fs::path& path, std::string_view content) {
-  std::FILE* f = std::fopen(path.c_str(), "wx");
+  static std::atomic<unsigned long> seq{0};
+  fs::path tmp = path;
+  tmp += ".tmp." + std::to_string(static_cast<long long>(::getpid())) + "." +
+         std::to_string(seq.fetch_add(1));
+  std::FILE* f = std::fopen(tmp.c_str(), "wx");
   if (f == nullptr) return false;
-  std::fwrite(content.data(), 1, content.size(), f);
-  std::fclose(f);
-  return true;
+  const bool written =
+      std::fwrite(content.data(), 1, content.size(), f) == content.size();
+  const bool closed = std::fclose(f) == 0;
+  const bool linked =
+      written && closed && ::link(tmp.c_str(), path.c_str()) == 0;
+  ::unlink(tmp.c_str());
+  return linked;
+}
+
+/// MANIFEST's max_shards value: digits only, at least 1.
+std::size_t parse_max_shards(const std::string& value,
+                             const fs::path& manifest) {
+  std::size_t n = 0;
+  const char* end = value.data() + value.size();
+  const auto [ptr, ec] = std::from_chars(value.data(), end, n);
+  if (ec != std::errc() || ptr != end || n == 0) {
+    throw ConfigError("sweepd: " + manifest.string() + ": max_shards='" +
+                      value + "' is not a whole number >= 1");
+  }
+  return n;
 }
 
 double lease_age_seconds(const fs::path& lease) {
@@ -103,8 +128,7 @@ FileShardContext::FileShardContext(FileShardOptions options)
     bool found = false;
     while (std::getline(in, line)) {
       if (line.rfind("max_shards=", 0) == 0) {
-        options_.max_shards =
-            static_cast<std::size_t>(std::stoull(line.substr(11)));
+        options_.max_shards = parse_max_shards(line.substr(11), manifest);
         found = true;
       }
     }
@@ -117,10 +141,7 @@ FileShardContext::FileShardContext(FileShardOptions options)
 FileShardContext::~FileShardContext() { stop_heartbeat(); }
 
 runtime::shard::PlanPolicy FileShardContext::policy() const {
-  runtime::shard::PlanPolicy policy;
-  policy.max_shards = options_.max_shards;
-  policy.split_trials = false;
-  return policy;
+  return runtime::shard::PlanPolicy{.max_shards = options_.max_shards};
 }
 
 void FileShardContext::begin_sweep(const runtime::shard::ShardPlan& plan) {

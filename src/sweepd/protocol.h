@@ -66,7 +66,7 @@ namespace ihbd::sweepd {
 
 inline constexpr std::uint32_t kResultMagic = 0x53524849;   // "IHRS" LE
 inline constexpr std::uint32_t kMetricsMagic = 0x534D4849;  // "IHMS" LE
-inline constexpr std::uint32_t kResultVersion = 1;
+inline constexpr std::uint32_t kResultVersion = 2;
 inline constexpr std::uint32_t kMetricsVersion = 1;
 
 struct FileShardOptions {

@@ -236,10 +236,6 @@ const runtime::shard::ShardCodec<TraceWasteResult>& trace_waste_codec() {
         out.waste_summary = serde::read_summary(r);
         return out;
       },
-      // Replay grids run one trial per cell: plans never split a cell, so
-      // no merge is required (and none would be bit-faithful for the
-      // concatenated series anyway).
-      {},
   };
   return codec;
 }

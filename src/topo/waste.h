@@ -44,9 +44,8 @@ struct TraceWasteResult {
 
 /// ShardCodec for replay sweeps whose cells hold a TraceWasteResult (the
 /// fig13/15/16/20 grids): bit-exact save/load of both series and the
-/// summary. Replay grids run one trial per cell, so no merge is needed —
-/// the distributed reduce is pure placement, keeping the sharded result
-/// byte-identical to the single-process one.
+/// summary, so the distributed reduce — pure placement — keeps the sharded
+/// result byte-identical to the single-process one.
 const runtime::shard::ShardCodec<TraceWasteResult>& trace_waste_codec();
 
 /// Tuning knobs of the windowed parallel replay.

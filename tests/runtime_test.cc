@@ -67,20 +67,6 @@ TEST(Substream, DistinctIndicesAreIndependent) {
   EXPECT_LT(same, 2);
 }
 
-TEST(SubstreamSeq, MatchesExplicitLongJumps) {
-  SubstreamSeq seq(31);
-  Rng expect(31);
-  expect.long_jump();
-  expect.long_jump();
-  expect.long_jump();
-  EXPECT_EQ(seq.at(3).state(), expect.state());
-  // Cached-cursor forward access, then a restart going backwards.
-  EXPECT_EQ(seq.at(3).state(), expect.state());
-  Rng first(31);
-  first.long_jump();
-  EXPECT_EQ(seq.at(1).state(), first.state());
-}
-
 // --- ThreadPool -----------------------------------------------------------
 
 TEST(ThreadPool, ParallelForCoversEveryIndexOnce) {
@@ -134,15 +120,6 @@ TEST(ThreadPool, SubmitAndWaitIdle) {
   pool.wait_idle();
   EXPECT_EQ(ran.load(), 20);
   pool.wait_idle();  // idempotent on an idle pool
-}
-
-TEST(ThreadPool, ParallelMapPreservesOrder) {
-  std::vector<int> items;
-  for (int i = 0; i < 200; ++i) items.push_back(i);
-  const auto out =
-      parallel_map(items, [](int v) { return v * v; }, 4);
-  ASSERT_EQ(out.size(), items.size());
-  for (int i = 0; i < 200; ++i) EXPECT_EQ(out[i], i * i);
 }
 
 // --- Accumulator ----------------------------------------------------------

@@ -6,14 +6,17 @@
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <filesystem>
 #include <fstream>
+#include <mutex>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "src/common/error.h"
 #include "src/common/serde.h"
+#include "src/obs/metrics.h"
 #include "src/runtime/checkpoint.h"
 #include "src/runtime/shard.h"
 #include "src/runtime/sweep.h"
@@ -119,7 +122,7 @@ class MemoryShardContext final : public shard::ShardContext {
 TEST(ShardPlan, DeterministicBalancedTiling) {
   const SweepSpec spec = make_spec();  // 6 cells
   const shard::ShardPlan plan =
-      shard::plan_shards(spec, {.max_shards = 4, .split_trials = false});
+      shard::plan_shards(spec, {.max_shards = 4});
   ASSERT_EQ(plan.shards.size(), 4u);
   EXPECT_EQ(plan.cell_count, 6u);
   EXPECT_EQ(plan.trials, 3);
@@ -133,14 +136,11 @@ TEST(ShardPlan, DeterministicBalancedTiling) {
     next_cell = sh.cell_end;
     EXPECT_GE(sh.cells(), 1u);
     EXPECT_LE(sh.cells(), 2u);
-    EXPECT_EQ(sh.trial_begin, 0);
-    EXPECT_EQ(sh.trial_end, 3);
   }
   EXPECT_EQ(next_cell, plan.cell_count);
 
   // Same spec + policy -> the identical plan, including ids, in any process.
-  const shard::ShardPlan again =
-      shard::plan_shards(spec, {.max_shards = 4, .split_trials = false});
+  const shard::ShardPlan again = shard::plan_shards(spec, {.max_shards = 4});
   EXPECT_EQ(again.plan_hash, plan.plan_hash);
   for (std::size_t i = 0; i < plan.shards.size(); ++i)
     EXPECT_EQ(again.shards[i].id, plan.shards[i].id);
@@ -150,22 +150,6 @@ TEST(ShardPlan, NeverSplitsFinerThanOneCell) {
   const shard::ShardPlan plan = shard::plan_shards(make_spec(),
                                                    {.max_shards = 100});
   EXPECT_EQ(plan.shards.size(), 6u);  // 6 cells, whole-cell granularity
-}
-
-TEST(ShardPlan, TrialSplitCoversTrialRanges) {
-  SweepSpec spec = make_spec(/*trials=*/8);
-  spec.axes = {Axis::of_values("x", {1.0})};  // one cell
-  const shard::ShardPlan plan =
-      shard::plan_shards(spec, {.max_shards = 4, .split_trials = true});
-  ASSERT_EQ(plan.shards.size(), 4u);
-  int next_trial = 0;
-  for (const shard::ShardSpec& sh : plan.shards) {
-    EXPECT_EQ(sh.cells(), 1u);
-    EXPECT_EQ(sh.trial_begin, next_trial);
-    next_trial = sh.trial_end;
-    EXPECT_EQ(sh.trials(), 2);
-  }
-  EXPECT_EQ(next_trial, 8);
 }
 
 TEST(ShardPlan, IdentityRespondsToSpecAndPolicy) {
@@ -205,48 +189,112 @@ TEST(ShardPipeline, ShardedScalarSweepIsBitIdenticalToLocal) {
   }
 }
 
-TEST(ShardPipeline, TrialSplitIsExactInCountMinMaxSamples) {
-  SweepSpec spec = make_spec(/*trials=*/8);
-  spec.axes = {Axis::of_values("x", {1.0})};
-  const SweepResult ref = local_reference(spec);
+TEST(ShardPipeline, DurableTrialsOfOneCellRunConcurrently) {
+  // The durable path shares the local slot scheduler: a two-trial
+  // rendezvous in which each trial waits (bounded) for the other to start.
+  // Serialized trials time out instead of hanging, and fail.
+  SweepSpec spec;
+  spec.seed = 3;
+  spec.trials = 2;
+  spec.axes = {Axis::of_labels("cell", {"only"})};
+  const shard::ShardCodec<int> codec{
+      [](serde::Writer& w, const int& met) {
+        w.u64(static_cast<std::uint64_t>(met));
+      },
+      [](serde::Reader& r) { return static_cast<int>(r.u64()); }};
+  for (const int threads : {2, 4}) {
+    std::mutex mu;
+    std::condition_variable cv;
+    int arrived = 0;
+    MemoryShardContext ctx({.max_shards = 1});
+    AmbientContext ambient(&ctx);
+    const auto result = run_sweep_reduce(
+        spec, 0,
+        [&](const Scenario&, Rng&) {
+          std::unique_lock<std::mutex> lock(mu);
+          ++arrived;
+          cv.notify_all();
+          return cv.wait_for(lock, std::chrono::seconds(5),
+                             [&] { return arrived == 2; })
+                     ? 1
+                     : 0;
+        },
+        [](int& met, int saw) { met += saw; }, threads, nullptr, &codec);
+    EXPECT_EQ(result.cells.front(), 2) << threads << " threads";
+  }
+}
 
-  MemoryShardContext ctx({.max_shards = 4, .split_trials = true});
-  AmbientContext ambient(&ctx);
-  const SweepResult sharded = run_sweep(spec, trial_value, /*threads=*/2);
+/// Encode one shard's payload from explicit (cell, accumulator) entries.
+std::string encode_entries(const shard::ShardPlan& plan, std::size_t shard,
+                           const std::vector<std::size_t>& entry_cells,
+                           const SweepResult& source) {
+  shard::ShardPayload payload;
+  payload.plan_hash = plan.plan_hash;
+  payload.shard_id = plan.shards[shard].id;
+  payload.shard_index = shard;
+  for (const std::size_t cell : entry_cells) {
+    serde::Writer w;
+    shard::accumulator_codec().save(w, source.cells[cell]);
+    payload.entries.push_back({cell, w.take()});
+  }
+  return shard::encode_shard_payload(payload);
+}
 
-  ASSERT_EQ(sharded.cells.size(), 1u);
-  const Accumulator &a = ref.cells[0], &b = sharded.cells[0];
-  EXPECT_EQ(a.count(), b.count());
-  EXPECT_EQ(a.min(), b.min());
-  EXPECT_EQ(a.max(), b.max());
-  EXPECT_EQ(a.samples(), b.samples());  // concatenated in trial order
-  // Chan's moment merge is associative only up to FP rounding.
-  EXPECT_NEAR(a.mean(), b.mean(), 1e-12);
-  EXPECT_NEAR(a.variance(), b.variance(), 1e-12);
+void expect_reduce_rejects(const shard::ShardPlan& plan,
+                           const std::vector<std::string>& payloads,
+                           const char* what) {
+  std::vector<Accumulator> cells(plan.cell_count);
+  EXPECT_THROW(detail::reduce_shard_payloads(plan, payloads,
+                                             shard::accumulator_codec(),
+                                             cells),
+               ConfigError)
+      << what;
 }
 
 TEST(ShardPipeline, ReduceRejectsIncompleteCoverage) {
-  const SweepSpec spec = make_spec();
+  const SweepSpec spec = make_spec();  // 6 cells -> shards {0,1,2}, {3,4,5}
+  const SweepResult ref = local_reference(spec);
   const shard::ShardPlan plan = shard::plan_shards(spec, {.max_shards = 2});
+  const std::string good0 = encode_entries(plan, 0, {0, 1, 2}, ref);
+  const std::string good1 = encode_entries(plan, 1, {3, 4, 5}, ref);
 
-  std::vector<std::string> too_few(1, std::string());
+  // The well-formed set reduces to the local grid.
   std::vector<Accumulator> cells(spec.cell_count());
-  EXPECT_THROW(detail::reduce_shard_payloads(plan, too_few,
-                                             shard::accumulator_codec(),
-                                             cells),
-               ConfigError);
+  detail::reduce_shard_payloads(plan, {good0, good1},
+                                shard::accumulator_codec(), cells);
+  SweepResult reduced;
+  reduced.cells = cells;
+  expect_bit_identical(ref, reduced);
+
+  expect_reduce_rejects(plan, {good0}, "too few payloads");
 
   // A payload claiming the wrong shard id must be rejected.
   shard::ShardPayload bogus;
   bogus.plan_hash = plan.plan_hash;
   bogus.shard_id = plan.shards[0].id + 1;
   bogus.shard_index = 0;
-  std::vector<std::string> wrong_id = {shard::encode_shard_payload(bogus),
-                                       std::string()};
-  EXPECT_THROW(detail::reduce_shard_payloads(plan, wrong_id,
-                                             shard::accumulator_codec(),
-                                             cells),
-               ConfigError);
+  expect_reduce_rejects(plan, {shard::encode_shard_payload(bogus), good1},
+                        "wrong shard id");
+
+  // Both shards' payloads, but from another plan of the same spec.
+  const shard::ShardPlan other = shard::plan_shards(spec, {.max_shards = 3});
+  expect_reduce_rejects(plan, {encode_entries(other, 0, {0, 1, 2}, ref), good1},
+                        "payload from another plan");
+
+  expect_reduce_rejects(plan, {encode_entries(plan, 0, {0, 1, 3}, ref), good1},
+                        "entry outside its shard");
+}
+
+TEST(ShardPipeline, ReduceRejectsDuplicateOrMissingCells) {
+  const SweepSpec spec = make_spec();
+  const SweepResult ref = local_reference(spec);
+  const shard::ShardPlan plan = shard::plan_shards(spec, {.max_shards = 2});
+  const std::string good1 = encode_entries(plan, 1, {3, 4, 5}, ref);
+
+  expect_reduce_rejects(plan, {encode_entries(plan, 0, {0, 1, 1}, ref), good1},
+                        "cell listed twice");
+  expect_reduce_rejects(plan, {encode_entries(plan, 0, {0, 2}, ref), good1},
+                        "cell left out");
 }
 
 // --- checkpoint durability --------------------------------------------------
@@ -291,6 +339,15 @@ TEST(Checkpoint, WriteRotatesGenerationsAndLoadsFallBack) {
   EXPECT_FALSE(checkpoint::load_with_fallback(path).valid);
 }
 
+/// Counts fresh trial executions: resumed cells must not re-run trials.
+struct CountingTrial {
+  std::atomic<int>* calls;
+  double operator()(const Scenario& s, Rng& rng) const {
+    calls->fetch_add(1);
+    return trial_value(s, rng);
+  }
+};
+
 TEST(Checkpoint, ResumeSkipsCheckpointedCellsAndStaysBitIdentical) {
   const SweepSpec spec = make_spec(/*trials=*/4);  // 6 cells, 1 shard below
   const SweepResult ref = local_reference(spec);
@@ -299,37 +356,100 @@ TEST(Checkpoint, ResumeSkipsCheckpointedCellsAndStaysBitIdentical) {
   fs::remove_all(dir);
   fs::create_directories(dir);
 
-  // Craft a mid-shard checkpoint holding the first 2 cells, exactly as a
-  // killed worker would have left it.
   const shard::ShardPlan plan = shard::plan_shards(spec, {.max_shards = 1});
-  shard::ShardPayload partial;
-  partial.plan_hash = plan.plan_hash;
-  partial.shard_id = plan.shards[0].id;
-  partial.shard_index = 0;
-  for (std::size_t cell = 0; cell < 2; ++cell) {
-    shard::ShardPayloadEntry e;
-    e.cell = cell;
-    e.trial_begin = 0;
-    e.trial_end = spec.trials;
-    serde::Writer w;
-    shard::accumulator_codec().save(w, ref.cells[cell]);
-    e.acc_bytes = w.take();
-    partial.entries.push_back(std::move(e));
-  }
   MemoryShardContext ctx({.max_shards = 1}, dir);
-  ASSERT_TRUE(checkpoint::write(ctx.checkpoint_path(0),
-                                shard::encode_shard_payload(partial)));
+  for (const int threads : {1, 3}) {
+    // Craft a mid-shard checkpoint holding the first 2 cells, exactly as a
+    // killed worker would have left it.
+    ASSERT_TRUE(checkpoint::write(ctx.checkpoint_path(0),
+                                  encode_entries(plan, 0, {0, 1}, ref)));
+    std::atomic<int> trial_calls{0};
+    AmbientContext ambient(&ctx);
+    const SweepResult resumed =
+        run_sweep(spec, CountingTrial{&trial_calls}, threads);
+    expect_bit_identical(ref, resumed);
+    // Only the 4 pending cells ran, each with all of its trials.
+    EXPECT_EQ(trial_calls.load(), 4 * (6 - 2)) << threads << " threads";
+  }
+}
 
-  // Count fresh executions: resumed cells must not re-run their trials.
+TEST(Checkpoint, VersionOneFrameIsBadVersionAndTheShardReRuns) {
+  const SweepSpec spec = make_spec(/*trials=*/2);
+  const SweepResult ref = local_reference(spec);
+
+  const std::string dir = ::testing::TempDir() + "/ckpt_v1";
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  MemoryShardContext ctx({.max_shards = 1}, dir);
+  const std::string path = ctx.checkpoint_path(0);
+
+  // A version-1 payload carried a trial range with every entry; the frame
+  // checksums fine but must not be decoded by this executor.
+  const shard::ShardPlan plan = shard::plan_shards(spec, {.max_shards = 1});
+  serde::Writer w;
+  w.u64(plan.plan_hash);
+  w.u64(plan.shards[0].id);
+  w.u64(0);
+  w.u64(1);
+  w.u64(0);  // cell
+  w.u64(0);  // trial_begin
+  w.u64(static_cast<std::uint64_t>(spec.trials));  // trial_end
+  serde::Writer acc;
+  shard::accumulator_codec().save(acc, ref.cells[0]);
+  w.str(acc.buffer());
+  w.str("");
+  ASSERT_TRUE(serde::write_file_atomic(
+      path, serde::frame_record(checkpoint::kMagic, 1, w.buffer())));
+  EXPECT_EQ(checkpoint::load_file(path).status,
+            checkpoint::LoadStatus::bad_version);
+
   std::atomic<int> trial_calls{0};
-  const auto counting_trial = [&](const Scenario& s, Rng& rng) {
-    trial_calls.fetch_add(1);
-    return trial_value(s, rng);
-  };
   AmbientContext ambient(&ctx);
-  const SweepResult resumed = run_sweep(spec, counting_trial, /*threads=*/1);
-  expect_bit_identical(ref, resumed);
-  EXPECT_EQ(trial_calls.load(), 4 * (6 - 2));  // only the 4 pending cells
+  expect_bit_identical(ref, run_sweep(spec, CountingTrial{&trial_calls}, 2));
+  EXPECT_EQ(trial_calls.load(), 2 * 6);  // the whole shard re-ran
+}
+
+TEST(Checkpoint, CheckpointFromAnotherPlanIsIgnored) {
+  const SweepSpec spec = make_spec(/*trials=*/2);
+  const SweepResult ref = local_reference(spec);
+
+  const std::string dir = ::testing::TempDir() + "/ckpt_other_plan";
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  MemoryShardContext ctx({.max_shards = 1}, dir);
+  // Same spec, but planned with another shard count: its cells must not
+  // leak into this plan's shard 0.
+  const shard::ShardPlan other = shard::plan_shards(spec, {.max_shards = 2});
+  ASSERT_TRUE(checkpoint::write(ctx.checkpoint_path(0),
+                                encode_entries(other, 0, {0, 1, 2}, ref)));
+
+  std::atomic<int> trial_calls{0};
+  AmbientContext ambient(&ctx);
+  expect_bit_identical(ref, run_sweep(spec, CountingTrial{&trial_calls}, 2));
+  EXPECT_EQ(trial_calls.load(), 2 * 6);
+}
+
+TEST(Checkpoint, FailedWritesAreCountedAndTheSweepCompletes) {
+  const SweepSpec spec = make_spec(/*trials=*/2);  // 6 cells
+  const SweepResult ref = local_reference(spec);
+
+  // The checkpoint directory does not exist, so every write fails.
+  const std::string dir = ::testing::TempDir() + "/ckpt_missing_dir/absent";
+  fs::remove_all(::testing::TempDir() + "/ckpt_missing_dir");
+  const std::string counter = "sweepd.checkpoint_write_failures";
+  obs::set_enabled(true);
+  const std::uint64_t before = obs::snapshot().counters[counter];
+  SweepResult result;
+  {
+    MemoryShardContext ctx({.max_shards = 1}, dir);
+    AmbientContext ambient(&ctx);
+    result = run_sweep(spec, trial_value, /*threads=*/2);
+  }
+  const std::uint64_t after = obs::snapshot().counters[counter];
+  obs::set_enabled(false);
+  expect_bit_identical(ref, result);
+  // checkpoint_every() == 1: one attempted write per completed cell.
+  EXPECT_EQ(after - before, spec.cell_count());
 }
 
 TEST(Checkpoint, CorruptPrimaryFallsBackToPreviousGenerationBitIdentical) {
@@ -357,13 +477,10 @@ TEST(Checkpoint, CorruptPrimaryFallsBackToPreviousGenerationBitIdentical) {
   }
 
   std::atomic<int> trial_calls{0};
-  const auto counting_trial = [&](const Scenario& s, Rng& rng) {
-    trial_calls.fetch_add(1);
-    return trial_value(s, rng);
-  };
   MemoryShardContext ctx({.max_shards = 1}, dir);
   AmbientContext ambient(&ctx);
-  const SweepResult resumed = run_sweep(spec, counting_trial, /*threads=*/1);
+  const SweepResult resumed =
+      run_sweep(spec, CountingTrial{&trial_calls}, /*threads=*/1);
   expect_bit_identical(ref, resumed);
   // The fallback generation held all but the last completed cell, so only
   // the one missing cell re-ran.
@@ -398,13 +515,10 @@ TEST(FileShard, SweepThroughRunDirIsBitIdenticalAndResultsAreReused) {
   // A second participant joining the finished run dir must not execute
   // anything — every shard already has a published result to collect.
   std::atomic<int> trial_calls{0};
-  const auto counting_trial = [&](const Scenario& s, Rng& rng) {
-    trial_calls.fetch_add(1);
-    return trial_value(s, rng);
-  };
   sweepd::FileShardContext ctx2(file_opts(dir, "w2"));
   AmbientContext ambient(&ctx2);
-  expect_bit_identical(ref, run_sweep(spec, counting_trial, /*threads=*/2));
+  expect_bit_identical(ref,
+                       run_sweep(spec, CountingTrial{&trial_calls}, 2));
   EXPECT_EQ(trial_calls.load(), 0);
 }
 
@@ -417,6 +531,35 @@ TEST(FileShard, ManifestPinsShardCountForLateJoiners) {
   sweepd::FileShardContext second(other);
   EXPECT_EQ(second.policy().max_shards, 3u);
   EXPECT_EQ(second.options().max_shards, 3u);
+}
+
+TEST(FileShard, MalformedManifestMaxShardsIsAConfigError) {
+  const std::string dir = ::testing::TempDir() + "/fileshard_bad_manifest";
+  for (const std::string value : {"abc", "3x", "0", "", "-1"}) {
+    fs::remove_all(dir);
+    fs::create_directories(dir);
+    {
+      std::ofstream out(dir + "/MANIFEST");
+      out << "ihbd-sweepd v1\nmax_shards=" << value << "\n";
+    }
+    try {
+      sweepd::FileShardContext ctx(file_opts(dir, "w1"));
+      ADD_FAILURE() << "max_shards='" << value << "' was accepted";
+    } catch (const ConfigError& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("MANIFEST"), std::string::npos) << what;
+      EXPECT_NE(what.find("max_shards"), std::string::npos) << what;
+    }
+  }
+  // A well-formed value is still adopted.
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  {
+    std::ofstream out(dir + "/MANIFEST");
+    out << "ihbd-sweepd v1\nmax_shards=5\n";
+  }
+  EXPECT_EQ(sweepd::FileShardContext(file_opts(dir, "w1")).policy().max_shards,
+            5u);
 }
 
 TEST(FileShard, StaleLeaseIsReclaimedFreshLeaseIsNot) {

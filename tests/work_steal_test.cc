@@ -239,18 +239,5 @@ TEST(SharedPool, IsProcessWideAndUsable) {
   EXPECT_EQ(ran.load(), 100);
 }
 
-TEST(SharedPool, ParallelMapDefaultRidesItAndPreservesOrder) {
-  std::vector<int> items;
-  for (int i = 0; i < 200; ++i) items.push_back(i);
-  // threads omitted: no transient pool is spun up per call any more.
-  const auto out = parallel_map(items, [](int v) { return v * v; });
-  ASSERT_EQ(out.size(), items.size());
-  for (int i = 0; i < 200; ++i) EXPECT_EQ(out[i], i * i);
-  // Explicit-pool overload.
-  ThreadPool pool(3);
-  const auto out2 = parallel_map(items, [](int v) { return v + 1; }, pool);
-  for (int i = 0; i < 200; ++i) EXPECT_EQ(out2[i], i + 1);
-}
-
 }  // namespace
 }  // namespace ihbd::runtime
