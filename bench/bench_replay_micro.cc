@@ -4,8 +4,9 @@
 // production-calibrated sim trace (720 4-GPU nodes, same cluster as Figs.
 // 13/15/16/20). Covers the K-Hop Ring and the baseline architectures'
 // per-island allocators. Reports replayed samples per second per path; CI
-// runs it to track the speedups. Built on the vendored bench/microbench.h
-// harness.
+// runs it to track the speedups. BM_grid_timeline_build times the serial
+// step every replay grid starts with: the hourly grid word-delta timeline
+// of a 23,040-node trace. Built on the vendored bench/microbench.h harness.
 #include <chrono>
 #include <cstddef>
 #include <cstdlib>
@@ -13,6 +14,8 @@
 
 #include "bench/fault_bench_common.h"
 #include "bench/microbench.h"
+#include "src/common/rng.h"
+#include "src/fault/generator.h"
 #include "src/fault/transitions.h"
 #include "src/topo/baselines.h"
 #include "src/topo/incremental.h"
@@ -165,5 +168,38 @@ static void BM_replay_packed_quarter_day(benchmark::State& state) {
   });
 }
 BENCHMARK(BM_replay_packed_quarter_day)->Arg(32);
+
+// The grid timeline build that a replay grid's first cell waits on, at
+// perfbench replay_mc scale: a 348-day Poisson trace over 11,520 8-GPU
+// nodes split onto 23,040 4-GPU nodes, folded onto the hourly grid. Each
+// iteration builds on a fresh copy (empty timeline cache); samples/s counts
+// the grid samples folded per second of build time only, while ns_per_iter
+// also pays the copy.
+static void BM_grid_timeline_build(benchmark::State& state) {
+  static const fault::FaultTrace trace = [] {
+    fault::TraceGenConfig cfg;
+    cfg.node_count = 11520;
+    Rng split(2);
+    return fault::generate_trace(cfg).split_to_half_nodes(split);
+  }();
+  constexpr double kStepDays = 1.0 / 24.0;
+  const std::size_t samples = trace.sample_days(kStepDays).size();
+  double build_s = 0.0;
+  std::size_t builds = 0;
+  for (auto _ : state) {
+    const fault::FaultTrace fresh(trace.node_count(), trace.duration_days(),
+                                  trace.events());
+    const auto t0 = std::chrono::steady_clock::now();
+    benchmark::DoNotOptimize(fresh.word_delta_timeline(kStepDays));
+    build_s += std::chrono::duration<double>(
+                   std::chrono::steady_clock::now() - t0)
+                   .count();
+    ++builds;
+  }
+  if (build_s > 0.0)
+    state.counters["samples/s"] =
+        static_cast<double>(samples * builds) / build_s;
+}
+BENCHMARK(BM_grid_timeline_build);
 
 BENCHMARK_MAIN();

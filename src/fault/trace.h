@@ -66,6 +66,8 @@ struct WordDeltaTimeline {
 /// An immutable fault trace over a fixed node count and duration.
 class FaultTrace {
  public:
+  /// Throws ConfigError naming the event index when an event's node is out
+  /// of range, a day is NaN or infinite, or it ends before it starts.
   FaultTrace(int node_count, double duration_days,
              std::vector<FaultEvent> events);
 
@@ -117,15 +119,18 @@ class FaultTrace {
   /// cursors, windows or grid cells consume it.
   std::shared_ptr<const WordDeltaTimeline> word_delta_timeline() const;
 
-  /// Grid-aligned variant: the exact-day groups folded onto the sample grid
-  /// of `step_days` — one group per sample day with a net change, so a
-  /// replay cursor bound to it applies at most ONE group per sample instead
-  /// of re-folding every transition day in the step on every advance, for
-  /// every cursor (the fold is paid once per trace x step and shared by all
-  /// windows and grid cells). Groups after the last sample day keep their
-  /// exact days. The folded masks are only correct ON the grid; the cursor
-  /// constructor taking a step documents the contract. Cached per distinct
-  /// step like the exact timeline.
+  /// Grid-aligned variant: one group per sample day of `step_days`
+  /// (sample_days()) with a net change, holding the mask change from the
+  /// previous sample day to that one — so a replay cursor bound to it
+  /// applies at most ONE group per sample. Built in one pass straight from
+  /// the events (no transition sort): down edges arrive in start order, up
+  /// edges are counting-sorted by the sample they first show at. Edges
+  /// after the last sample day keep one group per exact day. The masks are
+  /// only correct ON the grid; the cursor constructor taking a step
+  /// documents the contract. Built exactly once per distinct step (callers
+  /// racing on a fresh trace wait for that build) and shared by every
+  /// window and grid cell; byte-equal to folding word_delta_timeline()'s
+  /// groups onto the grid, without ever building it.
   std::shared_ptr<const WordDeltaTimeline> word_delta_timeline(
       double step_days) const;
 

@@ -36,19 +36,11 @@ FaultMaskCursor::FaultMaskCursor(const FaultTrace& trace,
 
 FaultMaskCursor::FaultMaskCursor(
     const FaultTrace& trace, std::shared_ptr<const WordDeltaTimeline> words)
-    : timeline_(trace.transition_timeline()),
-      words_(std::move(words)),
+    : words_(std::move(words)),
       mask_(trace.node_count()),
       word_xor_(static_cast<std::size_t>(mask_.word_count()), 0),
       word_stamp_(static_cast<std::size_t>(mask_.word_count()), 0),
       day_(-std::numeric_limits<double>::infinity()) {}
-
-std::size_t FaultMaskCursor::remaining() const {
-  const auto it = std::upper_bound(
-      timeline_->begin(), timeline_->end(), day_,
-      [](double day, const FaultTransition& t) { return day < t.day; });
-  return static_cast<std::size_t>(timeline_->end() - it);
-}
 
 const std::vector<WordDelta>& FaultMaskCursor::advance_to_words(double day) {
   // Forward-only: a smaller (or NaN) day would leave already-applied

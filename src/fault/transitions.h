@@ -41,12 +41,12 @@ class FaultMaskCursor {
   explicit FaultMaskCursor(const FaultTrace& trace);
 
   /// Grid-aligned cursor: binds to trace.word_delta_timeline(grid_step_days),
-  /// whose groups are pre-folded per sample day — each replay sample then
-  /// applies at most one group (the per-step fold is paid once per trace x
-  /// step, not once per cursor x sample). Contract: every advance must land
-  /// on a day of trace.sample_days(grid_step_days); between grid points the
-  /// mask would lag transitions already visible to faulty_at(). The replay
-  /// driver (src/topo/waste.cc) samples strictly on that grid, which is the
+  /// which holds one net group per sample day, built once per trace x step
+  /// straight from the events — each replay sample then applies at most one
+  /// group. Contract: every advance must land on a day of
+  /// trace.sample_days(grid_step_days); between grid points the mask would
+  /// lag transitions already visible to faulty_at(). The trace replay in
+  /// src/topo/waste.cc samples strictly on that grid, which is the
   /// intended user.
   FaultMaskCursor(const FaultTrace& trace, double grid_step_days);
 
@@ -61,15 +61,10 @@ class FaultMaskCursor {
   /// The day of the last advance (-inf before the first call).
   double day() const { return day_; }
 
-  /// Transitions with day > day(), i.e. not yet applied. O(log E) on the
-  /// trace's sorted transition timeline.
-  std::size_t remaining() const;
-
  private:
   FaultMaskCursor(const FaultTrace& trace,
                   std::shared_ptr<const WordDeltaTimeline> words);
 
-  std::shared_ptr<const std::vector<FaultTransition>> timeline_;
   std::shared_ptr<const WordDeltaTimeline> words_;
   std::size_t gnext_ = 0;            // first unapplied delta group
   PackedMask mask_;                  // current mask

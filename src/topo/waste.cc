@@ -81,9 +81,9 @@ TraceWindowFragment replay_trace_window_incremental(
   frag.usable_gpus.t.reserve(window.count);
   frag.usable_gpus.v.reserve(window.count);
   // The replay samples strictly on the step grid, so the cursor binds to
-  // the grid-folded word-delta timeline: at most one pre-folded group per
-  // sample instead of re-folding the step's transition days on every
-  // advance of every window's cursor.
+  // the trace's grid word-delta timeline: at most one net group per sample,
+  // built once per trace and step straight from the events and shared by
+  // every window's cursor.
   fault::FaultMaskCursor cursor(trace, step_days);
   const auto allocator = make_incremental_allocator(arch, tp_size_gpus);
   // Per-word XOR spans from the cursor go straight into the allocator's

@@ -88,7 +88,8 @@ struct TraceWindowFragment {
 /// the trace's shared cached timeline; no per-window slice is needed),
 /// though a slice covering the window also works. `step_days` must be the
 /// step that produced `days` (= trace.sample_days(step_days)): the cursor
-/// binds to the trace's grid-folded word-delta timeline for that step.
+/// binds to the trace's grid word-delta timeline for that step (one net
+/// group per sample day, built once per trace and step from the events).
 TraceWindowFragment replay_trace_window_incremental(
     const HbdArchitecture& arch, const fault::FaultTrace& trace,
     int tp_size_gpus, const std::vector<double>& days,

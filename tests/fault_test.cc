@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
+#include <string>
+#include <vector>
+
 #include "src/common/error.h"
 #include "src/fault/generator.h"
 #include "src/fault/trace.h"
@@ -11,6 +16,79 @@ TEST(FaultTrace, ValidatesEvents) {
   EXPECT_THROW(FaultTrace(0, 10.0, {}), ConfigError);
   EXPECT_THROW(FaultTrace(4, 10.0, {{5, 0.0, 1.0}}), ConfigError);
   EXPECT_THROW(FaultTrace(4, 10.0, {{1, 2.0, 1.0}}), ConfigError);
+}
+
+/// The ConfigError message of constructing a trace from `events`, or "".
+std::string construction_error(std::vector<FaultEvent> events) {
+  try {
+    FaultTrace(4, 10.0, std::move(events));
+  } catch (const ConfigError& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(FaultTrace, ValidationNamesTheFieldAndTheEventIndex) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  struct Case {
+    FaultEvent bad;
+    const char* what;
+  };
+  const Case cases[] = {
+      {{1, nan, 1.0}, "start_day"}, {{1, -inf, 1.0}, "start_day"},
+      {{1, inf, inf}, "start_day"}, {{1, 0.0, nan}, "end_day"},
+      {{1, 0.0, inf}, "end_day"},   {{7, 0.0, 1.0}, "node out of range"},
+      {{1, 2.0, 1.0}, "ends early"},
+  };
+  for (const Case& c : cases) {
+    // Index 1 in input order: the valid event comes first.
+    const std::string msg = construction_error({{0, 0.0, 1.0}, c.bad});
+    EXPECT_NE(msg.find(c.what), std::string::npos) << msg;
+    EXPECT_NE(msg.find("event 1"), std::string::npos) << msg;
+  }
+  EXPECT_THROW(FaultTrace(4, std::numeric_limits<double>::quiet_NaN(), {}),
+               ConfigError);
+  EXPECT_THROW(FaultTrace(4, inf, {}), ConfigError);
+}
+
+TEST(FaultTrace, SortedAndUnsortedInputsGiveOneEventOrder) {
+  // Ties on start day (broken by node) and on start day and node (broken
+  // by end day): every input permutation lands in this one order.
+  const std::vector<FaultEvent> sorted = {
+      {0, 0.5, 4.0}, {1, 1.0, 1.5}, {1, 1.0, 2.0}, {2, 1.0, 3.0},
+      {3, 2.0, 2.0}};
+  std::vector<int> perm = {0, 1, 2, 3, 4};
+  do {
+    std::vector<FaultEvent> events;
+    for (const int i : perm) events.push_back(sorted[static_cast<std::size_t>(i)]);
+    const FaultTrace trace(4, 10.0, events);
+    ASSERT_EQ(trace.events().size(), sorted.size());
+    for (std::size_t i = 0; i < sorted.size(); ++i) {
+      EXPECT_EQ(trace.events()[i].node, sorted[i].node);
+      EXPECT_EQ(trace.events()[i].start_day, sorted[i].start_day);
+      EXPECT_EQ(trace.events()[i].end_day, sorted[i].end_day);
+    }
+  } while (std::next_permutation(perm.begin(), perm.end()));
+
+  // A generated trace, re-built from its own (sorted) events and from a
+  // shuffled copy.
+  TraceGenConfig cfg;
+  cfg.node_count = 64;
+  cfg.duration_days = 60.0;
+  const FaultTrace trace = generate_trace(cfg);
+  std::vector<FaultEvent> shuffled = trace.events();
+  Rng rng(5);
+  rng.shuffle(shuffled);
+  for (const auto& events : {trace.events(), shuffled}) {
+    const FaultTrace rebuilt(trace.node_count(), trace.duration_days(), events);
+    ASSERT_EQ(rebuilt.events().size(), trace.events().size());
+    for (std::size_t i = 0; i < events.size(); ++i) {
+      EXPECT_EQ(rebuilt.events()[i].node, trace.events()[i].node);
+      EXPECT_EQ(rebuilt.events()[i].start_day, trace.events()[i].start_day);
+      EXPECT_EQ(rebuilt.events()[i].end_day, trace.events()[i].end_day);
+    }
+  }
 }
 
 TEST(FaultTrace, FaultyAtRespectsIntervals) {

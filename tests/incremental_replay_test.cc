@@ -1,17 +1,21 @@
 // Event-driven incremental replay (src/fault/transitions.h +
 // src/topo/incremental.h): transition-cursor semantics (zero-length events,
 // same-day up/down, overlapping intervals, slice boundaries, the
-// monotonicity contract, word-delta contract), the KHopRing and per-island
+// monotonicity contract, word-delta contract), the grid word-delta timeline
+// against the exact one folded onto the grid, the KHopRing and per-island
 // allocators' apply_words against allocate(), and the randomized end-to-end
 // property that the fast replay is bit-identical to the serial
 // evaluate_waste_over_trace oracle across architectures, TP sizes and
 // trace models.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
 #include <limits>
+#include <map>
 #include <memory>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -37,6 +41,16 @@ fault::FaultTrace gen_trace(int nodes, double days, std::uint64_t seed) {
   cfg.duration_days = days;
   cfg.seed = seed;
   return fault::generate_trace(cfg);
+}
+
+fault::FaultTrace physics_trace(fault::TraceModel model, int nodes,
+                                double days) {
+  fault::PhysicsTraceConfig cfg = model == fault::TraceModel::kStorm
+                                      ? fault::storm_trace_defaults()
+                                      : fault::physics_trace_defaults();
+  cfg.node_count = nodes;
+  cfg.duration_days = days;
+  return fault::generate_physics_trace(cfg);
 }
 
 void expect_same_result(const TraceWasteResult& a, const TraceWasteResult& b) {
@@ -101,7 +115,6 @@ TEST(FaultMaskCursor, MatchesFaultyAtOnGeneratedTrace) {
   // window) may remain; advancing past every event drains the timeline and
   // clears the mask.
   cursor.advance_to_words(std::numeric_limits<double>::max());
-  EXPECT_EQ(cursor.remaining(), 0u);
   EXPECT_EQ(cursor.mask().popcount(), 0);
 }
 
@@ -165,6 +178,113 @@ TEST(FaultMaskCursor, GridAlignedCursorMatchesFaultyAt) {
     jumped.advance_to_words(std::numeric_limits<double>::max());
     EXPECT_EQ(jumped.mask().popcount(), 0);
   }
+}
+
+// --- grid word-delta timeline --------------------------------------------
+
+/// The reference grid timeline: the exact word_delta_timeline() groups with
+/// days in (grid[k-1], grid[k]] XORed into one group per sample day, zero
+/// words and empty days dropped; groups past the grid keep their own days.
+fault::WordDeltaTimeline fold_exact_onto_grid(const fault::FaultTrace& trace,
+                                              double step) {
+  const fault::WordDeltaTimeline& exact = *trace.word_delta_timeline();
+  fault::WordDeltaTimeline out;
+  out.offsets.push_back(0);
+  const auto close_group = [&out](double day) {
+    if (out.deltas.size() == static_cast<std::size_t>(out.offsets.back()))
+      return;
+    out.days.push_back(day);
+    out.offsets.push_back(static_cast<int>(out.deltas.size()));
+  };
+  std::size_t g = 0;
+  for (const double day : trace.sample_days(step)) {
+    std::map<int, std::uint64_t> words;  // word-ascending
+    for (; g < exact.days.size() && exact.days[g] <= day; ++g)
+      for (int i = exact.offsets[g]; i < exact.offsets[g + 1]; ++i)
+        words[exact.deltas[static_cast<std::size_t>(i)].word] ^=
+            exact.deltas[static_cast<std::size_t>(i)].xor_bits;
+    for (const auto& [word, bits] : words)
+      if (bits != 0) out.deltas.push_back({word, bits});
+    close_group(day);
+  }
+  for (; g < exact.days.size(); ++g) {
+    for (int i = exact.offsets[g]; i < exact.offsets[g + 1]; ++i)
+      out.deltas.push_back(exact.deltas[static_cast<std::size_t>(i)]);
+    close_group(exact.days[g]);
+  }
+  return out;
+}
+
+/// Edge cases for the grid fold on a 130-node (three-word), 10-day trace,
+/// with some edges placed exactly on the sample days of `step`.
+fault::FaultTrace grid_edge_case_trace(double step) {
+  const double duration = 10.0;
+  const auto grid = fault::FaultTrace(1, duration, {}).sample_days(step);
+  const double g1 = grid[1], g2 = grid[grid.size() / 2];
+  return fault::FaultTrace(
+      130, duration,
+      {{0, 2.0, 2.0},     {0, g1, g1},        // zero-length events
+       {1, 1.0, 3.0},     {1, 2.0, 5.0},      // overlapping on one node
+       {1, 1.5, 2.5},                         // nested inside both
+       {2, 1.0, 2.0},     {2, 2.0, 4.0},      // back-to-back
+       {3, g1, g2},       {64, g2, grid.back()},  // edges on sample days
+       {65, 4.0, duration},                   // ends exactly at the end
+       {66, 0.1, 0.2},                        // down+up inside one step
+       {67, -1.0, 0.0},   {68, -2.0, 0.5},    // starts before day 0
+       {127, 9.999, 12.0}, {128, 10.5, 11.0},  // past the last sample
+       {129, 1.0, 15.0},  {129, 10.5, 20.0}});
+}
+
+void expect_same_timeline(const fault::WordDeltaTimeline& got,
+                          const fault::WordDeltaTimeline& want) {
+  EXPECT_EQ(got.days, want.days);
+  EXPECT_EQ(got.offsets, want.offsets);
+  EXPECT_EQ(got.deltas, want.deltas);
+}
+
+TEST(WordDeltaTimeline, GridFoldMatchesExactFoldOnTheGrid) {
+  std::vector<std::pair<std::string, fault::FaultTrace>> traces;
+  traces.emplace_back("poisson", gen_trace(96, 45.0, 11));
+  traces.emplace_back("poisson 700 nodes", gen_trace(700, 60.0, 3));
+  for (const auto model : {fault::TraceModel::kPhysics,
+                           fault::TraceModel::kStorm})
+    traces.emplace_back(fault::trace_model_name(model),
+                        physics_trace(model, 144, 60.0));
+  for (const double step : {1.0, 0.25, 0.7, 1.0 / 24.0}) {
+    SCOPED_TRACE("step " + std::to_string(step));
+    {
+      SCOPED_TRACE("edge cases");
+      const auto trace = grid_edge_case_trace(step);
+      expect_same_timeline(*trace.word_delta_timeline(step),
+                           fold_exact_onto_grid(trace, step));
+    }
+    for (const auto& [label, trace] : traces) {
+      SCOPED_TRACE(label);
+      expect_same_timeline(*trace.word_delta_timeline(step),
+                           fold_exact_onto_grid(trace, step));
+    }
+  }
+}
+
+TEST(WordDeltaTimeline, ConcurrentCallersShareOneGridBuild) {
+  const auto trace = gen_trace(512, 120.0, 9);  // fresh: nothing cached yet
+  obs::Counter& builds = obs::counter("fault.grid_timeline_builds");
+  const std::uint64_t before = builds.value();
+  obs::set_enabled(true);
+  constexpr int kThreads = 4;
+  std::vector<std::shared_ptr<const fault::WordDeltaTimeline>> got(kThreads);
+  std::atomic<int> ready{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t)
+    threads.emplace_back([&, t] {
+      ready.fetch_add(1);
+      while (ready.load() < kThreads) std::this_thread::yield();
+      got[static_cast<std::size_t>(t)] = trace.word_delta_timeline(1.0 / 24.0);
+    });
+  for (auto& thread : threads) thread.join();
+  obs::set_enabled(false);
+  for (const auto& timeline : got) EXPECT_EQ(timeline.get(), got[0].get());
+  EXPECT_EQ(builds.value() - before, 1u);
 }
 
 // The documented forward-only contract (transitions.h): a cursor cannot
@@ -611,16 +731,6 @@ TEST(ApplyWords, DegenerateMasksMatchAllocate) {
 }
 
 // --- end-to-end: fast replay vs serial oracle -----------------------------
-
-fault::FaultTrace physics_trace(fault::TraceModel model, int nodes,
-                                double days) {
-  fault::PhysicsTraceConfig cfg = model == fault::TraceModel::kStorm
-                                      ? fault::storm_trace_defaults()
-                                      : fault::physics_trace_defaults();
-  cfg.node_count = nodes;
-  cfg.duration_days = days;
-  return fault::generate_physics_trace(cfg);
-}
 
 TEST(IncrementalReplay, BitIdenticalToSerialOracleAcrossArchitectures) {
   // 144 nodes x 4 GPUs = 576 GPUs: the smallest cluster every paper
