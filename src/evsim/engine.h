@@ -1,24 +1,38 @@
 // Discrete-event simulation engine.
 //
-// A minimal priority-queue scheduler over simulated seconds. Used by the
-// collective-communication simulator (§5.2 reproduction), by the OCSTrx
-// reconfiguration state machine to model the 60-80 us switching latency,
-// and by the src/ctrl control-plane daemon as its event loop (job
-// arrivals/departures, fault transitions, reconfig batch drains).
+// A minimal priority-queue scheduler over a caller-chosen time unit. Used by
+// the collective-communication simulator (§5.2 reproduction, seconds), by
+// the OCSTrx reconfiguration state machine to model the 60-80 us switching
+// latency (seconds), and by the src/ctrl control-plane daemon as its event
+// loop (job arrivals/departures, fault transitions, reconfig batch drains;
+// days).
+//
+// Layout. The binary heap holds 24-byte {at, seq, slot} entries; the
+// callback, period and liveness of each scheduled event live in a dense slot
+// array whose released slots are reused through a free list. A slot is
+// released only when its heap entry pops (fired or cancelled), so a stale
+// entry never runs whatever event reused the slot.
+//
+// Ids. An id is (generation << 32) | (slot + 1). A fresh slot has
+// generation 0, so the first ids handed out are 1, 2, 3, ...; id 0 is never
+// issued. A slot's generation goes up each time the slot is released, so a
+// stale id misses in cancel() and ids are not reused (within 2^32 releases
+// of one slot).
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <queue>
-#include <unordered_map>
 #include <vector>
 
 namespace ihbd::evsim {
 
-using SimTime = double;  ///< simulated seconds
+/// Simulated time, in whatever unit the caller schedules in (seconds for
+/// the collective and OCSTrx models, days for the control plane). The
+/// engine only adds and compares times.
+using SimTime = double;
 
 /// Handle to a scheduled event or periodic timer, usable with cancel().
-/// Ids are never reused within one Engine.
+/// Never 0, and never reused within one Engine.
 using EventId = std::uint64_t;
 
 /// Event callback; runs at its scheduled time with the engine available for
@@ -32,20 +46,22 @@ class Engine {
  public:
   Engine() = default;
 
-  /// Current simulated time (seconds). 0 before the first event runs.
+  /// Current simulated time. 0 before the first event runs.
   SimTime now() const { return now_; }
 
-  /// Schedule `fn` to run at absolute time `at` (>= now()). The returned id
-  /// stays valid until the event fires or is cancelled.
+  /// Schedule `fn` to run at absolute time `at` (>= now(); +inf is legal and
+  /// fires once under run()). The returned id stays valid until the event
+  /// fires or is cancelled; inside its own callback it is already dead.
   EventId schedule_at(SimTime at, EventFn fn);
 
-  /// Schedule `fn` to run `delay` seconds from now (delay >= 0).
+  /// Schedule `fn` to run `delay` time units from now (delay >= 0).
   EventId schedule_in(SimTime delay, EventFn fn);
 
-  /// Schedule `fn` to run every `period` seconds (period > 0), first at
-  /// now() + first_delay (first_delay >= 0), then at fixed period
-  /// increments. The id stays valid across firings; the timer runs until
-  /// cancelled (including from inside its own callback).
+  /// Schedule `fn` to run every `period` time units (finite, > 0), first at
+  /// now() + first_delay (first_delay >= 0 and now() + first_delay finite),
+  /// then at fixed period increments. The id stays valid across firings;
+  /// the timer runs until cancelled (including from inside its own
+  /// callback).
   EventId schedule_every(SimTime first_delay, SimTime period, EventFn fn);
 
   /// Cancel a pending event or an active periodic timer. Returns true if
@@ -58,6 +74,7 @@ class Engine {
   /// <= `until` are exhausted). Returns the final now().
   ///
   /// run_until semantics, precisely:
+  ///   * `until` must not be NaN; run() passes +inf;
   ///   * events scheduled exactly AT `until` do run (inclusive bound);
   ///   * when events remain pending beyond `until`, the engine's clock is
   ///     still advanced to exactly `until` (final now() == until), so a
@@ -76,36 +93,39 @@ class Engine {
   /// Number of events still pending: cancelled-but-not-yet-popped queue
   /// entries are excluded, and an active periodic timer counts exactly
   /// once (its next occurrence).
-  std::size_t pending() const { return queue_.size() - dead_in_queue_; }
+  std::size_t pending() const { return heap_.size() - dead_in_queue_; }
   /// Number of events cancelled so far (periodic timers count once).
   std::uint64_t cancelled() const { return cancelled_; }
 
  private:
-  struct Item {
+  struct Entry {
     SimTime at;
-    std::uint64_t seq;  // FIFO tie-break (fresh per firing)
-    EventId id;
+    std::uint64_t seq;   // FIFO tie-break (fresh per firing)
+    std::uint32_t slot;  // index into slots_
+  };
+  static_assert(sizeof(Entry) == 24, "heap entries stay 24 bytes");
+
+  struct Slot {
     EventFn fn;
-  };
-  struct Later {
-    bool operator()(const Item& a, const Item& b) const {
-      if (a.at != b.at) return a.at > b.at;
-      return a.seq > b.seq;
-    }
+    SimTime period = 0.0;  // 0 = one-shot
+    std::uint32_t generation = 0;
+    bool live = false;  // scheduled and not cancelled
   };
 
-  /// Live-event table: id -> period (0 = one-shot). An id absent from the
-  /// table but still in the queue was cancelled; the queue entry is dropped
-  /// un-executed when it surfaces.
-  std::unordered_map<EventId, SimTime> live_;
+  EventId arm(SimTime at, SimTime period, EventFn fn);
+  void push(Entry e);
+  Entry pop();
+  /// Free `slot` for reuse; its current id goes stale.
+  void release(std::uint32_t slot);
 
-  std::priority_queue<Item, std::vector<Item>, Later> queue_;
+  std::vector<Entry> heap_;  // min-heap on (at, seq)
+  std::vector<Slot> slots_;
+  std::vector<std::uint32_t> free_slots_;
   SimTime now_ = 0.0;
   std::uint64_t seq_ = 0;
-  EventId next_id_ = 1;
   std::uint64_t executed_ = 0;
   std::uint64_t cancelled_ = 0;
-  std::size_t dead_in_queue_ = 0;
+  std::size_t dead_in_queue_ = 0;  // heap entries of cancelled events
 };
 
 }  // namespace ihbd::evsim

@@ -117,6 +117,25 @@ std::vector<JobArrival> small_workload(double duration_days,
   return generate_workload(wl, rng);
 }
 
+/// perfbench's per-trial accounting identities, which every plane run must
+/// hold: each enqueued reconfig is resolved or still pending at the horizon,
+/// the two wait histograms partition the starts, and no job completes
+/// without starting.
+void expect_accounting(const ControlPlaneResult& r) {
+  EXPECT_EQ(r.reconfig_drained + r.reconfig_pending_end, r.reconfig_enqueued);
+  EXPECT_EQ(r.starts, r.job_wait_s.count() + r.job_wait_degraded_s.count());
+  EXPECT_LE(r.completions, r.starts);
+}
+
+/// run_control_plane, checked against the accounting identities.
+ControlPlaneResult run_checked(const ControlPlaneConfig& cfg,
+                               const fault::FaultTrace& trace,
+                               const std::vector<JobArrival>& arrivals) {
+  ControlPlaneResult r = run_control_plane(cfg, trace, arrivals);
+  expect_accounting(r);
+  return r;
+}
+
 std::string result_bytes(const ControlPlaneResult& r) {
   serde::Writer w;
   r.save(w);
@@ -126,7 +145,7 @@ std::string result_bytes(const ControlPlaneResult& r) {
 TEST(ControlPlane, FaultFreeRunCompletesEveryJob) {
   const fault::FaultTrace trace(256, 8.0, {});
   const auto arrivals = small_workload(8.0);
-  auto result = run_control_plane(small_config(), trace, arrivals);
+  auto result = run_checked(small_config(), trace, arrivals);
 
   EXPECT_EQ(result.arrivals, arrivals.size());
   EXPECT_EQ(result.preemptions, 0u);
@@ -154,8 +173,8 @@ TEST(ControlPlane, DeterministicAcrossRuns) {
   const fault::FaultTrace trace(
       256, 6.0, {{3, 1.0, 3.0}, {40, 2.0, 4.0}, {41, 2.5, 5.5}});
   const auto arrivals = small_workload(6.0);
-  const auto a = run_control_plane(small_config(), trace, arrivals);
-  const auto b = run_control_plane(small_config(), trace, arrivals);
+  const auto a = run_checked(small_config(), trace, arrivals);
+  const auto b = run_checked(small_config(), trace, arrivals);
   EXPECT_EQ(result_bytes(a), result_bytes(b));  // byte-identical
 }
 
@@ -168,7 +187,7 @@ TEST(ControlPlane, FaultBurstPreemptsAndRecovers) {
   const fault::FaultTrace trace(256, 10.0, events);
   const auto arrivals = small_workload(10.0, /*rate=*/250.0);
   auto cfg = small_config();
-  auto result = run_control_plane(cfg, trace, arrivals);
+  auto result = run_checked(cfg, trace, arrivals);
 
   EXPECT_EQ(result.fault_transitions, 256u);
   EXPECT_GT(result.preemptions, 0u);
@@ -190,7 +209,7 @@ TEST(ControlPlane, CoalescingKicksInUnderChurn) {
   auto cfg = small_config();
   cfg.reconfig_batch = 4;
   cfg.drain_period_days = 8.0 / 86400.0;
-  auto result = run_control_plane(cfg, trace, arrivals);
+  auto result = run_checked(cfg, trace, arrivals);
   EXPECT_GT(result.reconfig_coalesced, 0u);
   EXPECT_EQ(result.reconfig_drained, result.reconfig_enqueued);
   EXPECT_GT(result.peak_reconfig_depth, 4u);
@@ -278,7 +297,7 @@ TEST(ControlPlane, DepthCountersAgreeWithFaultyAtUnderNestedIntervals) {
           << "node " << n << " at day " << day;
     ++probes;
   };
-  plane.run();
+  expect_accounting(plane.run());
   EXPECT_GE(probes, 30);  // the 0.25-day sampler covered the horizon
 }
 
@@ -292,15 +311,12 @@ TEST(ControlPlane, InjectedFailuresRetryToConvergence) {
   auto cfg = small_config();
   cfg.inject.session_failure_rate = 0.10;
   cfg.inject.seed = 17;
-  const auto a = run_control_plane(cfg, trace, arrivals);
-  const auto b = run_control_plane(cfg, trace, arrivals);
+  const auto a = run_checked(cfg, trace, arrivals);
+  const auto b = run_checked(cfg, trace, arrivals);
   EXPECT_EQ(result_bytes(a), result_bytes(b));
 
   EXPECT_GT(a.reconfig_injected, 0u);
   EXPECT_GT(a.reconfig_retried, 0u);
-  // Conservation: every enqueued request is either resolved (drained) or
-  // still waiting out a backoff at the horizon.
-  EXPECT_EQ(a.reconfig_drained + a.reconfig_pending_end, a.reconfig_enqueued);
   // At 10% per attempt with the default 6-attempt budget, dead letters are
   // ~1e-6 likely per request; retried successes land in the retried split.
   EXPECT_GT(a.reconfig_latency_retried_s.count(), 0u);
@@ -318,7 +334,7 @@ TEST(ControlPlane, DeadLettersDegradeJobsInsteadOfStalling) {
   cfg.inject.session_failure_rate = 1.0;
   cfg.inject.seed = 3;
   cfg.retry.max_attempts = 2;
-  const auto r = run_control_plane(cfg, trace, arrivals);
+  const auto r = run_checked(cfg, trace, arrivals);
 
   EXPECT_GT(r.reconfig_dead_lettered, 0u);
   EXPECT_GT(r.degraded_starts, 0u);
@@ -326,15 +342,13 @@ TEST(ControlPlane, DeadLettersDegradeJobsInsteadOfStalling) {
   // Degraded or not, the light-load invariant holds: everything submitted
   // early still finishes.
   EXPECT_GE(r.completions + 5, r.arrivals);
-  // The two SLO splits partition the starts.
-  EXPECT_EQ(r.job_wait_s.count() + r.job_wait_degraded_s.count(), r.starts);
 }
 
 TEST(ControlPlane, MergeAndSerdeRoundTrip) {
   const fault::FaultTrace trace(256, 4.0, {{9, 1.0, 2.0}});
-  const auto a = run_control_plane(small_config(), trace, small_workload(4.0));
+  const auto a = run_checked(small_config(), trace, small_workload(4.0));
   const auto b =
-      run_control_plane(small_config(), trace, small_workload(4.0, 40.0, 9));
+      run_checked(small_config(), trace, small_workload(4.0, 40.0, 9));
 
   auto merged = a;
   merged.merge(b);
@@ -344,6 +358,7 @@ TEST(ControlPlane, MergeAndSerdeRoundTrip) {
             a.job_wait_s.count() + b.job_wait_s.count());
   EXPECT_EQ(merged.peak_pending_jobs,
             std::max(a.peak_pending_jobs, b.peak_pending_jobs));
+  expect_accounting(merged);
 
   const auto bytes = result_bytes(merged);
   serde::Reader r(bytes);
@@ -400,7 +415,7 @@ std::uint64_t golden_digest(fault::TraceModel model, double inject_rate) {
       (wl.mean_run_days * 0.5 * (wl.min_groups + wl.max_groups));
   Rng rng(5);
   return result_digest(
-      run_control_plane(cfg, trace, generate_workload(wl, rng)));
+      run_checked(cfg, trace, generate_workload(wl, rng)));
 }
 
 TEST(ControlPlane, GoldenResultBytes) {
@@ -472,16 +487,13 @@ TEST(ControlPlaneSweep, OneCellOfFourTrialsIsThreadCountInvariant) {
     EXPECT_EQ(result_bytes(r), result_bytes(wide_trials[t])) << "trial " << t;
     EXPECT_GT(r.starts, 0u) << "trial " << t;
     EXPECT_GT(r.reconfig_retried, 0u) << "trial " << t;
-    EXPECT_EQ(r.reconfig_drained + r.reconfig_pending_end,
-              r.reconfig_enqueued)
-        << "trial " << t;
-    EXPECT_EQ(r.starts, r.job_wait_s.count() + r.job_wait_degraded_s.count())
-        << "trial " << t;
-    EXPECT_LE(r.completions, r.starts) << "trial " << t;
+    SCOPED_TRACE("trial " + std::to_string(t));
+    expect_accounting(r);
     folded.merge(r);
   }
   // The cell is its trials folded in trial order.
   EXPECT_EQ(result_bytes(folded), result_bytes(serial));
+  expect_accounting(serial);
 }
 
 }  // namespace
