@@ -9,8 +9,10 @@
 
 namespace ihbd::detail {
 
-[[noreturn]] inline void contract_violation(const char* kind, const char* expr,
-                                            const char* file, int line) {
+// Cold and never inlined: a contract checked on a hot inline path costs
+// one compare and branch there, with the report kept out of line.
+[[noreturn, gnu::cold, gnu::noinline]] inline void contract_violation(
+    const char* kind, const char* expr, const char* file, int line) {
   std::fprintf(stderr, "[ihbd] %s violation: (%s) at %s:%d\n", kind, expr,
                file, line);
   std::abort();

@@ -15,37 +15,11 @@ std::uint64_t splitmix64(std::uint64_t& x) {
   return z ^ (z >> 31);
 }
 
-std::uint64_t rotl(std::uint64_t x, int k) {
-  return (x << k) | (x >> (64 - k));
-}
-
 }  // namespace
 
 Rng::Rng(std::uint64_t seed) {
   std::uint64_t sm = seed;
   for (auto& s : s_) s = splitmix64(sm);
-}
-
-std::uint64_t Rng::next() {
-  const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
-  const std::uint64_t t = s_[1] << 17;
-  s_[2] ^= s_[0];
-  s_[3] ^= s_[1];
-  s_[1] ^= s_[2];
-  s_[0] ^= s_[3];
-  s_[2] ^= t;
-  s_[3] = rotl(s_[3], 45);
-  return result;
-}
-
-double Rng::uniform() {
-  // 53 random mantissa bits -> double in [0, 1).
-  return static_cast<double>(next() >> 11) * 0x1.0p-53;
-}
-
-double Rng::uniform(double lo, double hi) {
-  IHBD_EXPECTS(lo <= hi);
-  return lo + (hi - lo) * uniform();
 }
 
 std::uint64_t Rng::uniform_index(std::uint64_t n) {

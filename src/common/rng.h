@@ -6,8 +6,11 @@
 #pragma once
 
 #include <array>
+#include <bit>
 #include <cstdint>
 #include <vector>
+
+#include "src/common/contracts.h"
 
 namespace ihbd {
 
@@ -23,13 +26,30 @@ class Rng {
   static constexpr result_type max() { return ~0ull; }
   result_type operator()() { return next(); }
 
-  /// Next raw 64-bit value.
-  std::uint64_t next();
+  /// Next raw 64-bit value. Inline, like the two uniform() forms below:
+  /// the control plane draws one switch latency per steered transceiver.
+  std::uint64_t next() {
+    const std::uint64_t result = std::rotl(s_[1] * 5, 7) * 9;
+    const std::uint64_t t = s_[1] << 17;
+    s_[2] ^= s_[0];
+    s_[3] ^= s_[1];
+    s_[1] ^= s_[2];
+    s_[0] ^= s_[3];
+    s_[2] ^= t;
+    s_[3] = std::rotl(s_[3], 45);
+    return result;
+  }
 
   /// Uniform double in [0, 1).
-  double uniform();
-  /// Uniform double in [lo, hi).
-  double uniform(double lo, double hi);
+  double uniform() {
+    // 53 random mantissa bits -> double in [0, 1).
+    return static_cast<double>(next() >> 11) * 0x1.0p-53;
+  }
+  /// Uniform double in [lo, hi). Requires lo <= hi.
+  double uniform(double lo, double hi) {
+    IHBD_EXPECTS(lo <= hi);
+    return lo + (hi - lo) * uniform();
+  }
   /// Uniform integer in [0, n). Requires n > 0.
   std::uint64_t uniform_index(std::uint64_t n);
   /// Uniform integer in [lo, hi] inclusive. Requires lo <= hi.

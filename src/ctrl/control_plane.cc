@@ -265,12 +265,9 @@ void ControlPlane::enqueue_reconfig(int node, ocstrx::SessionId session,
 }
 
 void ControlPlane::on_drain() {
-  static obs::Histogram& h_latency =
-      obs::histogram("ctrl.reconfig_latency_seconds");
   static obs::Gauge& g_depth = obs::gauge("ctrl.reconfig_queue_depth");
-  queue_.drain_batch(fleet_, engine_.now(), rng_, drained_);
-  ++result_.reconfig_batches;
-  for (const auto& oc : drained_) {
+  queue_.drain(fleet_, engine_.now(), rng_,
+               [this](const ocstrx::ReconfigOutcome& oc) {
     if (oc.ok()) {
       const double latency_s =
           (oc.drained_at - oc.request.enqueued_at) * kSecondsPerDay +
@@ -278,12 +275,11 @@ void ControlPlane::on_drain() {
       (oc.request.attempts > 1 ? result_.reconfig_latency_retried_s
                                : result_.reconfig_latency_s)
           .observe(latency_s);
-      h_latency.observe(latency_s);
     }
     // A retrying attempt has not resolved: its waiter keeps waiting (the
     // job stays on its last good placement) and the coalescing key stays
     // live inside the queue.
-    if (oc.will_retry) continue;
+    if (oc.will_retry) return;
     int& waiter = waiter_of_node_[static_cast<std::size_t>(oc.request.node)];
     if (waiter >= 0) {
       const int job_id = waiter;
@@ -297,7 +293,8 @@ void ControlPlane::on_drain() {
         begin_running(job_id);
       }
     }
-  }
+  });
+  ++result_.reconfig_batches;
   g_depth.set(static_cast<double>(queue_.pending()));
   drain_armed_ = false;
   if (!queue_.empty()) arm_drain();
@@ -358,7 +355,6 @@ void ControlPlane::start_pending_reconfigs(int job_id) {
 }
 
 void ControlPlane::begin_running(int job_id) {
-  static obs::Histogram& h_wait = obs::histogram("ctrl.job_wait_seconds");
   Job& job = jobs_[static_cast<std::size_t>(job_id)];
   job.state = JobState::kRunning;
   ++running_count_;
@@ -370,7 +366,6 @@ void ControlPlane::begin_running(int job_id) {
   } else {
     result_.job_wait_s.observe(wait_s);
   }
-  h_wait.observe(wait_s);
   job.completion = engine_.schedule_in(
       arrivals_[static_cast<std::size_t>(job_id)].run_days,
       [this, job_id](evsim::Engine&) {
@@ -523,6 +518,9 @@ ControlPlaneResult ControlPlane::run() {
   static obs::Gauge& g_pending = obs::gauge("ctrl.pending_jobs");
   static obs::Gauge& g_running = obs::gauge("ctrl.running_jobs");
   static obs::Gauge& g_free = obs::gauge("ctrl.free_groups");
+  static obs::Histogram& h_latency =
+      obs::histogram("ctrl.reconfig_latency_seconds");
+  static obs::Histogram& h_wait = obs::histogram("ctrl.job_wait_seconds");
   fault_depth_.assign(static_cast<std::size_t>(cfg_.node_count), 0);
 
   if (!arrivals_.empty()) {
@@ -575,6 +573,14 @@ ControlPlaneResult ControlPlane::run() {
         .add(result_.reconfig_dead_lettered);
     obs::counter("ctrl.reconfig_injected").add(result_.reconfig_injected);
     obs::counter("ctrl.degraded_starts").add(result_.degraded_starts);
+    // The run's SLO histograms, folded in once: the same counts a
+    // per-observation mirror would have recorded.
+    for (const SloHistogram* h :
+         {&result_.reconfig_latency_s, &result_.reconfig_latency_retried_s})
+      h_latency.add(h->buckets(), h->sum());
+    for (const SloHistogram* h :
+         {&result_.job_wait_s, &result_.job_wait_degraded_s})
+      h_wait.add(h->buckets(), h->sum());
   }
   return result_;
 }

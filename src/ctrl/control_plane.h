@@ -30,8 +30,11 @@
 // the caller's seeds; event ties resolve by the engine's FIFO order;
 // SLO aggregates live in local SloHistograms so sweep results are
 // byte-identical across thread counts and shard shapes. ctrl.* obs
-// metrics mirror the same quantities for live monitoring and are never
-// read back into results.
+// metrics report the same quantities for monitoring and are never read
+// back into results: gauges are set live, while counters and the
+// ctrl.reconfig_latency_seconds / ctrl.job_wait_seconds histograms are
+// folded in once, at the end of run() (the histograms from the run's
+// SloHistograms), so the request path pays no global atomic.
 #pragma once
 
 #include <cstdint>
@@ -222,7 +225,6 @@ class ControlPlane {
   orch::IncrementalPlacement inc_;
   ocstrx::Fleet fleet_;
   ocstrx::ReconfigQueue queue_;
-  std::vector<ocstrx::ReconfigOutcome> drained_;  ///< on_drain's batch buffer
   ocstrx::SessionId hbd_session_;   ///< steer a node into its job's HBD
   ocstrx::SessionId park_session_;  ///< idle loopback park
   evsim::Engine engine_;

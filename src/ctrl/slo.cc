@@ -6,14 +6,6 @@
 
 namespace ihbd::ctrl {
 
-void SloHistogram::observe(double x) {
-  const std::size_t b = obs::Histogram::bucket_of(x);
-  if (b >= obs::kHistogramBuckets) return;  // NaN sentinel
-  ++buckets_[b];
-  ++count_;
-  sum_ += x;
-}
-
 double SloHistogram::quantile(double q) const {
   if (count_ == 0) return 0.0;
   const double target = q * static_cast<double>(count_);

@@ -1,14 +1,15 @@
 // Deterministic SLO histograms for the control plane.
 //
 // The ctrl.* obs histograms are process-global and shard-merged with
-// unspecified FP order — perfect for live monitoring, unusable as a bench
+// unspecified FP order — perfect for monitoring, unusable as a bench
 // table source when the table must be byte-identical across thread counts
 // and shard shapes. SloHistogram is the local, value-typed counterpart:
-// the SAME base-2 bucket layout as obs::Histogram (so a mirror observe()
-// into the global registry lines up bucket-for-bucket), but owned by one
-// control-plane run, mergeable in trial order, and serde-serializable for
-// --shard-dir sweeps. Quantiles are bucket upper bounds — deterministic by
-// construction, with base-2 resolution (plenty for p50/p99/p999 SLO rows).
+// the SAME base-2 bucket layout as obs::Histogram (so a run folds its
+// buckets into the global registry once, with obs::Histogram::add), but
+// owned by one control-plane run, mergeable in trial order, and
+// serde-serializable for --shard-dir sweeps. Quantiles are bucket upper
+// bounds — deterministic by construction, with base-2 resolution (plenty
+// for p50/p99/p999 SLO rows).
 #pragma once
 
 #include <array>
@@ -28,10 +29,20 @@ namespace ihbd::ctrl {
 class SloHistogram {
  public:
   /// Record one observation (NaN is dropped, matching obs::Histogram).
-  void observe(double x);
+  void observe(double x) {
+    const std::size_t b = obs::Histogram::bucket_of(x);
+    if (b >= obs::kHistogramBuckets) return;  // NaN sentinel
+    ++buckets_[b];
+    ++count_;
+    sum_ += x;
+  }
 
   std::uint64_t count() const { return count_; }
   double sum() const { return sum_; }
+  /// Per-bucket counts, in obs::Histogram's layout.
+  const std::array<std::uint64_t, obs::kHistogramBuckets>& buckets() const {
+    return buckets_;
+  }
   double mean() const {
     return count_ == 0 ? 0.0 : sum_ / static_cast<double>(count_);
   }

@@ -50,22 +50,6 @@ void Counter::reset() {
 
 // --- Histogram --------------------------------------------------------------
 
-std::size_t Histogram::bucket_of(double x) {
-  if (std::isnan(x)) return kHistogramBuckets;  // sentinel: dropped
-  if (x <= 0.0) return 0;
-  int exp = 0;
-  const double m = std::frexp(x, &exp);  // x = m * 2^exp, m in [0.5, 1)
-  // frexp's range is lower-inclusive, the documented buckets (2^(b-33),
-  // 2^(b-32)] are upper-inclusive: exact powers of two (m == 0.5) belong to
-  // the bucket below. Bucket b then covers (2^(b-33), 2^(b-32)] exactly.
-  if (m == 0.5) --exp;
-  const int b = exp + 32;
-  if (b < 1) return 0;
-  if (b >= static_cast<int>(kHistogramBuckets))
-    return kHistogramBuckets - 1;
-  return static_cast<std::size_t>(b);
-}
-
 double Histogram::bucket_upper_bound(std::size_t bucket) {
   if (bucket + 1 >= kHistogramBuckets)
     return std::numeric_limits<double>::infinity();
@@ -79,6 +63,17 @@ void Histogram::observe(double x) {
   Shard& shard = shards_[detail::thread_index() % kMetricShards];
   shard.counts[bucket].fetch_add(1, std::memory_order_relaxed);
   shard.sum.fetch_add(x, std::memory_order_relaxed);
+}
+
+void Histogram::add(const std::array<std::uint64_t, kHistogramBuckets>& counts,
+                    double sum) {
+  if (!enabled()) return;
+  Shard& shard = shards_[detail::thread_index() % kMetricShards];
+  for (std::size_t b = 0; b < kHistogramBuckets; ++b) {
+    if (counts[b] != 0)
+      shard.counts[b].fetch_add(counts[b], std::memory_order_relaxed);
+  }
+  shard.sum.fetch_add(sum, std::memory_order_relaxed);
 }
 
 std::uint64_t Histogram::count() const {

@@ -38,7 +38,9 @@
 #define IHBD_OBS 1  ///< 0 compiles all instrumentation down to no-ops
 #endif
 
+#include <array>
 #include <atomic>
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <map>
@@ -122,18 +124,46 @@ class Gauge {
 
 /// Exponential histogram: bucket b holds observations in
 /// (2^(b-33), 2^(b-32)] for b in [1, 63); bucket 0 holds non-positive and
-/// tiny values, bucket 63 everything above 2^30. NaN observations are
-/// dropped (they fit no bucket and would poison the sum).
+/// tiny values (-inf included), bucket 63 everything above 2^30 (+inf
+/// included). NaN observations are dropped (they fit no bucket and would
+/// poison the sum).
 class Histogram {
  public:
   void observe(double x);
+  /// Fold in a whole histogram of this layout: add counts[b] to bucket b
+  /// and `sum` to the sum, as one shard write per non-empty bucket. For
+  /// callers that keep their own local histogram (ctrl::SloHistogram) and
+  /// publish it once instead of observing each value here too. A no-op
+  /// while disabled.
+  void add(const std::array<std::uint64_t, kHistogramBuckets>& counts,
+           double sum);
   std::uint64_t count() const;
   double sum() const;  ///< relaxed shard adds: FP order is unspecified
   /// Count in one bucket, summed over shards.
   std::uint64_t bucket_count(std::size_t bucket) const;
   void reset();
 
-  static std::size_t bucket_of(double x);
+  /// Bucket of `x`, or kHistogramBuckets (a sentinel) for NaN. Inline:
+  /// ctrl::SloHistogram buckets one latency per drained request.
+  static std::size_t bucket_of(double x) {
+    if (std::isnan(x)) return kHistogramBuckets;  // sentinel: dropped
+    if (x <= 0.0) return 0;
+    // frexp leaves the exponent unspecified for infinities (glibc: 0,
+    // which would put +inf in the (0.5, 1] bucket).
+    if (std::isinf(x)) return kHistogramBuckets - 1;
+    int exp = 0;
+    const double m = std::frexp(x, &exp);  // x = m * 2^exp, m in [0.5, 1)
+    // frexp's range is lower-inclusive, the documented buckets
+    // (2^(b-33), 2^(b-32)] are upper-inclusive: exact powers of two
+    // (m == 0.5) belong to the bucket below. Bucket b then covers
+    // (2^(b-33), 2^(b-32)] exactly.
+    if (m == 0.5) --exp;
+    const int b = exp + 32;
+    if (b < 1) return 0;
+    if (b >= static_cast<int>(kHistogramBuckets))
+      return kHistogramBuckets - 1;
+    return static_cast<std::size_t>(b);
+  }
   /// Inclusive upper bound of a bucket (+inf for the last).
   static double bucket_upper_bound(std::size_t bucket);
 

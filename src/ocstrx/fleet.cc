@@ -30,11 +30,6 @@ Fleet::Fleet(int nodes, int gpus, int bundles, int trx_per_bundle,
                  kNoPath);
 }
 
-std::size_t Fleet::first_bundle(int node) const {
-  IHBD_EXPECTS(node >= 0 && node < nodes_);
-  return static_cast<std::size_t>(node) * static_cast<std::size_t>(bundles_);
-}
-
 void Fleet::preload_session(SessionId id, const Session& session) {
   const auto bundles = static_cast<std::size_t>(bundles_);
   for (const auto& entry : session) {
@@ -50,27 +45,6 @@ void Fleet::preload_session(SessionId id, const Session& session) {
               bundles, kKeep);
   for (const auto& [bundle_id, path] : session)
     session_paths_[row + bundle_id] = static_cast<std::int8_t>(path);
-}
-
-std::optional<double> Fleet::apply_session(int node, SessionId id, Rng& rng) {
-  if (!has_session(node, id)) return std::nullopt;
-  const std::int8_t* paths = session_paths_.data() + row_of(id);
-  const auto bundles = static_cast<std::size_t>(bundles_);
-  const auto members = static_cast<std::size_t>(trx_per_bundle_);
-  const std::size_t first = first_bundle(node);
-  double worst = 0.0;
-  for (std::size_t b = 0; b < bundles; ++b) {
-    const std::int8_t path = paths[b];
-    if (path == kKeep) continue;
-    if (failed_[first + b] != 0) return std::nullopt;
-    std::int8_t* trx = active_.data() + (first + b) * members;
-    for (std::size_t t = 0; t < members; ++t) {
-      if (trx[t] == path) continue;  // already there: switches for free
-      worst = std::max(worst, model_->matrix.sample_reconfig_latency_s(rng));
-      trx[t] = path;
-    }
-  }
-  return worst;
 }
 
 void Fleet::fail_node(int node) {

@@ -18,12 +18,14 @@
 // so both consume an Rng identically and return identical latencies.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <optional>
 #include <vector>
 
+#include "src/common/contracts.h"
 #include "src/common/rng.h"
 #include "src/ocstrx/session.h"
 #include "src/ocstrx/transceiver.h"
@@ -53,8 +55,29 @@ class Fleet {
   /// bundles in id order, stopping with nullopt at the first failed bundle;
   /// a member draws a latency only when its path changes. Returns the max
   /// member latency (hardware only: the session was preloaded), or nullopt
-  /// if the session is unknown or a touched bundle has failed.
-  std::optional<double> apply_session(int node, SessionId id, Rng& rng);
+  /// if the session is unknown or a touched bundle has failed. Inline: the
+  /// control plane applies one session per drained request.
+  std::optional<double> apply_session(int node, SessionId id, Rng& rng) {
+    if (!has_session(node, id)) return std::nullopt;
+    const std::int8_t* paths = session_paths_.data() + row_of(id);
+    const auto bundles = static_cast<std::size_t>(bundles_);
+    const auto members = static_cast<std::size_t>(trx_per_bundle_);
+    const std::size_t first = first_bundle(node);
+    double worst = 0.0;
+    for (std::size_t b = 0; b < bundles; ++b) {
+      const std::int8_t path = paths[b];
+      if (path == kKeep) continue;
+      if (failed_[first + b] != 0) return std::nullopt;
+      std::int8_t* trx = active_.data() + (first + b) * members;
+      for (std::size_t t = 0; t < members; ++t) {
+        if (trx[t] == path) continue;  // already there: switches for free
+        worst =
+            std::max(worst, model_->matrix.sample_reconfig_latency_s(rng));
+        trx[t] = path;
+      }
+    }
+    return worst;
+  }
 
   /// Fail / repair every bundle of `node`. A failed member goes dark and
   /// stays dark through repair until a session steers it again.
@@ -73,7 +96,10 @@ class Fleet {
            static_cast<std::size_t>(bundles_);
   }
   /// Index of `node`'s first bundle in failed_.
-  std::size_t first_bundle(int node) const;
+  std::size_t first_bundle(int node) const {
+    IHBD_EXPECTS(node >= 0 && node < nodes_);
+    return static_cast<std::size_t>(node) * static_cast<std::size_t>(bundles_);
+  }
 
   int nodes_;
   int bundles_;

@@ -16,7 +16,7 @@
 //     ctrl.reconfig_latency histogram must see. Retargeting a backing-off
 //     request resets its attempt budget (it is a new intent) but keeps its
 //     backoff slot: the node's hardware is still the one that just failed.
-//   * BATCHING: drain_batch() pops at most `max_batch` requests per call,
+//   * BATCHING: drain() pops at most `max_batch` requests per call,
 //     modelling a fabric-manager RPC fan-out budget per drain tick; the
 //     control plane re-arms drain events while the queue stays non-empty.
 //   * RETRY WITH BACKOFF: a transiently failed attempt (failed bundle
@@ -30,7 +30,10 @@
 // The queue itself is pure bookkeeping (deterministic, no engine or obs
 // dependency); src/ctrl owns the drain cadence and the metrics. Requests
 // live in per-node slots and the ready/backoff lists hold node ids, so
-// queueing and draining a request allocates nothing.
+// queueing and draining a request allocates nothing. drain() hands each
+// outcome to a caller's visitor as it is produced, and the per-request
+// calls (enqueue, the dense slot lookup, Fleet::apply_session) are inline,
+// so one request costs one pass and stores no outcome.
 #pragma once
 
 #include <algorithm>
@@ -42,6 +45,7 @@
 #include <string>
 #include <vector>
 
+#include "src/common/contracts.h"
 #include "src/common/rng.h"
 #include "src/fault/injection.h"
 #include "src/ocstrx/fabric_manager.h"
@@ -75,7 +79,8 @@ struct RetryPolicy {
 /// Outcome of one drained attempt. Exactly one of these holds per attempt;
 /// an attempt is RESOLVED (success, permanent failure, or dead-letter)
 /// unless `will_retry` is set, in which case the request is still queued
-/// and a later drain produces its next outcome.
+/// and a later drain produces its next outcome. drain() passes each one to
+/// its visitor as a temporary; keep a copy to hold on to it.
 struct ReconfigOutcome {
   ReconfigRequest request;  ///< attempts = attempts consumed so far
   double drained_at = 0.0;
@@ -107,7 +112,26 @@ class ReconfigQueue {
 
   /// Queue (or coalesce) a request for `node`. Returns true when a new
   /// entry was created, false when an in-queue request was coalesced.
-  bool enqueue(int node, SessionId session, double now);
+  /// Must not be called from a drain() visitor.
+  bool enqueue(int node, SessionId session, double now) {
+    IHBD_EXPECTS(!draining_);
+    Slot& s = slot(node);
+    if (s.where != Slot::Where::kNone) {
+      // Coalesce: retarget the queued request, keep its position and its
+      // original enqueue time (the oldest waiter defines the wait). A
+      // backing-off request also gets a fresh attempt budget — the intent
+      // is new even though the node's backoff slot is not.
+      s.request.session = session;
+      if (s.where == Slot::Where::kRetry) s.request.attempts = 0;
+      ++coalesced_;
+      return false;
+    }
+    s.where = Slot::Where::kReady;
+    s.request = ReconfigRequest{node, session, now, 0, now};
+    ready_.push_back(node);
+    ++enqueued_;
+    return true;
+  }
   /// Name-keyed form: resolve the name (intern_session) and forward.
   bool enqueue(int node, const std::string& session, double now) {
     return enqueue(node, intern_session(session), now);
@@ -144,13 +168,19 @@ class ReconfigQueue {
 
   /// Pop up to max_batch() due requests in FIFO order (backed-off requests
   /// whose deadline has passed rejoin the FIFO first, in deadline order)
-  /// and apply each to its node's actuators (preloaded fast path). Nodes
-  /// are fleet indices. One outcome per attempt. Both fleet types run the
-  /// same algorithm and, for the same state and Rng, the same outcomes.
-  /// The Fleet form fills a caller-owned buffer (cleared first), so the
-  /// control plane's drain loop reuses one allocation across batches.
-  void drain_batch(Fleet& fleet, double now, Rng& rng,
-                   std::vector<ReconfigOutcome>& out);
+  /// and apply each to its node's actuators (preloaded fast path). `fleet`
+  /// is an ocstrx::Fleet or a std::vector<NodeFabricManager>; nodes are
+  /// fleet indices. Both fleet types run the same algorithm and, for the
+  /// same state and Rng, yield the same outcomes.
+  ///
+  /// Calls visit(const ReconfigOutcome&) once per attempt, in drain order,
+  /// after the queue's own bookkeeping for that attempt (counters, retry
+  /// or dead-letter) is done. The visitor must not call enqueue() and
+  /// drain() must not be re-entered; both abort.
+  template <typename FleetT, typename Visit>
+  void drain(FleetT& fleet, double now, Rng& rng, Visit&& visit);
+
+  /// drain() collected into a vector: the object-model form.
   std::vector<ReconfigOutcome> drain_batch(std::vector<NodeFabricManager>& fleet,
                                            double now, Rng& rng);
 
@@ -172,10 +202,32 @@ class ReconfigQueue {
   /// or beyond every fleet this models) goes to `strays_`. Either way the
   /// request resolves as permanent at drain if no fleet node has that id.
   static constexpr int kDenseNodes = 1 << 20;
-  Slot& slot(int node);
-  template <typename FleetT>
-  void drain(FleetT& fleet, double now, Rng& rng,
-             std::vector<ReconfigOutcome>& out);
+  Slot& slot(int node) {
+    if (node < 0 || node >= kDenseNodes) return stray_slot(node);
+    const auto i = static_cast<std::size_t>(node);
+    if (i >= slots_.size()) slots_.resize(i + 1);
+    return slots_[i];
+  }
+  Slot& stray_slot(int node);
+
+  // The two fleet types seen through the calls drain() makes.
+  static bool has_session(const Fleet& fleet, int node, SessionId id) {
+    return fleet.has_session(node, id);
+  }
+  static std::optional<double> apply_session(Fleet& fleet, int node,
+                                             SessionId id, Rng& rng) {
+    return fleet.apply_session(node, id, rng);
+  }
+  static bool has_session(const std::vector<NodeFabricManager>& fleet,
+                          int node, SessionId id) {
+    return node >= 0 && node < static_cast<int>(fleet.size()) &&
+           fleet[static_cast<std::size_t>(node)].has_session(id);
+  }
+  static std::optional<double> apply_session(
+      std::vector<NodeFabricManager>& fleet, int node, SessionId id,
+      Rng& rng) {
+    return fleet[static_cast<std::size_t>(node)].apply_session(id, rng);
+  }
 
   std::size_t max_batch_;
   RetryPolicy policy_;
@@ -193,6 +245,78 @@ class ReconfigQueue {
   std::uint64_t retried_ = 0;
   std::uint64_t dead_lettered_ = 0;
   std::uint64_t injected_ = 0;
+  bool draining_ = false;  ///< inside drain(): enqueue and drain abort
 };
+
+template <typename FleetT, typename Visit>
+void ReconfigQueue::drain(FleetT& fleet, double now, Rng& rng,
+                          Visit&& visit) {
+  IHBD_EXPECTS(!draining_);
+  struct Guard {
+    bool& flag;
+    ~Guard() { flag = false; }
+  } guard{draining_};
+  draining_ = true;
+
+  // Due retries rejoin the FIFO tail in deadline order before the batch is
+  // cut, so a recovered request competes fairly with fresh arrivals.
+  while (!retry_.empty() && retry_.front().not_before <= now) {
+    const int node = retry_.front().node;
+    retry_.pop_front();
+    slot(node).where = Slot::Where::kReady;
+    ready_.push_back(node);
+  }
+
+  for (std::size_t n = 0; n < max_batch_ && !ready_.empty(); ++n) {
+    const int node = ready_.front();
+    ready_.pop_front();
+    Slot& s = slot(node);
+    s.where = Slot::Where::kNone;
+    ReconfigOutcome oc;
+    oc.request = s.request;
+    oc.drained_at = now;
+    ++oc.request.attempts;
+
+    if (!has_session(fleet, node, oc.request.session)) {
+      // A malformed request stays malformed: fail it permanently instead
+      // of burning the retry budget.
+      oc.permanent = true;
+      ++failed_;
+      ++drained_;
+    } else {
+      if (inject_.should_fail(node, inject_seq_++)) {
+        oc.injected = true;
+        ++injected_;
+      } else {
+        oc.switch_latency_s =
+            apply_session(fleet, node, oc.request.session, rng);
+      }
+      if (oc.ok()) {
+        ++drained_;
+      } else {
+        ++failed_;
+        if (oc.request.attempts >= policy_.max_attempts) {
+          oc.dead_lettered = true;
+          dead_.push_back(oc.request);
+          ++dead_lettered_;
+          ++drained_;
+        } else {
+          oc.will_retry = true;
+          s.where = Slot::Where::kRetry;
+          s.request = oc.request;
+          s.request.not_before =
+              now + policy_.backoff_for(oc.request.attempts);
+          // Stable insert by deadline: behind every request due no later.
+          const auto pos = std::upper_bound(
+              retry_.begin(), retry_.end(), s.request.not_before,
+              [](double t, const Backoff& b) { return t < b.not_before; });
+          retry_.insert(pos, Backoff{s.request.not_before, node});
+          ++retried_;
+        }
+      }
+    }
+    visit(static_cast<const ReconfigOutcome&>(oc));
+  }
+}
 
 }  // namespace ihbd::ocstrx

@@ -82,8 +82,4 @@ double OcsSwitchMatrix::drive_power_w(OcsPath path, double temp_c) const {
          trim_equiv * trimmed.hold_power_w(temp_c);
 }
 
-double OcsSwitchMatrix::sample_reconfig_latency_s(Rng& rng) const {
-  return rng.uniform(kReconfigMinS, kReconfigMaxS);
-}
-
 }  // namespace ihbd::phy

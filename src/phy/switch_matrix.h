@@ -61,7 +61,9 @@ class OcsSwitchMatrix {
 
   /// Sampled hardware reconfiguration latency (uniform in [60, 80] us,
   /// per paper §5.1), in seconds.
-  double sample_reconfig_latency_s(Rng& rng) const;
+  double sample_reconfig_latency_s(Rng& rng) const {
+    return rng.uniform(kReconfigMinS, kReconfigMaxS);
+  }
   static constexpr double kReconfigMinS = 60e-6;
   static constexpr double kReconfigMaxS = 80e-6;
 

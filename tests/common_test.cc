@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <vector>
 
@@ -16,6 +18,29 @@ namespace {
 TEST(Rng, DeterministicForSeed) {
   Rng a(42), b(42);
   for (int i = 0; i < 100; ++i) EXPECT_EQ(a.next(), b.next());
+}
+
+TEST(Rng, GoldenStream) {
+  // Pins the raw xoshiro256** stream and the two uniform() forms bit for
+  // bit. Seed 2025 is ctrl::ControlPlaneConfig's default; [60, 80] us is
+  // the OCS switch-latency draw.
+  Rng rng(2025);
+  const std::uint64_t next[] = {
+      0xc9fcbf65c046112full, 0x7b7b3399e150a198ull, 0x68f6f146f11e19c1ull,
+      0x8f605909bbb633b2ull, 0xf617e11f1f2850e6ull, 0x3c0714d5f42f7fc9ull,
+      0x821615f2a0bbf413ull, 0x706d54935489dfc9ull};
+  for (const std::uint64_t v : next) EXPECT_EQ(rng.next(), v);
+  const std::uint64_t unit[] = {0x3fecabd285dbc99full, 0x3fe0a7aa9b0694faull,
+                                0x3fc0a8d26791bd64ull, 0x3fdab62e56df66e0ull};
+  for (const std::uint64_t v : unit)
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(rng.uniform()), v);
+  const std::uint64_t latency[] = {0x3f14166e36481073ull,
+                                   0x3f141d865808ee56ull,
+                                   0x3f13cd3a25a829b9ull,
+                                   0x3f11228404c4918bull};
+  for (const std::uint64_t v : latency)
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(rng.uniform(60e-6, 80e-6)), v);
+  EXPECT_DEATH(rng.uniform(1.0, 0.0), "lo <= hi");
 }
 
 TEST(Rng, DifferentSeedsDiffer) {

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -12,6 +13,7 @@
 #include "src/fault/generator.h"
 #include "src/fault/physics_generator.h"
 #include "src/fault/trace.h"
+#include "src/obs/metrics.h"
 #include "src/runtime/sweep.h"
 
 namespace ihbd::ctrl {
@@ -45,6 +47,17 @@ TEST(SloHistogram, EmptyAndNaNAndMerge) {
   EXPECT_EQ(h.count(), 3u);
   EXPECT_DOUBLE_EQ(h.sum(), 18.0);
   EXPECT_DOUBLE_EQ(h.quantile(0.5), 8.0);
+}
+
+TEST(SloHistogram, InfinityLandsInTheLastBucket) {
+  SloHistogram h;
+  for (int i = 0; i < 3; ++i) h.observe(1.0);
+  h.observe(std::numeric_limits<double>::infinity());
+  EXPECT_EQ(h.count(), 4u);
+  EXPECT_EQ(h.buckets()[obs::kHistogramBuckets - 1], 1u);
+  EXPECT_DOUBLE_EQ(h.quantile(0.75), 1.0);
+  // The unbounded last bucket reports its lower bound, 2^30 s.
+  EXPECT_DOUBLE_EQ(h.quantile(1.0), std::ldexp(1.0, 30));
 }
 
 TEST(SloHistogram, SerdeRoundTripIsExact) {
@@ -366,6 +379,42 @@ TEST(ControlPlane, MergeAndSerdeRoundTrip) {
   r.expect_done("ctrl result");
   EXPECT_EQ(result_bytes(back), bytes);
 }
+
+#if IHBD_OBS
+/// `h` holds exactly the buckets of `a` and `b` added together.
+void expect_fold(const obs::Histogram& h, const SloHistogram& a,
+                 const SloHistogram& b) {
+  ASSERT_GT(a.count(), 0u);
+  ASSERT_GT(b.count(), 0u);
+  EXPECT_EQ(h.count(), a.count() + b.count());
+  for (std::size_t i = 0; i < obs::kHistogramBuckets; ++i)
+    EXPECT_EQ(h.bucket_count(i), a.buckets()[i] + b.buckets()[i])
+        << "bucket " << i;
+  // Shard sums add in unspecified order: tolerance, not equality.
+  EXPECT_NEAR(h.sum(), a.sum() + b.sum(), 1e-9 * (a.sum() + b.sum()));
+}
+
+TEST(ControlPlane, ObsHistogramsAreTheFoldOfTheSloHistograms) {
+  // With obs on, a run adds its SLO histograms into the two ctrl.*
+  // histograms once, at the end: the first-try and retried latency splits
+  // into ctrl.reconfig_latency_seconds, the clean and degraded waits into
+  // ctrl.job_wait_seconds. Injection with a 2-attempt budget fills all four.
+  obs::reset();
+  obs::set_enabled(true);
+  const fault::FaultTrace trace(256, 8.0, {{3, 1.1, 3.0}, {40, 2.0, 4.0}});
+  auto cfg = small_config();
+  cfg.inject.session_failure_rate = 0.3;
+  cfg.inject.seed = 17;
+  cfg.retry.max_attempts = 2;
+  const auto r = run_checked(cfg, trace, small_workload(8.0, 120.0));
+  obs::set_enabled(false);
+  expect_fold(obs::histogram("ctrl.reconfig_latency_seconds"),
+              r.reconfig_latency_s, r.reconfig_latency_retried_s);
+  expect_fold(obs::histogram("ctrl.job_wait_seconds"), r.job_wait_s,
+              r.job_wait_degraded_s);
+  obs::reset();
+}
+#endif
 
 // --- golden result bytes ----------------------------------------------------
 

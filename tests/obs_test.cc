@@ -6,10 +6,12 @@
 // replay-grid tables with obs on vs off).
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
+#include <limits>
 #include <map>
 #include <string>
 #include <utility>
@@ -94,6 +96,12 @@ TEST_F(ObsTest, HistogramBucketing) {
   EXPECT_EQ(Histogram::bucket_of(0.0), 0u);
   EXPECT_EQ(Histogram::bucket_of(-5.0), 0u);
   EXPECT_EQ(Histogram::bucket_of(1e300), kHistogramBuckets - 1);
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  EXPECT_EQ(Histogram::bucket_of(kInf), kHistogramBuckets - 1);
+  EXPECT_EQ(Histogram::bucket_of(-kInf), 0u);
+  EXPECT_EQ(Histogram::bucket_of(-0.0), 0u);
+  EXPECT_EQ(Histogram::bucket_of(std::numeric_limits<double>::denorm_min()),
+            0u);
 
   set_enabled(true);
   Histogram& h = histogram("test.bucketing");
@@ -102,6 +110,29 @@ TEST_F(ObsTest, HistogramBucketing) {
   h.observe(1.0);
   EXPECT_EQ(h.count(), 1u);
   EXPECT_EQ(h.bucket_count(Histogram::bucket_of(1.0)), 1u);
+}
+
+TEST_F(ObsTest, BulkAddMatchesObserveAndIsANoopWhileDisabled) {
+  const double values[] = {1e-9, 3e-5, 7e-5, 0.25, 1.0, 1.5, 300.0, 1e12};
+  std::array<std::uint64_t, kHistogramBuckets> counts{};
+  double sum = 0.0;
+  for (const double x : values) {
+    ++counts[Histogram::bucket_of(x)];
+    sum += x;
+  }
+  Histogram& bulk = histogram("test.bulk.add");
+  bulk.add(counts, sum);  // disabled: nothing lands
+  EXPECT_EQ(bulk.count(), 0u);
+  EXPECT_EQ(bulk.sum(), 0.0);
+
+  set_enabled(true);
+  Histogram& one_by_one = histogram("test.bulk.observe");
+  for (const double x : values) one_by_one.observe(x);
+  bulk.add(counts, sum);
+  EXPECT_EQ(bulk.count(), one_by_one.count());
+  for (std::size_t b = 0; b < kHistogramBuckets; ++b)
+    EXPECT_EQ(bulk.bucket_count(b), one_by_one.bucket_count(b)) << b;
+  EXPECT_NEAR(bulk.sum(), one_by_one.sum(), 1e-12 * sum);
 }
 
 TEST_F(ObsTest, DisabledHandlesAreNoops) {

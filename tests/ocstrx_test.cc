@@ -560,6 +560,57 @@ TEST(ReconfigQueue, PromotedRetriesKeepDeadlineOrder) {
   EXPECT_TRUE(q.empty());
 }
 
+TEST(ReconfigQueue, DrainVisitsEachAttemptAfterItsBookkeeping) {
+  auto fleet = test_fleet(3);
+  fleet[1].bundle(0).fail();
+  ReconfigQueue q;
+  Rng rng(1);
+  q.enqueue(0, "ring", 0.0);
+  q.enqueue(1, "ring", 0.0);
+  q.enqueue(2, "nope", 0.0);
+  std::vector<int> nodes;
+  q.drain(fleet, 1.0, rng, [&](const ReconfigOutcome& oc) {
+    nodes.push_back(oc.request.node);
+    // The queue has already counted and re-queued this attempt.
+    if (oc.request.node == 1) {
+      EXPECT_TRUE(oc.will_retry);
+      EXPECT_EQ(q.retrying(), 1u);
+      EXPECT_EQ(q.retried(), 1u);
+    }
+    EXPECT_EQ(q.drained() + q.retrying(), nodes.size());
+  });
+  EXPECT_EQ(nodes, (std::vector<int>{0, 1, 2}));
+}
+
+TEST(ReconfigQueueDeathTest, VisitorMayNotEnqueueOrReenterDrain) {
+  auto fleet = test_fleet(2);
+  Rng rng(1);
+  EXPECT_DEATH(
+      {
+        ReconfigQueue q;
+        q.enqueue(0, "ring", 0.0);
+        q.drain(fleet, 1.0, rng, [&](const ReconfigOutcome&) {
+          q.enqueue(1, "ring", 1.0);
+        });
+      },
+      "precondition");
+  EXPECT_DEATH(
+      {
+        ReconfigQueue q;
+        q.enqueue(0, "ring", 0.0);
+        q.drain(fleet, 1.0, rng, [&](const ReconfigOutcome&) {
+          q.drain(fleet, 1.0, rng, [](const ReconfigOutcome&) {});
+        });
+      },
+      "precondition");
+  // After a drain returns, both are allowed again.
+  ReconfigQueue q;
+  q.enqueue(0, "ring", 0.0);
+  q.drain(fleet, 1.0, rng, [](const ReconfigOutcome&) {});
+  EXPECT_TRUE(q.enqueue(0, "park", 2.0));
+  EXPECT_EQ(q.drain_batch(fleet, 3.0, rng).size(), 1u);
+}
+
 // --- Fleet: the flat actuator state against the object model ----------------
 
 /// A Fleet and a vector of NodeFabricManagers of the same shape, changed
@@ -712,7 +763,7 @@ TEST(Fleet, DrainBatchMatchesObjectModel) {
     ReconfigQueue object_q(/*max_batch=*/8, retry, inject);
     Rng ops(3), a(9), b(9);
     std::size_t outcomes = 0;
-    std::vector<ReconfigOutcome> flat_out;  // reused, as the plane does
+    std::vector<ReconfigOutcome> flat_out;
     for (int tick = 0; tick < 600; ++tick) {
       const double now = tick;
       for (int r = 0; r < 6; ++r) {
@@ -728,7 +779,10 @@ TEST(Fleet, DrainBatchMatchesObjectModel) {
         twins.set_down(static_cast<int>(ops.uniform_index(kNodes)),
                        ops.bernoulli(0.5));
       }
-      flat_q.drain_batch(twins.flat, now, a, flat_out);
+      flat_out.clear();
+      flat_q.drain(twins.flat, now, a, [&](const ReconfigOutcome& oc) {
+        flat_out.push_back(oc);
+      });
       const auto object_out = object_q.drain_batch(twins.objects, now, b);
       ASSERT_EQ(flat_out.size(), object_out.size()) << "tick " << tick;
       for (std::size_t i = 0; i < flat_out.size(); ++i)
