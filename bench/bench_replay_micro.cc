@@ -36,10 +36,11 @@ const topo::KHopRing& khop_ring() {
   return ring;
 }
 
+/// No pool: the replay runs inline, so the numbers are the per-sample cost
+/// rather than pool fan-out.
 topo::TraceReplayOptions replay_options(double step_days = 1.0) {
   topo::TraceReplayOptions opts;
   opts.step_days = step_days;
-  opts.threads = 1;  // isolate the per-sample cost, not pool fan-out
   return opts;
 }
 

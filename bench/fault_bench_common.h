@@ -110,9 +110,10 @@ inline std::uint64_t trace_fingerprint(const fault::FaultTrace& trace) {
 /// The (TP x architecture) trace-replay grid shared by Figs. 13, 15, 16 and
 /// 20, run on the generic sweep engine: one windowed trace replay per
 /// supported cell. BOTH fan-out levels share one work-stealing pool
-/// (--threads wide; 0 = the shared process pool): the sweep distributes
-/// cells, and each cell's window fan-out recruits idle workers — so a grid
-/// with fewer cells than cores no longer strands the rest of the machine.
+/// (--threads wide; 0 = one worker per hardware thread): the sweep
+/// distributes cells, and each cell's window fan-out recruits idle workers
+/// — so a grid with fewer cells than cores does not strand the rest of the
+/// machine.
 /// Unsupported cells keep the default-constructed (empty) TraceWasteResult.
 /// The replay is deterministic, so the grid is bit-identical for any thread
 /// count (CI diffs them, and ctest checks the replay against the serial

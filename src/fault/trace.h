@@ -93,9 +93,10 @@ class FaultTrace {
   /// meaningless). Node count is preserved; the slice's duration_days() is
   /// clamped to just past end_day, so sample_days()/ratio_series() on a
   /// slice stop at the slice boundary instead of iterating over the full
-  /// trace's range. This is the unit of work for the windowed parallel
-  /// replay in src/topo/waste.h (which enumerates days from the *full*
-  /// trace, so the clamp does not affect its sample sequence).
+  /// trace's range. The windowed replay in src/topo/waste.h never slices:
+  /// its cursor fast-forwards over the full trace. A slice bounds the work
+  /// of a serial-oracle replay over a prefix (perfbench's correctness check
+  /// and tests).
   FaultTrace slice(double start_day, double end_day) const;
 
   /// The sorted transition timeline: one `down` edge per event start and

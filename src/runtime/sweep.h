@@ -418,9 +418,8 @@ GenericSweepResult<Acc> run_sweep_sharded(const SweepSpec& spec, Acc init,
 /// Execution substrate: an explicit `pool` wins (pass the SAME pool into
 /// any nested fan-out inside the trial — e.g. TraceReplayOptions::pool — so
 /// the work-stealing scheduler lets a cell's inner parallelism recruit idle
-/// sweep workers). With pool == nullptr, threads == 0 fans out on the
-/// process-wide ThreadPool::shared(); threads > 0 uses a dedicated
-/// transient pool of that width.
+/// sweep workers). With pool == nullptr the sweep owns a pool of
+/// `threads` workers for the call (0 = ThreadPool::default_threads()).
 ///
 /// Distribution: when an ambient shard::ShardContext is installed
 /// (bench_util --shard-dir) AND `codec` is non-null, the sweep runs as

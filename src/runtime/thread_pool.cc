@@ -1,9 +1,10 @@
 #include "src/runtime/thread_pool.h"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
+#include <exception>
 #include <thread>
-#include <utility>
 
 #include "src/common/contracts.h"
 #include "src/obs/metrics.h"
@@ -26,66 +27,58 @@ std::uint64_t elapsed_ns(std::chrono::steady_clock::time_point t0) {
 }
 }  // namespace
 
+/// The join state of one parallel_for call. It lives on the caller's frame;
+/// queued runners point at it, and the caller joins every runner before
+/// returning.
+struct ThreadPool::Fork {
+  Fork(const std::function<void(std::size_t)>& body, std::size_t n,
+       std::size_t grain)
+      : body(body), n(n), grain(grain) {}
+
+  /// Claim and run chunks until the range is exhausted or a body threw.
+  /// Never throws: the first exception is kept for the caller.
+  void run_chunks() noexcept {
+    try {
+      while (!failed.load(std::memory_order_relaxed)) {
+        const std::size_t begin =
+            next.fetch_add(grain, std::memory_order_relaxed);
+        if (begin >= n) return;
+        const std::size_t end = std::min(n, begin + grain);
+        for (std::size_t i = begin; i < end; ++i) body(i);
+      }
+    } catch (...) {
+      std::lock_guard<std::mutex> lock(error_mu);
+      if (!error) error = std::current_exception();
+      failed.store(true, std::memory_order_relaxed);
+    }
+  }
+
+  const std::function<void(std::size_t)>& body;
+  const std::size_t n;
+  const std::size_t grain;
+  std::atomic<std::size_t> next{0};     ///< claim cursor
+  std::atomic<std::size_t> pending{0};  ///< queued runners not yet finished
+  std::atomic<bool> failed{false};      ///< cancels the remaining chunks
+  std::mutex error_mu;
+  std::exception_ptr error;  ///< first exception; guarded by error_mu
+};
+
 struct ThreadPool::Worker {
   std::mutex mu;
-  std::deque<Task> tasks;  ///< back = owner's LIFO end, front = steal end
+  std::deque<Fork*> tasks;  ///< back = owner's LIFO end, front = steal end
   /// Round-robin steal cursor; touched only by the owning thread.
   std::size_t next_victim = 0;
   std::thread thread;
 };
-
-// --- TaskGroup --------------------------------------------------------------
-
-TaskGroup::~TaskGroup() {
-  // Join without observing exceptions (wait() must be called for that);
-  // never let a still-running task outlive the state it captured.
-  pool_->help_until([this] {
-    return pending_.load(std::memory_order_acquire) == 0;
-  });
-}
-
-void TaskGroup::run(std::function<void()> task) {
-  pool_->enqueue(ThreadPool::Task{std::move(task), this});
-}
-
-void TaskGroup::capture(std::exception_ptr error) {
-  std::lock_guard<std::mutex> lock(error_mu_);
-  if (!error_) error_ = std::move(error);
-  failed_.store(true, std::memory_order_relaxed);
-}
-
-void TaskGroup::wait() {
-  pool_->help_until([this] {
-    return pending_.load(std::memory_order_acquire) == 0;
-  });
-  std::exception_ptr error;
-  {
-    std::lock_guard<std::mutex> lock(error_mu_);
-    error = std::exchange(error_, nullptr);
-    failed_.store(false, std::memory_order_relaxed);
-  }
-  if (error) std::rethrow_exception(error);
-}
-
-// --- ThreadPool -------------------------------------------------------------
 
 int ThreadPool::default_threads() {
   const unsigned hw = std::thread::hardware_concurrency();
   return hw == 0 ? 1 : static_cast<int>(hw);
 }
 
-ThreadPool& ThreadPool::shared() {
-  // Meyers singleton: created on first use, joined at normal process exit.
-  static ThreadPool pool(0);
-  return pool;
-}
-
-ThreadPool::ThreadPool(int threads) : root_(*this) {
-  IHBD_EXPECTS(threads >= 0);
-  if (threads == 0) threads = default_threads();
-  // Resolve the metric handles BEFORE any worker starts: this also orders
-  // the obs registry's construction before this pool's, so the registry
-  // outlives the shared() pool's shutdown drain at process exit.
+ThreadPool::ThreadPool(int threads) {
+  IHBD_EXPECTS(threads >= 1);
+  // Resolve the metric handles BEFORE any worker starts.
   obs_ = ObsRefs{&obs::counter("pool.tasks_executed"),
                  &obs::counter("pool.tasks_stolen"),
                  &obs::counter("pool.steal_attempts"),
@@ -115,13 +108,16 @@ ThreadPool::~ThreadPool() {
   }
   wake_cv_.notify_all();
   for (auto& w : workers_) w->thread.join();
+  // Runners are only ever queued inside a parallel_for, which joins them
+  // before it returns; one still queued means the pool died mid-call.
+  IHBD_EXPECTS(inject_.empty());
+  for (const auto& w : workers_) IHBD_EXPECTS(w->tasks.empty());
 }
 
-void ThreadPool::signal(bool assert_not_stopped) {
+void ThreadPool::signal() {
   std::uint64_t epoch;
   {
     std::lock_guard<std::mutex> lock(wake_mu_);
-    if (assert_not_stopped) IHBD_EXPECTS(!stop_);
     epoch = ++wake_epoch_;
   }
   if (obs::enabled()) {
@@ -131,49 +127,44 @@ void ThreadPool::signal(bool assert_not_stopped) {
   wake_cv_.notify_all();
 }
 
-void ThreadPool::enqueue(Task task) {
-  task.group->pending_.fetch_add(1, std::memory_order_relaxed);
-  in_flight_.fetch_add(1, std::memory_order_relaxed);
+void ThreadPool::enqueue(Fork* fork, std::size_t copies) {
+  fork->pending.fetch_add(copies, std::memory_order_relaxed);
   if (tls_pool == this) {
     Worker& self = *workers_[tls_worker];
     std::lock_guard<std::mutex> lock(self.mu);
-    self.tasks.push_back(std::move(task));
+    self.tasks.insert(self.tasks.end(), copies, fork);
   } else {
     std::size_t depth;
     {
       std::lock_guard<std::mutex> lock(inject_mu_);
-      inject_.push_back(std::move(task));
+      inject_.insert(inject_.end(), copies, fork);
       depth = inject_.size();
     }
     if (obs::enabled()) {
-      obs_.injected->add(1);
+      obs_.injected->add(copies);
       obs_.inject_depth->set(static_cast<double>(depth));
     }
   }
-  // Forks from this pool's own tasks stay legal during the destructor's
-  // shutdown drain — the draining workers complete them (a drained task
-  // may run a nested parallel_for). Only a NON-worker thread enqueueing
-  // into a stopping pool is a lifetime bug in the caller.
-  signal(/*assert_not_stopped=*/tls_pool != this);
+  signal();
 }
 
-bool ThreadPool::pop_task(Task& out) {
+ThreadPool::Fork* ThreadPool::pop_task() {
   const bool on_pool = tls_pool == this;
   if (on_pool) {
     Worker& self = *workers_[tls_worker];
     std::lock_guard<std::mutex> lock(self.mu);
     if (!self.tasks.empty()) {
-      out = std::move(self.tasks.back());
+      Fork* fork = self.tasks.back();
       self.tasks.pop_back();
-      return true;
+      return fork;
     }
   }
   {
     std::lock_guard<std::mutex> lock(inject_mu_);
     if (!inject_.empty()) {
-      out = std::move(inject_.front());
+      Fork* fork = inject_.front();
       inject_.pop_front();
-      return true;
+      return fork;
     }
   }
   const bool obs_on = obs::enabled();
@@ -185,48 +176,40 @@ bool ThreadPool::pop_task(Task& out) {
     if (on_pool && &victim == workers_[tls_worker].get()) continue;
     std::lock_guard<std::mutex> lock(victim.mu);
     if (!victim.tasks.empty()) {
-      out = std::move(victim.tasks.front());
+      Fork* fork = victim.tasks.front();
       victim.tasks.pop_front();
       if (obs_on) obs_.stolen->add(1);
-      return true;
+      return fork;
     }
   }
   if (obs_on) obs_.steal_failures->add(1);
-  return false;
+  return nullptr;
 }
 
-void ThreadPool::run_task(Task&& task) {
-  TaskGroup* group = task.group;
+void ThreadPool::run_task(Fork* fork) {
   const bool obs_on = obs::enabled();
   const auto t0 = obs_on ? std::chrono::steady_clock::now()
                          : std::chrono::steady_clock::time_point{};
-  try {
-    task.fn();
-  } catch (...) {
-    group->capture(std::current_exception());
-  }
+  fork->run_chunks();
   if (obs_on) {
     obs_.executed->add(1);
     obs_.busy_ns->add(elapsed_ns(t0));
   }
-  // Destroy the callable BEFORE announcing completion: once pending_ hits
-  // zero a joiner may return and tear down whatever the callable captured.
-  task.fn = nullptr;
-  group->pending_.fetch_sub(1, std::memory_order_acq_rel);
-  // `group` may be dead from here on; only pool-owned state below.
-  in_flight_.fetch_sub(1, std::memory_order_release);
-  // false: completions during the shutdown drain are legal.
-  signal(/*assert_not_stopped=*/false);
+  // Once pending hits zero the joiner may return and free `fork`; only
+  // pool-owned state below.
+  fork->pending.fetch_sub(1, std::memory_order_acq_rel);
+  signal();
 }
 
 bool ThreadPool::try_run_one() {
-  Task task;
-  if (!pop_task(task)) return false;
-  run_task(std::move(task));
+  Fork* fork = pop_task();
+  if (fork == nullptr) return false;
+  run_task(fork);
   return true;
 }
 
-void ThreadPool::help_until(const std::function<bool()>& done) {
+template <typename Done>
+void ThreadPool::help_until(const Done& done) {
   while (!done()) {
     if (try_run_one()) continue;
     std::uint64_t epoch;
@@ -252,88 +235,26 @@ void ThreadPool::help_until(const std::function<bool()>& done) {
 void ThreadPool::worker_loop(std::size_t self) {
   tls_pool = this;
   tls_worker = self;
-  for (;;) {
-    if (try_run_one()) continue;
-    std::uint64_t epoch;
-    {
-      std::lock_guard<std::mutex> lock(wake_mu_);
-      if (stop_) break;
-      epoch = wake_epoch_;
-    }
-    if (try_run_one()) continue;
-    const bool obs_on = obs::enabled();
-    const auto t0 = obs_on ? std::chrono::steady_clock::now()
-                           : std::chrono::steady_clock::time_point{};
-    bool stopped;
-    {
-      std::unique_lock<std::mutex> lock(wake_mu_);
-      wake_cv_.wait(lock, [&] { return stop_ || wake_epoch_ != epoch; });
-      stopped = stop_;
-    }
-    if (obs_on) obs_.idle_ns->add(elapsed_ns(t0));
-    if (stopped) break;
-  }
-  // Shutdown drain: serve whatever is still queued so no enqueued task is
-  // ever silently dropped (same contract as the old shared-queue pool).
-  while (try_run_one()) {
-  }
+  help_until([this] { return stop_.load(); });
   tls_pool = nullptr;
 }
 
-void ThreadPool::submit(std::function<void()> task) {
-  root_.run(std::move(task));
-}
-
-void ThreadPool::wait_idle() {
-  help_until([this] {
-    return in_flight_.load(std::memory_order_acquire) == 0;
-  });
-  std::exception_ptr error;
-  {
-    std::lock_guard<std::mutex> lock(root_.error_mu_);
-    error = std::exchange(root_.error_, nullptr);
-    root_.failed_.store(false, std::memory_order_relaxed);
-  }
-  if (error) std::rethrow_exception(error);
-}
-
 void ThreadPool::parallel_for(std::size_t n,
-                              const std::function<void(std::size_t)>& body,
-                              std::size_t grain) {
+                              const std::function<void(std::size_t)>& body) {
   if (n == 0) return;
-  if (grain == 0)
-    grain = std::max<std::size_t>(1, n / (workers_.size() * 8));
-
-  // Shared fan-out state lives on this frame: every chunk runner is joined
-  // before the function returns (at the latest by ~TaskGroup's drain, which
-  // is why `next` is declared BEFORE `group` — queued runners may still
-  // execute during that drain and must find the cursor alive), so no heap
-  // indirection is needed.
-  std::atomic<std::size_t> next{0};
-  TaskGroup group(*this);
-  const auto run_chunks = [&group, &next, n, grain, &body] {
-    for (;;) {
-      if (group.failed()) return;  // cancel remaining chunks on first error
-      const std::size_t begin =
-          next.fetch_add(grain, std::memory_order_relaxed);
-      if (begin >= n) return;
-      const std::size_t end = std::min(n, begin + grain);
-      for (std::size_t i = begin; i < end; ++i) body(i);
-    }
-  };
-
-  // One stealable chunk runner per worker that could usefully help; the
-  // caller participates as the +1'th. Runners that lose the race to an
-  // exhausted cursor return immediately.
+  const std::size_t grain =
+      std::max<std::size_t>(1, n / (workers_.size() * 8));
+  Fork fork(body, n, grain);
+  // One stealable runner per worker that could usefully help; the caller
+  // runs chunks as the +1'th. Runners that lose the race to an exhausted
+  // cursor return immediately.
   const std::size_t chunks = (n + grain - 1) / grain;
-  const std::size_t helpers = std::min<std::size_t>(workers_.size(), chunks);
-  for (std::size_t t = 0; t < helpers; ++t) group.run(run_chunks);
-  try {
-    run_chunks();
-  } catch (...) {
-    group.capture(std::current_exception());
-  }
-  group.wait();  // helps, then rethrows the first captured exception
+  enqueue(&fork, std::min<std::size_t>(workers_.size(), chunks));
+  fork.run_chunks();
+  help_until([&fork] {
+    return fork.pending.load(std::memory_order_acquire) == 0;
+  });
+  if (fork.error) std::rethrow_exception(fork.error);
 }
 
 }  // namespace ihbd::runtime

@@ -25,6 +25,7 @@
 //       metrics.json.
 #include <algorithm>
 #include <cerrno>
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -84,6 +85,17 @@ struct DriverOptions {
   std::exit(2);
 }
 
+/// The whole of `text` as a positive int. Trailing junk, values <= 0 and
+/// values past int range die with an error that names the flag.
+int parse_positive(const std::string& flag, const std::string& text) {
+  int n = 0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, n);
+  if (text.empty() || ec != std::errc() || ptr != end || n <= 0)
+    die(flag + " expects a positive integer, got '" + text + "'");
+  return n;
+}
+
 DriverOptions parse_options(int argc, char** argv, int first) {
   DriverOptions opt;
   int i = first;
@@ -108,7 +120,7 @@ DriverOptions parse_options(int argc, char** argv, int first) {
     } else if (arg == "--checkpoint-every") {
       opt.checkpoint_every = next();
     } else if (arg == "--workers") {
-      opt.workers = std::atoi(next().c_str());
+      opt.workers = parse_positive(arg, next());
     } else if (arg == "-o" || arg == "--out") {
       opt.out_file = next();
     } else if (arg == "--") {
@@ -164,11 +176,15 @@ pid_t spawn(const std::vector<std::string>& args, const std::string& log_path) {
     if (!log_path.empty()) {
       const int fd = ::open(log_path.c_str(), O_WRONLY | O_CREAT | O_TRUNC,
                             0644);
-      if (fd >= 0) {
-        ::dup2(fd, STDOUT_FILENO);
-        ::dup2(fd, STDERR_FILENO);
-        ::close(fd);
+      // Without its log a worker would write into the coordinator's stdout.
+      if (fd < 0) {
+        std::fprintf(stderr, "ihbd-sweepd: cannot open log '%s': %s\n",
+                     log_path.c_str(), std::strerror(errno));
+        ::_exit(127);
       }
+      ::dup2(fd, STDOUT_FILENO);
+      ::dup2(fd, STDERR_FILENO);
+      ::close(fd);
     }
     exec_command(args);
   }
@@ -184,14 +200,14 @@ int wait_status(pid_t pid) {
 }
 
 int cmd_run(const DriverOptions& opt) {
+  const fs::path logs = fs::path(opt.dir) / "logs";
   std::error_code ec;
-  fs::create_directories(fs::path(opt.dir) / "logs", ec);
-  if (opt.workers < 1) die("--workers must be >= 1");
+  fs::create_directories(logs, ec);
+  if (ec) die("cannot create " + logs.string() + ": " + ec.message());
   std::vector<pid_t> workers;
   for (int w = 0; w < opt.workers; ++w) {
     const std::string owner = "worker-" + std::to_string(w);
-    const std::string log =
-        (fs::path(opt.dir) / "logs" / (owner + ".log")).string();
+    const std::string log = (logs / (owner + ".log")).string();
     workers.push_back(spawn(bench_argv(opt, "worker", owner), log));
     std::fprintf(stderr, "ihbd-sweepd: started %s (pid %d), log %s\n",
                  owner.c_str(), static_cast<int>(workers.back()), log.c_str());

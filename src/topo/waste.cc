@@ -129,14 +129,6 @@ TraceWindowFragment replay_trace_window_incremental(
 // boundary explicit.
 namespace {
 
-/// Replay fan-out width: the pool's, else options.threads (0 = the shared
-/// pool's default width).
-int replay_workers(const TraceReplayOptions& options) {
-  if (options.pool != nullptr) return options.pool->size();
-  return options.threads == 0 ? runtime::ThreadPool::default_threads()
-                              : options.threads;
-}
-
 /// Plan: partition the sample-day sequence into replay windows.
 /// A single worker gains nothing from window splits; one window keeps one
 /// cursor/allocator alive over the whole trace instead of fast-forwarding a
@@ -167,12 +159,11 @@ std::vector<TraceWindowFragment> execute_replay_windows(
     // Nothing to fan out: replay inline on the calling thread.
     for (std::size_t w = 0; w < windows.size(); ++w) replay_one(w);
   } else {
-    // PoolRef resolves to options.pool when given — the nested-parallel
-    // fast path: when the caller is itself a task on that pool (a sweep
-    // cell), the work-stealing scheduler hands these windows to idle
-    // workers and the blocked caller helps instead of sleeping.
-    const runtime::PoolRef ref(options.threads, options.pool);
-    ref->parallel_for(windows.size(), replay_one);
+    // The nested-parallel fast path: when the caller is itself a task on
+    // options.pool (a sweep cell), the work-stealing scheduler hands these
+    // windows to idle workers and the blocked caller helps instead of
+    // sleeping.
+    options.pool->parallel_for(windows.size(), replay_one);
   }
   return fragments;
 }
@@ -208,12 +199,12 @@ TraceWasteResult evaluate_waste_over_trace(const HbdArchitecture& arch,
                                            const TraceReplayOptions& options) {
   IHBD_EXPECTS(trace.node_count() == arch.node_count());
   IHBD_EXPECTS(options.step_days > 0.0);
-  IHBD_EXPECTS(options.threads >= 0);
 
   IHBD_TRACE_SPAN("replay_trace");
   replay_obs().evaluations.add(1);
 
-  const int workers = replay_workers(options);
+  // Fan-out width: the given pool's; without one the replay runs inline.
+  const int workers = options.pool != nullptr ? options.pool->size() : 1;
   const std::vector<double> days = trace.sample_days(options.step_days);
   const std::vector<fault::SampleWindow> windows =
       plan_replay_windows(days.size(), options, workers);

@@ -8,14 +8,14 @@
 //     trace.faulty_at() at each. Kept as the bit-equivalence reference.
 //   * evaluate_waste_over_trace(arch, trace, tp, TraceReplayOptions) — the
 //     fast path: the sample-day sequence is split into windows
-//     (fault::split_windows) replayed on ThreadPool workers. Each window
-//     walks the trace's word-delta timeline with a fault::FaultMaskCursor
-//     and patches a topo::IncrementalAllocator by per-word XOR spans, so
-//     samples with no transitions never re-allocate and a KHopRing
-//     transition edits at most two adjacent healthy arcs (see
-//     incremental.h). The per-window Accumulator/TimeSeries fragments merge
-//     in window order.
-// Both produce bit-identical output for any thread count and window size
+//     (fault::split_windows) replayed on the caller's pool (inline without
+//     one). Each window walks the trace's word-delta timeline with a
+//     fault::FaultMaskCursor and patches a topo::IncrementalAllocator by
+//     per-word XOR spans, so samples with no transitions never re-allocate
+//     and a KHopRing transition edits at most two adjacent healthy arcs
+//     (see incremental.h). The per-window Accumulator/TimeSeries fragments
+//     merge in window order.
+// Both produce bit-identical output for any pool width and window size
 // (when keep_samples is true; with it off the fast path's summary degrades
 // to moments).
 #pragma once
@@ -51,12 +51,8 @@ const runtime::shard::ShardCodec<TraceWasteResult>& trace_waste_codec();
 /// Tuning knobs of the windowed parallel replay.
 struct TraceReplayOptions {
   double step_days = 1.0;
-  /// Replay fan-out width when no `pool` is given: 0 fans windows out on
-  /// the process-wide runtime::ThreadPool::shared(); 1 replays inline on
-  /// the calling thread; >1 uses a dedicated transient pool of that width.
-  int threads = 0;
-  /// Fan windows out on this pool instead (threads is then ignored, except
-  /// that a 1-worker pool still replays inline). Pass the pool that is
+  /// Fan windows out on this pool; without one (or with a 1-worker pool)
+  /// the replay runs inline on the calling thread. Pass the pool that is
   /// already running the enclosing sweep: the work-stealing scheduler lets
   /// the window fan-out of one sweep cell recruit idle sweep workers
   /// (nested parallelism) instead of serializing.

@@ -27,6 +27,7 @@
 #include "src/fault/trace.h"
 #include "src/fault/transitions.h"
 #include "src/obs/metrics.h"
+#include "src/runtime/thread_pool.h"
 #include "src/topo/baselines.h"
 #include "src/topo/incremental.h"
 #include "src/topo/khop_ring.h"
@@ -748,6 +749,7 @@ TEST(IncrementalReplay, BitIdenticalToSerialOracleAcrossArchitectures) {
                         physics_trace(model, nodes, 60.0));
   auto archs = make_paper_architectures(nodes, 4);
   archs.push_back(std::make_unique<KHopRing>(nodes, 4, 2, /*ring=*/false));
+  runtime::ThreadPool pool(2);
   for (const auto& [label, trace] : traces) {
     for (const auto& arch : archs) {
       // 128 exercises TPUv4's pooled regime and NVL-36/72 whole-island
@@ -756,7 +758,7 @@ TEST(IncrementalReplay, BitIdenticalToSerialOracleAcrossArchitectures) {
         const auto serial = evaluate_waste_over_trace(*arch, trace, tp, 1.0);
         for (const std::size_t window : {1ul, 16ul, 0ul}) {
           TraceReplayOptions opts;
-          opts.threads = 2;
+          opts.pool = &pool;
           opts.window_samples = window;
           SCOPED_TRACE(arch->name() + " tp=" + std::to_string(tp) +
                        " window=" + std::to_string(window) + " " + label);
@@ -772,9 +774,10 @@ TEST(IncrementalReplay, BitIdenticalOnFractionalStep) {
   const auto trace = gen_trace(96, 45.0, 5);
   const KHopRing ring(96, 4, 3);
   const auto serial = evaluate_waste_over_trace(ring, trace, 16, 0.7);
+  runtime::ThreadPool pool(4);
   TraceReplayOptions opts;
   opts.step_days = 0.7;
-  opts.threads = 4;
+  opts.pool = &pool;
   opts.window_samples = 5;
   expect_same_result(serial, evaluate_waste_over_trace(ring, trace, 16, opts));
 }

@@ -76,13 +76,6 @@ TEST(ThreadPool, ParallelForCoversEveryIndexOnce) {
   for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
-TEST(ThreadPool, ParallelForHonorsGrain) {
-  ThreadPool pool(3);
-  std::vector<std::atomic<int>> hits(97);
-  pool.parallel_for(hits.size(), [&](std::size_t i) { ++hits[i]; }, 8);
-  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
 TEST(ThreadPool, ParallelForEmptyRangeIsNoop) {
   ThreadPool pool(2);
   pool.parallel_for(0, [](std::size_t) { FAIL() << "body must not run"; });
@@ -103,23 +96,34 @@ TEST(ThreadPool, PropagatesExceptionsAndStaysUsable) {
 }
 
 TEST(ThreadPool, ParallelForFromWorkerTaskCompletes) {
-  // A parallel_for issued from a task already running on the pool must not
-  // deadlock even with 1 worker: the blocked joiner executes the nested
+  // A parallel_for issued from a body already running on a pool worker must
+  // not deadlock even with 1 worker: the blocked joiner executes the nested
   // chunks from its own deque itself (work-stealing helping join).
   ThreadPool pool(1);
+  const auto caller = std::this_thread::get_id();
+  std::atomic<bool> on_worker{false};
   std::atomic<int> ran{0};
-  pool.submit([&] { pool.parallel_for(10, [&](std::size_t) { ++ran; }); });
-  pool.wait_idle();
+  pool.parallel_for(2, [&](std::size_t) {
+    if (std::this_thread::get_id() == caller) {
+      // Hold the calling thread so the worker claims the other index.
+      while (!on_worker.load()) std::this_thread::yield();
+      return;
+    }
+    if (on_worker.exchange(true)) return;  // the worker claimed both indices
+    pool.parallel_for(10, [&](std::size_t) { ++ran; });
+  });
   EXPECT_EQ(ran.load(), 10);
 }
 
-TEST(ThreadPool, SubmitAndWaitIdle) {
-  ThreadPool pool(3);
+TEST(PoolRef, OwnsAPoolOfTheGivenWidthOrBorrowsTheGivenPool) {
+  EXPECT_EQ(PoolRef(3)->size(), 3);
+  EXPECT_EQ(PoolRef(0)->size(), ThreadPool::default_threads());
+  ThreadPool pool(2);
+  const PoolRef borrowed(5, &pool);  // a given pool wins over `threads`
+  EXPECT_EQ(borrowed.get(), &pool);
   std::atomic<int> ran{0};
-  for (int i = 0; i < 20; ++i) pool.submit([&] { ++ran; });
-  pool.wait_idle();
+  borrowed->parallel_for(20, [&](std::size_t) { ++ran; });
   EXPECT_EQ(ran.load(), 20);
-  pool.wait_idle();  // idempotent on an idle pool
 }
 
 // --- Accumulator ----------------------------------------------------------

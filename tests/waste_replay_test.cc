@@ -1,5 +1,5 @@
 // Windowed parallel trace replay (src/topo/waste.h): bit-equivalence
-// against the serial reference for any thread count and window size,
+// against the serial reference for any pool width and window size,
 // window-order merge associativity, sample-day/slice/window primitives
 // (src/fault/trace.h), and the keep_samples memory-bounding mode.
 #include <gtest/gtest.h>
@@ -100,23 +100,29 @@ TEST(TraceSlice, DurationClampsToTheSliceEnd) {
 
 // --- windowed replay vs serial reference ---------------------------------
 
-TEST(WindowedReplay, BitIdenticalToSerialAcrossThreadsAndWindows) {
+TEST(WindowedReplay, BitIdenticalToSerialAcrossPoolsAndWindows) {
   const auto trace = small_trace();
   const KHopRing ring(96, 4, 2);
   const auto serial = evaluate_waste_over_trace(ring, trace, 8, 1.0);
   ASSERT_EQ(serial.waste_ratio.size(), 45u);
 
-  for (int threads : {1, 2, 8}) {
+  for (int workers : {1, 2, 8}) {
+    runtime::ThreadPool pool(workers);
     for (std::size_t window : {1ul, 3ul, 7ul, 64ul, 1000ul, 0ul}) {
       TraceReplayOptions opts;
-      opts.threads = threads;
+      opts.pool = &pool;
       opts.window_samples = window;
       const auto windowed = evaluate_waste_over_trace(ring, trace, 8, opts);
-      SCOPED_TRACE("threads=" + std::to_string(threads) +
+      SCOPED_TRACE("workers=" + std::to_string(workers) +
                    " window=" + std::to_string(window));
       expect_same_result(serial, windowed);
     }
   }
+  // Without a pool the replay runs inline on the calling thread.
+  TraceReplayOptions inline_opts;
+  inline_opts.window_samples = 7;
+  expect_same_result(serial,
+                     evaluate_waste_over_trace(ring, trace, 8, inline_opts));
 }
 
 TEST(WindowedReplay, NestedSweepInReplayBitIdenticalToSerialOracle) {
@@ -166,9 +172,10 @@ TEST(WindowedReplay, BitIdenticalOnFractionalStep) {
   const auto trace = small_trace();
   const KHopRing ring(96, 4, 3);
   const auto serial = evaluate_waste_over_trace(ring, trace, 16, 0.7);
+  runtime::ThreadPool pool(4);
   TraceReplayOptions opts;
   opts.step_days = 0.7;
-  opts.threads = 4;
+  opts.pool = &pool;
   opts.window_samples = 5;
   expect_same_result(serial, evaluate_waste_over_trace(ring, trace, 16, opts));
 }
@@ -177,8 +184,9 @@ TEST(WindowedReplay, KeepSamplesOffKeepsSeriesAndMoments) {
   const auto trace = small_trace();
   const KHopRing ring(96, 4, 2);
   const auto exact = evaluate_waste_over_trace(ring, trace, 8, 1.0);
+  runtime::ThreadPool pool(2);
   TraceReplayOptions opts;
-  opts.threads = 2;
+  opts.pool = &pool;
   opts.window_samples = 7;
   opts.keep_samples = false;
   const auto bounded = evaluate_waste_over_trace(ring, trace, 8, opts);

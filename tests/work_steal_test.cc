@@ -1,14 +1,19 @@
 // Work-stealing scheduler (src/runtime/thread_pool.h): nested parallel_for
 // determinism against a serial oracle, steal-order stress with randomized
-// task durations, exception capture/propagation through TaskGroup and from
-// inner nesting levels, the auto-grain heuristic's bit-identity, and the
-// process-wide shared() pool. This suite (plus runtime_test) is what the
-// CI ThreadSanitizer job runs.
+// task durations, exception capture, cancellation and join from flat and
+// inner nesting levels, recruitment of idle workers by a nested fork, and
+// the auto-grain rule's bit-identity across worker counts. This suite
+// (plus runtime_test) is what the CI ThreadSanitizer job runs.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstddef>
+#include <mutex>
+#include <set>
 #include <stdexcept>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "src/common/error.h"
@@ -117,126 +122,111 @@ TEST(WorkSteal, ExceptionFromInnerNestingLevelPropagates) {
   EXPECT_EQ(ran.load(), 50);
 }
 
-TEST(TaskGroup, CapturesTaskExceptionAndRethrowsAtWait) {
+TEST(WorkSteal, ThrowCancelsRemainingChunksAndJoinsEveryRunner) {
+  // Index 0 throws at once; every other body is slow. The first chunk
+  // runner to see the failure stops claiming, so most of the range never
+  // runs, and no body may still be running when the exception surfaces.
   ThreadPool pool(2);
-  TaskGroup group(pool);
-  std::atomic<int> ran{0};
-  group.run([&] { ++ran; });
-  group.run([] { throw ConfigError("task failed"); });
-  group.run([&] { ++ran; });
-  EXPECT_THROW(group.wait(), ConfigError);
-  EXPECT_EQ(ran.load(), 2);
-  EXPECT_FALSE(group.failed());  // consumed by wait; group is reusable
-  group.run([&] { ++ran; });
-  group.wait();
-  EXPECT_EQ(ran.load(), 3);
+  constexpr std::size_t kN = 1600;  // 16 chunks of 100 on two workers
+  std::atomic<int> ran{0}, active{0};
+  try {
+    pool.parallel_for(kN, [&](std::size_t i) {
+      if (i == 0) throw ConfigError("first chunk failed");
+      ++active;
+      std::this_thread::sleep_for(std::chrono::microseconds(50));
+      ++ran;
+      --active;
+    });
+    ADD_FAILURE() << "parallel_for must rethrow";
+  } catch (const ConfigError&) {
+    EXPECT_EQ(active.load(), 0);  // every runner joined before the rethrow
+  }
+  EXPECT_LT(ran.load(), static_cast<int>(kN / 2));
+  // The pool stays usable.
+  std::atomic<int> after{0};
+  pool.parallel_for(kN, [&](std::size_t) { ++after; });
+  EXPECT_EQ(after.load(), static_cast<int>(kN));
 }
 
-TEST(TaskGroup, FirstExceptionWinsLaterOnesAreDropped) {
+TEST(WorkSteal, FirstExceptionWinsLaterOnesAreDropped) {
   ThreadPool pool(4);
-  TaskGroup group(pool);
-  for (int i = 0; i < 16; ++i)
-    group.run([] { throw ConfigError("one of many"); });
-  EXPECT_THROW(group.wait(), ConfigError);
-  group.wait();  // nothing pending, nothing stored
-}
-
-TEST(ThreadPool, SubmitExceptionIsRethrownAtWaitIdle) {
-  // submit()ted tasks belong to the pool's internal root group: an escaping
-  // exception no longer terminates the process, it surfaces at wait_idle.
-  ThreadPool pool(2);
+  std::atomic<int> thrown{0};
+  try {
+    pool.parallel_for(16, [&](std::size_t i) {
+      ++thrown;
+      throw ConfigError("body " + std::to_string(i));
+    });
+    ADD_FAILURE() << "parallel_for must rethrow";
+  } catch (const ConfigError& e) {
+    EXPECT_EQ(std::string(e.what()).rfind("body ", 0), 0u) << e.what();
+  }
+  // Each runner stops at its first throw: one per worker plus the caller.
+  EXPECT_GE(thrown.load(), 1);
+  EXPECT_LE(thrown.load(), pool.size() + 1);
+  // Nothing is left over for the next call.
   std::atomic<int> ran{0};
-  pool.submit([&] { ++ran; });
-  pool.submit([] { throw ConfigError("submitted task failed"); });
-  pool.submit([&] { ++ran; });
-  EXPECT_THROW(pool.wait_idle(), ConfigError);
-  EXPECT_EQ(ran.load(), 2);
-  // Consumed: the pool stays usable and the next wait_idle is clean.
-  pool.submit([&] { ++ran; });
-  pool.wait_idle();
-  EXPECT_EQ(ran.load(), 3);
+  pool.parallel_for(16, [&](std::size_t) { ++ran; });
+  EXPECT_EQ(ran.load(), 16);
 }
 
-// --- fork/join from tasks and external threads -------------------------------
+// --- nested fork recruits idle workers --------------------------------------
 
-TEST(TaskGroup, ForkJoinInsideAPoolTaskRecruitsWorkers) {
+TEST(WorkSteal, NestedForkOnAWorkerRecruitsIdleWorkers) {
+  // One outer index runs on a pool worker and forks an inner range there.
+  // Each inner body waits until a second pool worker has entered the inner
+  // range, which only happens if idle workers steal the nested runners.
   ThreadPool pool(4);
-  std::atomic<int> inner{0};
-  TaskGroup outer(pool);
-  outer.run([&] {
-    TaskGroup nested(pool);
-    for (int i = 0; i < 32; ++i) nested.run([&] { ++inner; });
-    nested.wait();  // helping join from a worker thread
-  });
-  outer.wait();
-  EXPECT_EQ(inner.load(), 32);
-}
-
-TEST(ThreadPool, TaskForkingDuringShutdownDrainCompletes) {
-  // Destroying the pool while a submitted task is still queued must let the
-  // shutdown drain run it — INCLUDING any tasks it forks (a nested
-  // parallel_for enqueues during the drain; that must not trip the
-  // stopping-pool assertion reserved for non-worker threads). Looped to hit
-  // both interleavings: worker pops the task before vs after stop is set.
-  for (int i = 0; i < 50; ++i) {
-    std::atomic<int> ran{0};
-    {
-      ThreadPool pool(1);
-      pool.submit([&] {
-        pool.parallel_for(10, [&](std::size_t) { ++ran; });
-      });
-      // No wait_idle(): the destructor races the worker claiming the task.
+  const auto caller = std::this_thread::get_id();
+  std::atomic<bool> on_worker{false};
+  std::mutex mu;
+  std::set<std::thread::id> inner_workers;
+  const auto seen = [&] {
+    std::lock_guard<std::mutex> lock(mu);
+    return inner_workers.size();
+  };
+  pool.parallel_for(2, [&](std::size_t) {
+    if (std::this_thread::get_id() == caller) {
+      // Hold the calling thread so a worker claims the other index.
+      while (!on_worker.load()) std::this_thread::yield();
+      return;
     }
-    ASSERT_EQ(ran.load(), 10) << "iteration " << i;
-  }
-}
-
-TEST(TaskGroup, DestructorJoinsOutstandingTasks) {
-  ThreadPool pool(2);
-  std::atomic<int> ran{0};
-  {
-    TaskGroup group(pool);
-    for (int i = 0; i < 8; ++i) group.run([&] { ++ran; });
-    // No wait(): the destructor must join (dropping exceptions) so tasks
-    // never outlive the state they captured.
-  }
-  EXPECT_EQ(ran.load(), 8);
+    if (on_worker.exchange(true)) return;  // a worker claimed both indices
+    pool.parallel_for(4, [&](std::size_t) {
+      // The helping caller may steal an inner index too; it waits like the
+      // workers but does not count as one.
+      if (std::this_thread::get_id() != caller) {
+        std::lock_guard<std::mutex> lock(mu);
+        inner_workers.insert(std::this_thread::get_id());
+      }
+      const auto deadline =
+          std::chrono::steady_clock::now() + std::chrono::seconds(10);
+      while (seen() < 2 && std::chrono::steady_clock::now() < deadline)
+        std::this_thread::yield();
+    });
+  });
+  EXPECT_GE(seen(), 2u);
 }
 
 // --- auto-grain --------------------------------------------------------------
 
-TEST(WorkSteal, AutoGrainBitIdenticalAcrossGrainsAndWorkers) {
-  constexpr std::size_t kN = 1037;
-  auto run = [&](int workers, std::size_t grain) {
+TEST(WorkSteal, AutoGrainBitIdenticalAcrossWorkersAndSizes) {
+  // The chunk size is n / (workers * 8), at least 1: sizes below, at and
+  // far above the worker count give different chunkings, never different
+  // results.
+  auto run = [&](int workers, std::size_t n) {
     ThreadPool pool(workers);
-    std::vector<double> out(kN);
-    pool.parallel_for(
-        kN,
-        [&](std::size_t i) {
-          Rng rng = substream(7, i);
-          out[i] = rng.normal(0.0, 1.0);
-        },
-        grain);
+    std::vector<double> out(n);
+    pool.parallel_for(n, [&](std::size_t i) {
+      Rng rng = substream(7, i);
+      out[i] = rng.normal(0.0, 1.0);
+    });
     return out;
   };
-  const auto oracle = run(1, 1);
-  for (int workers : {2, 8})
-    for (std::size_t grain : {std::size_t{0},  // 0 = auto: n / (workers * 8)
-                              std::size_t{1}, std::size_t{7}, std::size_t{64},
-                              std::size_t{5000}})  // one chunk > n
-      EXPECT_EQ(run(workers, grain), oracle)
-          << "workers=" << workers << " grain=" << grain;
-}
-
-// --- shared pool -------------------------------------------------------------
-
-TEST(SharedPool, IsProcessWideAndUsable) {
-  ThreadPool& a = ThreadPool::shared();
-  EXPECT_EQ(&a, &ThreadPool::shared());
-  EXPECT_GE(a.size(), 1);
-  std::atomic<int> ran{0};
-  a.parallel_for(100, [&](std::size_t) { ++ran; });
-  EXPECT_EQ(ran.load(), 100);
+  for (std::size_t n : {std::size_t{3}, std::size_t{64}, std::size_t{1037}}) {
+    const auto oracle = run(1, n);
+    for (int workers : {2, 8})
+      EXPECT_EQ(run(workers, n), oracle) << "workers=" << workers << " n=" << n;
+  }
 }
 
 }  // namespace
