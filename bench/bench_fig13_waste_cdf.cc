@@ -4,9 +4,9 @@
 // NVL-72 10.04% and TPUv4 7.56%.
 //
 // Runs on the generic sweep engine: each (TP, arch) cell replays the trace
-// in windows and carries a full TraceWasteResult. Cells AND their windows
-// share one work-stealing pool (nested parallel_for), and the tables stay
-// bit-identical for any --threads value.
+// in one pass and carries a full TraceWasteResult. The cells run in
+// parallel on one pool, and the tables stay bit-identical for any
+// --threads value.
 #include "bench/bench_util.h"
 #include "bench/fault_bench_common.h"
 

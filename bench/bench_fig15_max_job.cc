@@ -3,9 +3,9 @@
 // (upper limit 2,880).
 //
 // Runs on the generic sweep engine: each (TP, arch) cell replays the trace
-// in windows and carries the usable-GPUs series the job-scale quantile is
-// derived from. Cells and their windows share one work-stealing pool
-// (nested parallel_for); bit-identical for any --threads value.
+// in one pass and carries the usable-GPUs series the job-scale quantile is
+// derived from. The cells run in parallel on one pool; bit-identical for
+// any --threads value.
 #include "bench/bench_util.h"
 #include "bench/fault_bench_common.h"
 

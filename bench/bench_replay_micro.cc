@@ -1,5 +1,5 @@
 // Micro-benchmark for the two trace-replay paths (see src/topo/waste.h):
-// the serial oracle vs the windowed incremental packed replay (PackedMask +
+// the serial oracle vs the one-pass incremental packed replay (PackedMask +
 // per-word XOR deltas into an IncrementalAllocator), on the 348-day
 // production-calibrated sim trace (720 4-GPU nodes, same cluster as Figs.
 // 13/15/16/20). Covers the K-Hop Ring and the baseline architectures'
@@ -36,8 +36,7 @@ const topo::KHopRing& khop_ring() {
   return ring;
 }
 
-/// No pool: the replay runs inline, so the numbers are the per-sample cost
-/// rather than pool fan-out.
+/// The replay runs inline, so the numbers are the per-sample cost.
 topo::TraceReplayOptions replay_options(double step_days = 1.0) {
   topo::TraceReplayOptions opts;
   opts.step_days = step_days;
@@ -127,8 +126,8 @@ static void BM_baseline_serial(benchmark::State& state) {
 }
 BENCHMARK(BM_baseline_serial)->Arg(0)->Arg(1)->Arg(2)->Arg(3)->Arg(4);
 
-// The allocator driven directly by a grid-aligned cursor, exactly as one
-// window of the production replay in src/topo/waste.cc does.
+// The allocator driven directly by a grid-aligned cursor, exactly as the
+// production replay in src/topo/waste.cc does.
 static void BM_baseline_packed(benchmark::State& state) {
   const auto c = kBaselineCases[state.range(0)];
   const topo::HbdArchitecture& arch =

@@ -8,14 +8,14 @@
 // byte-identical with instrumentation on or off — CI diffs them.
 #pragma once
 
-#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
-#include <limits>
 #include <memory>
+#include <optional>
 #include <string>
 
 #include "src/common/csv.h"
+#include "src/common/parse.h"
 #include "src/common/table.h"
 #include "src/fault/physics_generator.h"
 #include "src/obs/metrics.h"
@@ -113,28 +113,22 @@ inline fault::TraceModel parse_trace_model(const char* prog,
               flag + " expects poisson|physics|storm, got '" + value + "'");
 }
 
-inline int parse_positive_int(const char* prog, const std::string& flag,
-                              const char* text) {
-  char* end = nullptr;
-  errno = 0;
-  const long long v = std::strtoll(text, &end, 10);
-  if (end == text || *end != '\0' || errno == ERANGE || v <= 0 ||
-      v > std::numeric_limits<int>::max())
+inline int int_flag(const char* prog, const std::string& flag,
+                    const char* text) {
+  const std::optional<int> n = parse_positive_int(text);
+  if (!n)
     usage_error(prog, flag + " expects a positive integer, got '" +
                           std::string(text) + "'");
-  return static_cast<int>(v);
+  return *n;
 }
 
-inline double parse_seconds(const char* prog, const std::string& flag,
-                            const char* text, bool allow_zero) {
-  char* end = nullptr;
-  errno = 0;
-  const double v = std::strtod(text, &end);
-  if (end == text || *end != '\0' || errno == ERANGE || v < 0.0 ||
-      (!allow_zero && v == 0.0))
+inline double seconds_flag(const char* prog, const std::string& flag,
+                           const char* text, bool allow_zero) {
+  const std::optional<double> s = parse_seconds(text, allow_zero);
+  if (!s)
     usage_error(prog, flag + " expects a duration in seconds, got '" +
                           std::string(text) + "'");
-  return v;
+  return *s;
 }
 
 /// The ambient FileShardContext installed by --shard-dir. Owned here so it
@@ -164,10 +158,10 @@ inline Options parse_args(int argc, char** argv) {
       opt.quick = true;
     } else if (arg == "--trials") {
       if (++i >= argc) detail::usage_error(prog, "--trials expects a value");
-      opt.trials = detail::parse_positive_int(prog, arg, argv[i]);
+      opt.trials = detail::int_flag(prog, arg, argv[i]);
     } else if (arg == "--threads") {
       if (++i >= argc) detail::usage_error(prog, "--threads expects a value");
-      opt.threads = detail::parse_positive_int(prog, arg, argv[i]);
+      opt.threads = detail::int_flag(prog, arg, argv[i]);
     } else if (arg == "--trace-model") {
       if (++i >= argc)
         detail::usage_error(prog, "--trace-model expects poisson|physics|storm");
@@ -197,27 +191,27 @@ inline Options parse_args(int argc, char** argv) {
       opt.shard_owner = argv[i];
     } else if (arg == "--shard-count") {
       if (++i >= argc) detail::usage_error(prog, "--shard-count expects a value");
-      opt.shard_count = detail::parse_positive_int(prog, arg, argv[i]);
+      opt.shard_count = detail::int_flag(prog, arg, argv[i]);
     } else if (arg == "--shard-lease-s") {
       if (++i >= argc)
         detail::usage_error(prog, "--shard-lease-s expects seconds");
       opt.shard_lease_s =
-          detail::parse_seconds(prog, arg, argv[i], /*allow_zero=*/false);
+          detail::seconds_flag(prog, arg, argv[i], /*allow_zero=*/false);
     } else if (arg == "--shard-poll-s") {
       if (++i >= argc)
         detail::usage_error(prog, "--shard-poll-s expects seconds");
       opt.shard_poll_s =
-          detail::parse_seconds(prog, arg, argv[i], /*allow_zero=*/false);
+          detail::seconds_flag(prog, arg, argv[i], /*allow_zero=*/false);
     } else if (arg == "--shard-timeout-s") {
       if (++i >= argc)
         detail::usage_error(prog, "--shard-timeout-s expects seconds");
       opt.shard_timeout_s =
-          detail::parse_seconds(prog, arg, argv[i], /*allow_zero=*/true);
+          detail::seconds_flag(prog, arg, argv[i], /*allow_zero=*/true);
     } else if (arg == "--shard-checkpoint-every") {
       if (++i >= argc)
         detail::usage_error(prog, "--shard-checkpoint-every expects a value");
       opt.shard_checkpoint_every =
-          detail::parse_positive_int(prog, arg, argv[i]);
+          detail::int_flag(prog, arg, argv[i]);
     } else if (arg == "--help" || arg == "-h") {
       detail::print_help(prog);
     } else {

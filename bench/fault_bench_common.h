@@ -15,7 +15,6 @@
 #include "src/fault/generator.h"
 #include "src/fault/physics_generator.h"
 #include "src/runtime/sweep.h"
-#include "src/runtime/thread_pool.h"
 #include "src/topo/baselines.h"
 #include "src/topo/waste.h"
 
@@ -65,19 +64,6 @@ inline bool arch_supports_tp(const topo::HbdArchitecture& arch, int tp) {
   return true;
 }
 
-/// Window layout of a nested cell-grid replay: when the grid alone
-/// saturates the pool there are no idle workers for a cell's window
-/// fan-out to recruit, and the single-window layout (0) is the cheapest
-/// replay — one cursor/allocator alive over the whole trace per cell. With
-/// fewer cells than workers, windows are exactly what idle workers steal. Output is bit-identical for any window size, so this is
-/// purely a perf choice.
-inline std::size_t nested_window_samples(std::size_t cell_count,
-                                         const runtime::ThreadPool& pool) {
-  return cell_count >= static_cast<std::size_t>(pool.size())
-             ? 0
-             : topo::TraceReplayOptions{}.window_samples;
-}
-
 /// Sweep-identity salt for a trace: two replay grids over different traces
 /// (quick 60-day vs full 348-day, different clusters) must never share a
 /// shard run directory entry even though their cell grids match, so the
@@ -108,12 +94,9 @@ inline std::uint64_t trace_fingerprint(const fault::FaultTrace& trace) {
 }
 
 /// The (TP x architecture) trace-replay grid shared by Figs. 13, 15, 16 and
-/// 20, run on the generic sweep engine: one windowed trace replay per
-/// supported cell. BOTH fan-out levels share one work-stealing pool
-/// (--threads wide; 0 = one worker per hardware thread): the sweep
-/// distributes cells, and each cell's window fan-out recruits idle workers
-/// — so a grid with fewer cells than cores does not strand the rest of the
-/// machine.
+/// 20, run on the generic sweep engine: one trace replay per supported
+/// cell, with the cells spread over a --threads wide pool (0 = one worker
+/// per hardware thread).
 /// Unsupported cells keep the default-constructed (empty) TraceWasteResult.
 /// The replay is deterministic, so the grid is bit-identical for any thread
 /// count (CI diffs them, and ctest checks the replay against the serial
@@ -129,19 +112,12 @@ inline runtime::GenericSweepResult<topo::TraceWasteResult> replay_trace_grid(
   spec.trials = 1;  // replay is deterministic; the grid itself is the work
   spec.keep_samples = keep_samples;
   spec.fingerprint_salt = trace_fingerprint(trace);
-  std::size_t supported_cells = 0;
-  for (const double tp : tps)
-    for (const auto& arch : archs)
-      if (arch_supports_tp(*arch, static_cast<int>(tp))) ++supported_cells;
   std::vector<std::string> arch_names;
   for (const auto& arch : archs) arch_names.push_back(arch->name());
   spec.axes = {
       runtime::Axis::of_values("TP", std::move(tps)),
       runtime::Axis::of_labels("Arch", std::move(arch_names)),
   };
-  const runtime::PoolRef pool(threads);
-  const std::size_t window_samples =
-      nested_window_samples(supported_cells, *pool);
   return runtime::run_sweep_reduce(
       spec, topo::TraceWasteResult{},
       [&](const runtime::Scenario& s, Rng&) -> topo::TraceWasteResult {
@@ -149,15 +125,13 @@ inline runtime::GenericSweepResult<topo::TraceWasteResult> replay_trace_grid(
         const auto& arch = *archs[s.index(1)];
         if (!arch_supports_tp(arch, tp)) return {};
         topo::TraceReplayOptions opts;
-        opts.pool = pool.get();  // nested fan-out on the sweep's own pool
-        opts.window_samples = window_samples;
         opts.keep_samples = s.spec().keep_samples;
         return topo::evaluate_waste_over_trace(arch, trace, tp, opts);
       },
       [](topo::TraceWasteResult& acc, topo::TraceWasteResult&& replay) {
         acc = std::move(replay);
       },
-      /*threads=*/0, pool.get(), &topo::trace_waste_codec());
+      threads, /*pool=*/nullptr, &topo::trace_waste_codec());
 }
 
 /// True when a replay-grid cell actually ran (unsupported cells are empty).

@@ -363,15 +363,6 @@ FaultTrace FaultTrace::remap_nodes(int new_node_count) const {
   return FaultTrace(new_node_count, duration_days_, std::move(out));
 }
 
-std::vector<SampleWindow> split_windows(std::size_t n, std::size_t window) {
-  std::vector<SampleWindow> windows;
-  if (n == 0) return windows;
-  if (window == 0) window = n;
-  for (std::size_t begin = 0; begin < n; begin += window)
-    windows.push_back({begin, std::min(window, n - begin)});
-  return windows;
-}
-
 PackedMask sample_fault_mask(int node_count, double ratio, Rng& rng) {
   IHBD_EXPECTS(node_count > 0);
   IHBD_EXPECTS(ratio >= 0.0 && ratio <= 1.0);

@@ -8,7 +8,6 @@
 // 8-GPU -> 4-GPU Bayes normalization.
 #pragma once
 
-#include <cstddef>
 #include <memory>
 #include <vector>
 
@@ -84,7 +83,7 @@ class FaultTrace {
 
   /// The replay sample times for a step: {0, step, 2*step, ...} below
   /// duration_days(), accumulated exactly as a serial `day += step` replay
-  /// loop would, so windowed replays enumerate bit-identical days.
+  /// loop would, so the one-pass replay enumerates bit-identical days.
   std::vector<double> sample_days(double step_days) const;
 
   /// Sub-trace restricted to the events overlapping the closed interval
@@ -93,10 +92,10 @@ class FaultTrace {
   /// meaningless). Node count is preserved; the slice's duration_days() is
   /// clamped to just past end_day, so sample_days()/ratio_series() on a
   /// slice stop at the slice boundary instead of iterating over the full
-  /// trace's range. The windowed replay in src/topo/waste.h never slices:
-  /// its cursor fast-forwards over the full trace. A slice bounds the work
-  /// of a serial-oracle replay over a prefix (perfbench's correctness check
-  /// and tests).
+  /// trace's range. The one-pass replay in src/topo/waste.h never slices:
+  /// its cursor walks the full trace. A slice bounds the work of a
+  /// serial-oracle replay over a prefix (perfbench's correctness check and
+  /// tests).
   FaultTrace slice(double start_day, double end_day) const;
 
   /// The sorted transition timeline: one `down` edge per event start and
@@ -108,8 +107,8 @@ class FaultTrace {
 
   /// Shared, lazily built view of transitions(): computed once per trace on
   /// first use (thread-safe; copies of the trace share the cache) so
-  /// repeated replays — every cell of a TP x architecture grid, every
-  /// window of a parallel replay — skip the timeline sort.
+  /// repeated replays — every cell of a TP x architecture grid — skip the
+  /// timeline sort.
   std::shared_ptr<const std::vector<FaultTransition>> transition_timeline()
       const;
 
@@ -117,7 +116,7 @@ class FaultTrace {
   /// one active-interval walk over the whole transition timeline, folded
   /// into per-day word-XOR groups. Cached like transition_timeline(), so
   /// the fold cost is paid once per trace no matter how many replay
-  /// cursors, windows or grid cells consume it.
+  /// cursors or grid cells consume it.
   std::shared_ptr<const WordDeltaTimeline> word_delta_timeline() const;
 
   /// Grid-aligned variant: one group per sample day of `step_days`
@@ -130,7 +129,7 @@ class FaultTrace {
   /// only correct ON the grid; the cursor constructor taking a step
   /// documents the contract. Built exactly once per distinct step (callers
   /// racing on a fresh trace wait for that build) and shared by every
-  /// window and grid cell; byte-equal to folding word_delta_timeline()'s
+  /// grid cell; byte-equal to folding word_delta_timeline()'s
   /// groups onto the grid, without ever building it.
   std::shared_ptr<const WordDeltaTimeline> word_delta_timeline(
       double step_days) const;
@@ -166,18 +165,6 @@ class FaultTrace {
   std::vector<FaultEvent> events_;  // sorted by start_day
   std::shared_ptr<TimelineCache> timeline_cache_;  // filled on first use
 };
-
-/// A contiguous run of replay samples: indices [begin, begin + count) into
-/// a sample-day sequence (FaultTrace::sample_days).
-struct SampleWindow {
-  std::size_t begin = 0;
-  std::size_t count = 0;
-};
-
-/// Split `n` samples into consecutive windows of at most `window` samples
-/// (the last window may be short). window == 0 yields a single window
-/// spanning everything; n == 0 yields no windows.
-std::vector<SampleWindow> split_windows(std::size_t n, std::size_t window);
 
 /// Draw an i.i.d. faulty-node mask with an *exact* number of faulty nodes:
 /// round(node_count * ratio) distinct nodes chosen uniformly. Used for the

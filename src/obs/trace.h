@@ -1,7 +1,7 @@
 // Scoped span tracing with Chrome trace-event / Perfetto JSON export.
 //
 //   obs::set_trace_enabled(true);
-//   { IHBD_TRACE_SPAN("replay_window"); ...work... }   // RAII begin/end
+//   { IHBD_TRACE_SPAN("replay_trace"); ...work... }    // RAII begin/end
 //   obs::write_trace_json("trace.json");               // open in Perfetto
 //
 // Spans record paired B/E (begin/end) events into per-thread buffers: the

@@ -1,7 +1,7 @@
 // Mergeable running statistics, the reduction primitive shared by the sweep
-// engine (src/runtime/sweep.h) and the windowed trace replay
-// (src/topo/waste.h): count/mean/M2 (Welford) plus min/max, optionally
-// retaining the raw samples so Summary percentiles are available. merge()
+// engine (src/runtime/sweep.h) and the trace replay (src/topo/waste.h):
+// count/mean/M2 (Welford) plus min/max, optionally retaining the raw
+// samples so Summary percentiles are available. merge()
 // is associative up to floating-point rounding in the moments and exact in
 // count/min/max/samples, enabling tree reductions over partial results.
 #pragma once

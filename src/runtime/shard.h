@@ -6,8 +6,8 @@
 //             fingerprint. Any process holding an equal spec and policy
 //             computes the identical plan: shards need no distribution
 //             channel, only the spec itself.
-//   execute — the engine (sweep.h) runs one shard on the work-stealing
-//             pool and serializes each completed cell's accumulator
+//   execute — the engine (sweep.h) runs one shard on the thread pool
+//             and serializes each completed cell's accumulator
 //             through a ShardCodec into an opaque ShardPayload (also the
 //             checkpoint payload — see src/runtime/checkpoint.h).
 //   reduce  — reduce_shard_payloads (sweep.h) places each payload's cells

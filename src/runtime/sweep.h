@@ -22,9 +22,9 @@
 //             is bit-identical for any thread count, execution order, shard
 //             count, or kill/resume history. One slot scheduler (run_cells)
 //             executes for both paths: the unit of parallel work on the
-//             work-stealing ThreadPool is one (cell, trial) pair, so the
-//             trials of one cell run on several workers at once; each
-//             result waits in its own slot, and the worker that finishes a
+//             ThreadPool is one (cell, trial) pair, so the trials of one
+//             cell run on several workers at once; each result waits in
+//             its own slot, and the worker that finishes a
 //             cell's last trial folds the cell in trial order and hands it
 //             to a per-cell completion step. Locally that step stores the
 //             cell in the result grid; the durable (sharded) path
@@ -415,11 +415,10 @@ GenericSweepResult<Acc> run_sweep_sharded(const SweepSpec& spec, Acc init,
 /// draws from its own substream and folds in trial order, results are
 /// bit-identical for any thread count.
 ///
-/// Execution substrate: an explicit `pool` wins (pass the SAME pool into
-/// any nested fan-out inside the trial — e.g. TraceReplayOptions::pool — so
-/// the work-stealing scheduler lets a cell's inner parallelism recruit idle
-/// sweep workers). With pool == nullptr the sweep owns a pool of
-/// `threads` workers for the call (0 = ThreadPool::default_threads()).
+/// Execution substrate: an explicit `pool` wins (a trial may fan out on the
+/// same pool; its joiner helps run the queued work, so nesting cannot
+/// deadlock). With pool == nullptr the sweep owns a pool of `threads`
+/// workers for the call (0 = ThreadPool::default_threads()).
 ///
 /// Distribution: when an ambient shard::ShardContext is installed
 /// (bench_util --shard-dir) AND `codec` is non-null, the sweep runs as

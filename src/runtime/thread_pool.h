@@ -1,35 +1,27 @@
-// Work-stealing fork/join pool with true nested parallelism. The pool is
-// the execution substrate of the sweep engine (src/runtime/sweep.h) and of
-// the windowed trace replay (src/topo/waste.h); because both levels can
-// share ONE pool, a sweep over a few expensive cells does not strand the
-// remaining cores — each cell's inner fan-out is stealable by idle workers.
+// Fork/join thread pool: one shared queue, helping joiners. The pool is the
+// execution substrate of the sweep engine (src/runtime/sweep.h).
 //
 // The pool has one entry point, parallel_for, and is owned by its caller:
-// PoolRef turns a --threads value into a pool for one call, and code that
-// fans out at two levels passes that same pool down.
+// PoolRef turns a --threads value into a pool for one call.
 //
 // Design:
-//   * parallel_for(n, body) forks up to size() chunk runners and runs
+//   * parallel_for(n, body) queues up to size() chunk runners and runs
 //     chunks on the calling thread too. Every runner claims chunks of
 //     indices from one shared cursor until the range is exhausted.
-//   * Every worker owns a deque of runners. The owner pushes and pops at
-//     the back (LIFO, so the innermost fork runs first and stays cache-hot);
-//     thieves steal from the front (FIFO, so they take the oldest — i.e.
-//     outermost — pending fan-out). Threads that are not pool workers fork
-//     into a shared injection queue.
-//   * A blocked joiner HELPS instead of sleeping: it runs queued runners
-//     from its own deque and steals from peers, so a nested parallel_for
-//     inside a pool task recruits the whole machine rather than
-//     serializing (and cannot deadlock — the joiner itself drains the very
-//     runners it waits on).
+//   * Every runner goes through one FIFO queue, shared by the workers and
+//     by blocked joiners.
+//   * A blocked joiner HELPS instead of sleeping: it runs queued runners,
+//     so a parallel_for called from inside a pool body still fans out
+//     across idle workers (and cannot deadlock — the joiner itself drains
+//     the very runners it waits on).
 //
 // Determinism contract: parallel_for(n, body) invokes body exactly once for
 // every index in [0, n) unless a body throws; which thread runs which index
-// — and therefore the steal order — is unspecified, so bodies must only
-// write state owned by their index (typically a pre-sized results slot).
-// Under that discipline results are bit-identical for any worker count,
-// nesting depth and steal order. The contract composes: a nested
-// parallel_for's bodies own their (outer index, inner index) slots.
+// is unspecified, so bodies must only write state owned by their index
+// (typically a pre-sized results slot). Under that discipline results are
+// bit-identical for any worker count and nesting depth. The contract
+// composes: a nested parallel_for's bodies own their (outer index, inner
+// index) slots.
 #pragma once
 
 #include <atomic>
@@ -40,6 +32,7 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <thread>
 #include <vector>
 
 namespace ihbd::obs {
@@ -80,16 +73,11 @@ class ThreadPool {
 
  private:
   struct Fork;
-  struct Worker;
 
-  void worker_loop(std::size_t self);
-  /// Queue `copies` runners of `fork` (onto the calling worker's own deque
-  /// when called from a pool task, else onto the injection queue).
+  /// Queue `copies` runners of `fork` and wake sleepers.
   void enqueue(Fork* fork, std::size_t copies);
-  /// Pop own-deque back / injection front / steal a peer's front; run it.
+  /// Pop the queue's front runner and run it; false if the queue is empty.
   bool try_run_one();
-  Fork* pop_task();
-  void run_task(Fork* fork);
   /// Bump the wake epoch and wake sleepers (enqueue and task completion).
   void signal();
   /// Run queued runners, sleeping while there are none, until done(). done()
@@ -99,9 +87,8 @@ class ThreadPool {
   template <typename Done>
   void help_until(const Done& done);
 
-  std::vector<std::unique_ptr<Worker>> workers_;
-  std::mutex inject_mu_;
-  std::deque<Fork*> inject_;  ///< runners from non-worker threads (FIFO)
+  std::mutex queue_mu_;
+  std::deque<Fork*> queue_;  ///< runners of every parallel_for (FIFO)
 
   // Sleep/wake protocol: every enqueue and every task completion bumps
   // wake_epoch_ under wake_mu_ and notifies. A sleeper snapshots the epoch,
@@ -118,18 +105,17 @@ class ThreadPool {
   // so the scheduler hot path stays unperturbed. All pools aggregate into
   // the same named metrics ("pool.*").
   struct ObsRefs {
-    obs::Counter* executed = nullptr;       ///< tasks run to completion
-    obs::Counter* stolen = nullptr;         ///< tasks taken from a peer deque
-    obs::Counter* steal_attempts = nullptr; ///< peer-deque scans started
-    obs::Counter* steal_failures = nullptr; ///< scans that found nothing
-    obs::Counter* injected = nullptr;       ///< tasks from non-worker threads
-    obs::Counter* wake_signals = nullptr;   ///< wake-epoch bumps
-    obs::Counter* busy_ns = nullptr;        ///< wall time inside task bodies
-    obs::Counter* idle_ns = nullptr;        ///< wall time asleep on wake_cv_
-    obs::Gauge* inject_depth = nullptr;     ///< injection-queue depth sample
-    obs::Gauge* wake_epoch = nullptr;       ///< latest wake epoch sample
+    obs::Counter* executed = nullptr;      ///< tasks run to completion
+    obs::Counter* queued = nullptr;        ///< runners put on the queue
+    obs::Counter* wake_signals = nullptr;  ///< wake-epoch bumps
+    obs::Counter* busy_ns = nullptr;       ///< wall time inside task bodies
+    obs::Counter* idle_ns = nullptr;       ///< wall time asleep on wake_cv_
+    obs::Gauge* queue_depth = nullptr;     ///< queue depth sample
+    obs::Gauge* wake_epoch = nullptr;      ///< latest wake epoch sample
   };
   ObsRefs obs_;
+
+  std::vector<std::thread> workers_;  ///< last: they use every member above
 };
 
 /// The one place that turns the stack-wide --threads convention (the bench

@@ -25,14 +25,12 @@
 //       metrics.json.
 #include <algorithm>
 #include <cerrno>
-#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <map>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -40,6 +38,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include "src/common/parse.h"
 #include "src/common/serde.h"
 #include "src/sweepd/protocol.h"
 
@@ -85,17 +84,25 @@ struct DriverOptions {
   std::exit(2);
 }
 
-/// The whole of `text` as a positive int. Trailing junk, values <= 0 and
-/// values past int range die with an error that names the flag.
-int parse_positive(const std::string& flag, const std::string& text) {
-  int n = 0;
-  const char* end = text.data() + text.size();
-  const auto [ptr, ec] = std::from_chars(text.data(), end, n);
-  if (text.empty() || ec != std::errc() || ptr != end || n <= 0)
+/// `text` when it is a positive int; otherwise die naming the flag.
+std::string positive_int_arg(const std::string& flag, std::string text) {
+  if (!ihbd::parse_positive_int(text))
     die(flag + " expects a positive integer, got '" + text + "'");
-  return n;
+  return text;
 }
 
+/// `text` when it is finite seconds (> 0, or >= 0 with `allow_zero`);
+/// otherwise die naming the flag.
+std::string seconds_arg(const std::string& flag, std::string text,
+                        bool allow_zero) {
+  if (!ihbd::parse_seconds(text, allow_zero))
+    die(flag + " expects " + (allow_zero ? "seconds >= 0" : "seconds > 0") +
+        ", got '" + text + "'");
+  return text;
+}
+
+/// Every value is checked here, before `run` forks anything; the shard
+/// flags are forwarded to the bench as the text the user gave.
 DriverOptions parse_options(int argc, char** argv, int first) {
   DriverOptions opt;
   int i = first;
@@ -110,17 +117,17 @@ DriverOptions parse_options(int argc, char** argv, int first) {
     } else if (arg == "--owner") {
       opt.owner = next();
     } else if (arg == "--shard-count") {
-      opt.shard_count = next();
+      opt.shard_count = positive_int_arg(arg, next());
     } else if (arg == "--lease-s") {
-      opt.lease_s = next();
+      opt.lease_s = seconds_arg(arg, next(), /*allow_zero=*/false);
     } else if (arg == "--poll-s") {
-      opt.poll_s = next();
+      opt.poll_s = seconds_arg(arg, next(), /*allow_zero=*/false);
     } else if (arg == "--timeout-s") {
-      opt.timeout_s = next();
+      opt.timeout_s = seconds_arg(arg, next(), /*allow_zero=*/true);
     } else if (arg == "--checkpoint-every") {
-      opt.checkpoint_every = next();
+      opt.checkpoint_every = positive_int_arg(arg, next());
     } else if (arg == "--workers") {
-      opt.workers = parse_positive(arg, next());
+      opt.workers = std::stoi(positive_int_arg(arg, next()));
     } else if (arg == "-o" || arg == "--out") {
       opt.out_file = next();
     } else if (arg == "--") {

@@ -27,7 +27,6 @@
 #include "src/fault/trace.h"
 #include "src/fault/transitions.h"
 #include "src/obs/metrics.h"
-#include "src/runtime/thread_pool.h"
 #include "src/topo/baselines.h"
 #include "src/topo/incremental.h"
 #include "src/topo/khop_ring.h"
@@ -153,8 +152,8 @@ TEST(FaultMaskCursor, GridAlignedCursorMatchesFaultyAt) {
   // The grid constructor binds the word engine to the per-sample-day folded
   // timeline (FaultTrace::word_delta_timeline(step)); on the grid it must
   // be indistinguishable from the exact-day cursor — including a fresh
-  // cursor fast-forwarded to a mid-grid day, the window-start case where
-  // the whole prefix folds in one multi-group advance.
+  // cursor fast-forwarded to a mid-grid day, where the whole prefix folds
+  // in one multi-group advance.
   const auto trace = gen_trace(96, 45.0, 11);
   for (const double step : {1.0, 0.25, 0.7}) {
     SCOPED_TRACE(step);
@@ -749,22 +748,16 @@ TEST(IncrementalReplay, BitIdenticalToSerialOracleAcrossArchitectures) {
                         physics_trace(model, nodes, 60.0));
   auto archs = make_paper_architectures(nodes, 4);
   archs.push_back(std::make_unique<KHopRing>(nodes, 4, 2, /*ring=*/false));
-  runtime::ThreadPool pool(2);
   for (const auto& [label, trace] : traces) {
     for (const auto& arch : archs) {
       // 128 exercises TPUv4's pooled regime and NVL-36/72 whole-island
       // waste through the full replay stack, not just the allocator units.
       for (const int tp : {8, 32, 64, 128}) {
-        const auto serial = evaluate_waste_over_trace(*arch, trace, tp, 1.0);
-        for (const std::size_t window : {1ul, 16ul, 0ul}) {
-          TraceReplayOptions opts;
-          opts.pool = &pool;
-          opts.window_samples = window;
-          SCOPED_TRACE(arch->name() + " tp=" + std::to_string(tp) +
-                       " window=" + std::to_string(window) + " " + label);
-          expect_same_result(
-              serial, evaluate_waste_over_trace(*arch, trace, tp, opts));
-        }
+        SCOPED_TRACE(arch->name() + " tp=" + std::to_string(tp) + " " +
+                     label);
+        expect_same_result(
+            evaluate_waste_over_trace(*arch, trace, tp, 1.0),
+            evaluate_waste_over_trace(*arch, trace, tp, TraceReplayOptions{}));
       }
     }
   }
@@ -774,11 +767,8 @@ TEST(IncrementalReplay, BitIdenticalOnFractionalStep) {
   const auto trace = gen_trace(96, 45.0, 5);
   const KHopRing ring(96, 4, 3);
   const auto serial = evaluate_waste_over_trace(ring, trace, 16, 0.7);
-  runtime::ThreadPool pool(4);
   TraceReplayOptions opts;
   opts.step_days = 0.7;
-  opts.pool = &pool;
-  opts.window_samples = 5;
   expect_same_result(serial, evaluate_waste_over_trace(ring, trace, 16, opts));
 }
 

@@ -318,7 +318,7 @@ TEST_F(ObsTest, BenchOutputByteIdenticalWithObsOnVsOff) {
   // is not vacuous.
   const MetricsSnapshot snap = snapshot();
   EXPECT_GT(snap.counters.at("replay.samples"), 0u);
-  EXPECT_NE(trace_json().find("replay_window"), std::string::npos);
+  EXPECT_NE(trace_json().find("replay_trace"), std::string::npos);
 }
 
 #endif  // IHBD_OBS

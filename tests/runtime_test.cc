@@ -98,7 +98,7 @@ TEST(ThreadPool, PropagatesExceptionsAndStaysUsable) {
 TEST(ThreadPool, ParallelForFromWorkerTaskCompletes) {
   // A parallel_for issued from a body already running on a pool worker must
   // not deadlock even with 1 worker: the blocked joiner executes the nested
-  // chunks from its own deque itself (work-stealing helping join).
+  // chunks from the queue itself (helping join).
   ThreadPool pool(1);
   const auto caller = std::this_thread::get_id();
   std::atomic<bool> on_worker{false};

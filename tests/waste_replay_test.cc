@@ -1,13 +1,15 @@
-// Windowed parallel trace replay (src/topo/waste.h): bit-equivalence
-// against the serial reference for any pool width and window size,
-// window-order merge associativity, sample-day/slice/window primitives
-// (src/fault/trace.h), and the keep_samples memory-bounding mode.
+// One-pass trace replay (src/topo/waste.h): bit-equivalence against the
+// serial oracle, alone and as the cells of a pooled sweep grid; the ignored
+// TraceReplayOptions members; sample-day/slice primitives
+// (src/fault/trace.h); and the keep_samples memory-bounding mode.
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <string>
 #include <utility>
 #include <vector>
 
+#include "src/common/serde.h"
 #include "src/fault/generator.h"
 #include "src/fault/trace.h"
 #include "src/runtime/sweep.h"
@@ -53,23 +55,6 @@ TEST(SampleDays, MatchesSerialLoopEnumeration) {
   }
 }
 
-TEST(SplitWindows, CoversEveryIndexOnceInOrder) {
-  for (std::size_t n : {0ul, 1ul, 10ul, 97ul}) {
-    for (std::size_t w : {0ul, 1ul, 3ul, 7ul, 97ul, 1000ul}) {
-      const auto windows = fault::split_windows(n, w);
-      std::size_t next = 0;
-      for (const auto& window : windows) {
-        EXPECT_EQ(window.begin, next);
-        EXPECT_GT(window.count, 0u);
-        if (w > 0) EXPECT_LE(window.count, w);
-        next = window.begin + window.count;
-      }
-      EXPECT_EQ(next, n) << "n=" << n << " w=" << w;
-      if (n > 0 && w == 0) EXPECT_EQ(windows.size(), 1u);
-    }
-  }
-}
-
 TEST(TraceSlice, MasksMatchFullTraceInsideTheWindow) {
   const auto trace = small_trace();
   const double lo = 10.0, hi = 20.0;
@@ -98,39 +83,45 @@ TEST(TraceSlice, DurationClampsToTheSliceEnd) {
   EXPECT_EQ(trace.slice(0.0, 0.0).sample_days(1.0).size(), 1u);
 }
 
-// --- windowed replay vs serial reference ---------------------------------
+// --- one-pass replay vs serial oracle ------------------------------------
 
-TEST(WindowedReplay, BitIdenticalToSerialAcrossPoolsAndWindows) {
+TEST(TraceReplay, BitIdenticalToSerialOracle) {
   const auto trace = small_trace();
   const KHopRing ring(96, 4, 2);
   const auto serial = evaluate_waste_over_trace(ring, trace, 8, 1.0);
   ASSERT_EQ(serial.waste_ratio.size(), 45u);
-
-  for (int workers : {1, 2, 8}) {
-    runtime::ThreadPool pool(workers);
-    for (std::size_t window : {1ul, 3ul, 7ul, 64ul, 1000ul, 0ul}) {
-      TraceReplayOptions opts;
-      opts.pool = &pool;
-      opts.window_samples = window;
-      const auto windowed = evaluate_waste_over_trace(ring, trace, 8, opts);
-      SCOPED_TRACE("workers=" + std::to_string(workers) +
-                   " window=" + std::to_string(window));
-      expect_same_result(serial, windowed);
-    }
-  }
-  // Without a pool the replay runs inline on the calling thread.
-  TraceReplayOptions inline_opts;
-  inline_opts.window_samples = 7;
   expect_same_result(serial,
-                     evaluate_waste_over_trace(ring, trace, 8, inline_opts));
+                     evaluate_waste_over_trace(ring, trace, 8,
+                                               TraceReplayOptions{}));
 }
 
-TEST(WindowedReplay, NestedSweepInReplayBitIdenticalToSerialOracle) {
-  // The production shape of Figs. 13/15/16/20: a sweep over (TP) cells
-  // whose trials each fan their replay windows out on the SAME pool
-  // (TraceReplayOptions::pool). The work-stealing scheduler interleaves
-  // both levels arbitrarily; results must stay bit-identical to the serial
-  // oracle for any worker count.
+TEST(TraceReplay, PoolAndWindowSamplesAreIgnored) {
+  // The two members stay only for source compatibility; setting them must
+  // not move one output byte.
+  const auto trace = small_trace();
+  const KHopRing ring(96, 4, 2);
+  const auto bytes = [](const TraceWasteResult& r) {
+    serde::Writer w;
+    trace_waste_codec().save(w, r);
+    return w.take();
+  };
+  const std::string plain =
+      bytes(evaluate_waste_over_trace(ring, trace, 8, TraceReplayOptions{}));
+  runtime::ThreadPool pool(4);
+  for (const std::size_t window : {0ul, 7ul}) {
+    TraceReplayOptions opts;
+    opts.pool = &pool;
+    opts.window_samples = window;
+    EXPECT_EQ(bytes(evaluate_waste_over_trace(ring, trace, 8, opts)), plain)
+        << "window=" << window;
+  }
+}
+
+TEST(TraceReplay, PooledSweepGridBitIdenticalToSerialOracle) {
+  // The production shape of Figs. 13/15/16/20: a sweep over (TP) cells,
+  // each replaying the whole trace on whichever pool worker runs it.
+  // Results must stay bit-identical to the serial oracle for any worker
+  // count.
   const auto trace = small_trace();
   const KHopRing ring(96, 4, 2);
   const std::vector<double> tps{4, 8, 16};
@@ -148,11 +139,9 @@ TEST(WindowedReplay, NestedSweepInReplayBitIdenticalToSerialOracle) {
     const auto grid = runtime::run_sweep_reduce(
         spec, TraceWasteResult{},
         [&](const runtime::Scenario& s, Rng&) {
-          TraceReplayOptions opts;
-          opts.pool = &pool;  // nested: windows steal idle sweep workers
-          opts.window_samples = 7;
           return evaluate_waste_over_trace(ring, trace,
-                                           static_cast<int>(s.value(0)), opts);
+                                           static_cast<int>(s.value(0)),
+                                           TraceReplayOptions{});
         },
         [](TraceWasteResult& acc, TraceWasteResult&& replay) {
           acc = std::move(replay);
@@ -166,28 +155,22 @@ TEST(WindowedReplay, NestedSweepInReplayBitIdenticalToSerialOracle) {
   }
 }
 
-TEST(WindowedReplay, BitIdenticalOnFractionalStep) {
-  // day += 0.7 accumulates floating-point error; the windowed replay must
+TEST(TraceReplay, BitIdenticalOnFractionalStep) {
+  // day += 0.7 accumulates floating-point error; the one-pass replay must
   // enumerate the exact same day sequence.
   const auto trace = small_trace();
   const KHopRing ring(96, 4, 3);
   const auto serial = evaluate_waste_over_trace(ring, trace, 16, 0.7);
-  runtime::ThreadPool pool(4);
   TraceReplayOptions opts;
   opts.step_days = 0.7;
-  opts.pool = &pool;
-  opts.window_samples = 5;
   expect_same_result(serial, evaluate_waste_over_trace(ring, trace, 16, opts));
 }
 
-TEST(WindowedReplay, KeepSamplesOffKeepsSeriesAndMoments) {
+TEST(TraceReplay, KeepSamplesOffKeepsSeriesAndMoments) {
   const auto trace = small_trace();
   const KHopRing ring(96, 4, 2);
   const auto exact = evaluate_waste_over_trace(ring, trace, 8, 1.0);
-  runtime::ThreadPool pool(2);
   TraceReplayOptions opts;
-  opts.pool = &pool;
-  opts.window_samples = 7;
   opts.keep_samples = false;
   const auto bounded = evaluate_waste_over_trace(ring, trace, 8, opts);
   // The series (what fig20 prints) are untouched...
@@ -198,42 +181,6 @@ TEST(WindowedReplay, KeepSamplesOffKeepsSeriesAndMoments) {
   EXPECT_EQ(bounded.waste_summary.max, exact.waste_summary.max);
   // ...but percentiles degrade to the documented moments-only approximation.
   EXPECT_EQ(bounded.waste_summary.p99, bounded.waste_summary.mean);
-}
-
-// --- fragment merge --------------------------------------------------------
-
-TEST(TraceWindowFragment, MergeIsAssociativeAndMatchesSerial) {
-  const auto trace = small_trace();
-  const KHopRing ring(96, 4, 2);
-  const auto days = trace.sample_days(1.0);
-  const auto windows = fault::split_windows(days.size(), 17);
-  ASSERT_EQ(windows.size(), 3u);  // 45 samples -> 17 + 17 + 11
-
-  auto replay = [&](std::size_t w) {
-    return replay_trace_window_incremental(ring, trace, 8, days, windows[w],
-                                           /*step_days=*/1.0);
-  };
-
-  // (a . b) . c
-  TraceWindowFragment left = replay(0);
-  left.merge_next(replay(1));
-  left.merge_next(replay(2));
-  // a . (b . c)
-  TraceWindowFragment bc = replay(1);
-  bc.merge_next(replay(2));
-  TraceWindowFragment right = replay(0);
-  right.merge_next(std::move(bc));
-
-  EXPECT_EQ(left.waste_ratio.v, right.waste_ratio.v);
-  EXPECT_EQ(left.usable_gpus.v, right.usable_gpus.v);
-  EXPECT_EQ(left.waste_acc.samples(), right.waste_acc.samples());
-  EXPECT_EQ(left.waste_acc.count(), right.waste_acc.count());
-  EXPECT_EQ(left.waste_acc.min(), right.waste_acc.min());
-  EXPECT_EQ(left.waste_acc.max(), right.waste_acc.max());
-
-  const auto serial = evaluate_waste_over_trace(ring, trace, 8, 1.0);
-  EXPECT_EQ(left.waste_ratio.v, serial.waste_ratio.v);
-  EXPECT_EQ(left.waste_acc.summary().p99, serial.waste_summary.p99);
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
-// Work-stealing scheduler (src/runtime/thread_pool.h): nested parallel_for
-// determinism against a serial oracle, steal-order stress with randomized
-// task durations, exception capture, cancellation and join from flat and
+// Thread pool (src/runtime/thread_pool.h): nested parallel_for determinism
+// against a serial oracle, scheduling-order stress with randomized task
+// durations, exception capture, cancellation and join from flat and
 // inner nesting levels, recruitment of idle workers by a nested fork, and
 // the auto-grain rule's bit-identity across worker counts. This suite
 // (plus runtime_test) is what the CI ThreadSanitizer job runs.
@@ -48,9 +48,9 @@ TEST(WorkSteal, NestedParallelForMatchesSerialOracle) {
     ThreadPool pool(workers);
     std::vector<double> out(kCells * kWindows, 0.0);
     pool.parallel_for(kCells, [&](std::size_t c) {
-      // Inner fan-out on the same pool: stealable by idle sweep workers,
+      // Inner fan-out on the same pool: queued for idle sweep workers,
       // helped by this (blocked) cell task. Bodies own their (c, w) slot,
-      // so the result is bit-identical for any steal order.
+      // so the result is bit-identical for any scheduling order.
       pool.parallel_for(kWindows, [&](std::size_t w) {
         out[c * kWindows + w] = cell_window_value(c, w);
       });
@@ -73,12 +73,12 @@ TEST(WorkSteal, ThreeNestingLevelsCoverEveryIndexOnce) {
   for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
-// --- steal-order stress -----------------------------------------------------
+// --- scheduling-order stress ------------------------------------------------
 
 TEST(WorkSteal, StressRandomizedDurationsAndNesting) {
-  // Bodies spin for pseudo-random durations so claim order and steal
-  // victims vary from round to round; every round must still execute every
-  // (outer, inner) index exactly once.
+  // Bodies spin for pseudo-random durations so claim order and the runner
+  // each thread picks up vary from round to round; every round must still
+  // execute every (outer, inner) index exactly once.
   ThreadPool pool(8);
   for (std::uint64_t round = 0; round < 15; ++round) {
     constexpr std::size_t kOuter = 61;
@@ -174,7 +174,7 @@ TEST(WorkSteal, FirstExceptionWinsLaterOnesAreDropped) {
 TEST(WorkSteal, NestedForkOnAWorkerRecruitsIdleWorkers) {
   // One outer index runs on a pool worker and forks an inner range there.
   // Each inner body waits until a second pool worker has entered the inner
-  // range, which only happens if idle workers steal the nested runners.
+  // range, which only happens if idle workers pick up the nested runners.
   ThreadPool pool(4);
   const auto caller = std::this_thread::get_id();
   std::atomic<bool> on_worker{false};
@@ -192,7 +192,7 @@ TEST(WorkSteal, NestedForkOnAWorkerRecruitsIdleWorkers) {
     }
     if (on_worker.exchange(true)) return;  // a worker claimed both indices
     pool.parallel_for(4, [&](std::size_t) {
-      // The helping caller may steal an inner index too; it waits like the
+      // The helping caller may run an inner index too; it waits like the
       // workers but does not count as one.
       if (std::this_thread::get_id() != caller) {
         std::lock_guard<std::mutex> lock(mu);
