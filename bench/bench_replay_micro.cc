@@ -1,24 +1,22 @@
 // Micro-benchmark for the two trace-replay paths (see src/topo/waste.h):
-// the serial oracle vs the one-pass incremental packed replay (PackedMask +
-// per-word XOR deltas into an IncrementalAllocator), on the 348-day
-// production-calibrated sim trace (720 4-GPU nodes, same cluster as Figs.
-// 13/15/16/20). Covers the K-Hop Ring and the baseline architectures'
-// per-island allocators. Reports replayed samples per second per path; CI
-// runs it to track the speedups. BM_grid_timeline_build times the serial
-// step every replay grid starts with: the hourly grid word-delta timeline
-// of a 23,040-node trace. Built on the vendored bench/microbench.h harness.
+// the serial oracle vs the one-pass incremental packed replay (the grid
+// word-delta timeline's per-word XOR spans into an IncrementalAllocator),
+// on the 348-day production-calibrated sim trace (720 4-GPU nodes, same
+// cluster as Figs. 13/15/16/20). Covers the K-Hop Ring and the baseline
+// architectures' island allocator. Reports replayed samples per second per
+// path; CI runs it to track the speedups. BM_grid_timeline_build times the
+// serial step every replay grid starts with: the hourly grid word-delta
+// timeline of a 23,040-node trace. Built on the vendored
+// bench/microbench.h harness.
 #include <chrono>
 #include <cstddef>
 #include <cstdlib>
-#include <vector>
 
 #include "bench/fault_bench_common.h"
 #include "bench/microbench.h"
 #include "src/common/rng.h"
 #include "src/fault/generator.h"
-#include "src/fault/transitions.h"
 #include "src/topo/baselines.h"
-#include "src/topo/incremental.h"
 #include "src/topo/khop_ring.h"
 #include "src/topo/waste.h"
 
@@ -43,29 +41,23 @@ topo::TraceReplayOptions replay_options(double step_days = 1.0) {
   return opts;
 }
 
-/// Shared measured loop: `iteration` does one replay and returns how many
-/// samples it covered; reports samples/second. Every path reports through
-/// this one wrapper so the numbers stay comparable.
-template <typename Iteration>
-void run_samples_bench(benchmark::State& state, Iteration&& iteration) {
+/// Shared measured loop: `replay` runs one evaluate_waste_over_trace path;
+/// reports replayed samples/second. Every path reports through this one
+/// wrapper so the numbers stay comparable.
+template <typename Replay>
+void run_replay_bench(benchmark::State& state, Replay&& replay) {
   std::size_t samples = 0;
   const auto t0 = std::chrono::steady_clock::now();
-  for (auto _ : state) samples += iteration();
+  for (auto _ : state) {
+    const topo::TraceWasteResult result = replay();
+    benchmark::DoNotOptimize(result);
+    samples += result.waste_ratio.size();
+  }
   const double secs =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();
   if (secs > 0.0)
     state.counters["samples/s"] = static_cast<double>(samples) / secs;
-}
-
-/// run_samples_bench for the two evaluate_waste_over_trace paths.
-template <typename Replay>
-void run_replay_bench(benchmark::State& state, Replay&& replay) {
-  run_samples_bench(state, [&] {
-    const topo::TraceWasteResult result = replay();
-    benchmark::DoNotOptimize(result);
-    return result.waste_ratio.size();
-  });
 }
 
 }  // namespace
@@ -78,8 +70,8 @@ static void BM_replay_serial(benchmark::State& state) {
 }
 BENCHMARK(BM_replay_serial)->Arg(8)->Arg(32);
 
-// The fast path: packed masks + per-word XOR deltas end-to-end
-// (cursor.advance_to_words into apply_words, popcount healthy counts).
+// The fast path: packed masks + per-word XOR deltas end-to-end (grid
+// timeline groups into apply_words, popcount healthy counts).
 static void BM_replay_packed(benchmark::State& state) {
   const int tp = static_cast<int>(state.range(0));
   run_replay_bench(state, [&] {
@@ -89,10 +81,10 @@ static void BM_replay_packed(benchmark::State& state) {
 }
 BENCHMARK(BM_replay_packed)->Arg(8)->Arg(32);
 
-// --- baseline architectures: per-island allocators vs the serial oracle --
+// --- baseline architectures: island allocator vs the serial oracle -------
 //
-// Arg encodes (architecture, TP) over the paper baselines' per-island
-// incremental allocators. TPUv4 appears in both regimes (per-cube
+// Arg encodes (architecture, TP) over the paper baselines, all served by
+// topo::IslandAllocator. TPUv4 appears in both rules (per-cube modulo
 // fragmentation at TP-32, pooled clean-cube assembly at TP-128).
 
 namespace {
@@ -126,24 +118,14 @@ static void BM_baseline_serial(benchmark::State& state) {
 }
 BENCHMARK(BM_baseline_serial)->Arg(0)->Arg(1)->Arg(2)->Arg(3)->Arg(4);
 
-// The allocator driven directly by a grid-aligned cursor, exactly as the
-// production replay in src/topo/waste.cc does.
+// The one-pass replay, exactly as the paper benches run it.
 static void BM_baseline_packed(benchmark::State& state) {
   const auto c = kBaselineCases[state.range(0)];
   const topo::HbdArchitecture& arch =
       baseline_arch(static_cast<int>(state.range(0)));
-  const std::vector<double> days = sim_trace().sample_days(1.0);
-  run_samples_bench(state, [&] {
-    fault::FaultMaskCursor cursor(sim_trace(), 1.0);
-    const auto allocator = topo::make_incremental_allocator(arch, c.tp);
-    double sink = 0.0;
-    for (const double day : days) {
-      const auto& deltas = cursor.advance_to_words(day);
-      sink +=
-          allocator->apply_words(cursor.mask(), deltas).waste_ratio();
-    }
-    benchmark::DoNotOptimize(sink);
-    return days.size();
+  run_replay_bench(state, [&] {
+    return topo::evaluate_waste_over_trace(arch, sim_trace(), c.tp,
+                                           replay_options());
   });
 }
 BENCHMARK(BM_baseline_packed)->Arg(0)->Arg(1)->Arg(2)->Arg(3)->Arg(4);

@@ -7,11 +7,11 @@
 //
 // A PackedMask stores one bit per node in 64-bit words, so the replay hot
 // path works at word granularity instead of node granularity: healthy and
-// faulty counts are popcounts, spurious-flip filtering is a word XOR, and a
-// whole same-day transition batch collapses into a handful of
-// {word_index, xor_bits} deltas (WordDelta) that FaultMaskCursor emits and
-// the incremental allocators consume directly (see
-// FaultMaskCursor::advance_to_words and IncrementalAllocator::apply_words).
+// faulty counts are popcounts, spurious-flip filtering is a word XOR, and
+// the net change between two replay samples collapses into a handful of
+// {word_index, xor_bits} deltas (WordDelta): FaultTrace's word-delta
+// timelines store them and the incremental allocators consume them directly
+// (see FaultTrace::word_delta_timeline and IncrementalAllocator::apply_words).
 //
 // Invariant: bits at positions >= size() in the last word are always zero
 // (the "tail" stays clear), so popcount() over raw words needs no masking

@@ -80,18 +80,6 @@ class GroupFolder {
   int hi_ = -1;
 };
 
-/// Emits one group per exact day of `edges` (sorted by day).
-void fold_exact_days(const std::vector<FaultTransition>& edges,
-                     GroupFolder& fold, WordDeltaTimeline& out) {
-  std::size_t i = 0;
-  while (i < edges.size()) {
-    const double day = edges[i].day;
-    do fold.edge(edges[i].node, edges[i].down);
-    while (++i < edges.size() && edges[i].day == day);
-    fold.emit(day, out);
-  }
-}
-
 // Comparators are lambdas, not functions: std::sort inlines a lambda's
 // call, while a function pointer costs an indirect call per comparison.
 constexpr auto transition_less = [](const FaultTransition& a,
@@ -108,8 +96,8 @@ obs::Counter& grid_timeline_builds() {
 /// `grid` of `step_days`, built straight from the events: a sample day's
 /// group nets every edge visible at it (day <= grid[k]) but not at the
 /// sample before. Down edges arrive in start order already; up edges are
-/// counting-sorted by the sample they first show at; the few edges past
-/// the last sample keep one group per exact day.
+/// counting-sorted by the sample they first show at. Edges past the last
+/// sample are never visible on the grid and are dropped.
 WordDeltaTimeline fold_onto_grid(const std::vector<FaultEvent>& events,
                                  int node_count,
                                  const std::vector<double>& grid,
@@ -137,13 +125,10 @@ WordDeltaTimeline fold_onto_grid(const std::vector<FaultEvent>& events,
   for (std::size_t k = 0; k < samples; ++k) first[k + 1] += first[k];
   std::vector<int> up_nodes(static_cast<std::size_t>(first[samples]));
   std::vector<int> fill(first.begin(), first.end() - 1);
-  std::vector<FaultTransition> tail;
   for (std::size_t i = 0; i < events.size(); ++i) {
     const auto k = static_cast<std::size_t>(bucket[i]);
     if (k < samples)
       up_nodes[static_cast<std::size_t>(fill[k]++)] = events[i].node;
-    else
-      tail.push_back({events[i].end_day, events[i].node, /*down=*/false});
   }
 
   WordDeltaTimeline out;
@@ -157,12 +142,6 @@ WordDeltaTimeline fold_onto_grid(const std::vector<FaultEvent>& events,
       fold.edge(up_nodes[static_cast<std::size_t>(i)], /*down=*/false);
     fold.emit(grid[k], out);
   }
-  // Past the last sample each exact day keeps its own group, so a cursor
-  // advanced beyond the grid still applies it at the exact moment.
-  for (; next < events.size(); ++next)
-    tail.push_back({events[next].start_day, events[next].node, /*down=*/true});
-  std::sort(tail.begin(), tail.end(), transition_less);
-  fold_exact_days(tail, fold, out);
   return out;
 }
 
@@ -286,7 +265,15 @@ std::shared_ptr<const WordDeltaTimeline> FaultTrace::word_delta_timeline()
     auto out = std::make_shared<WordDeltaTimeline>();
     out->offsets.push_back(0);
     GroupFolder fold(node_count_);
-    fold_exact_days(*transition_timeline(), fold, *out);
+    // One group per exact day of the (day-sorted) transitions.
+    const std::vector<FaultTransition>& edges = *transition_timeline();
+    std::size_t i = 0;
+    while (i < edges.size()) {
+      const double day = edges[i].day;
+      do fold.edge(edges[i].node, edges[i].down);
+      while (++i < edges.size() && edges[i].day == day);
+      fold.emit(day, *out);
+    }
     timeline_cache_->words = std::move(out);
   });
   return timeline_cache_->words;

@@ -26,8 +26,9 @@ namespace ihbd::fault {
 /// LEAST ONE of its intervals covers d; symmetrically, one interval ending
 /// does not mean the node is up. Consumers therefore count active intervals
 /// per node (depth) and treat only 0 <-> 1 edges as state changes — that is
-/// exactly what faulty_at(), the replay cursors and the control plane's
-/// per-node depth counters do, and tests/ctrl_test.cc pins their agreement.
+/// exactly what faulty_at(), the word-delta timelines and the control
+/// plane's per-node depth counters do, and tests/ctrl_test.cc pins their
+/// agreement.
 struct FaultEvent {
   int node = 0;
   double start_day = 0.0;
@@ -47,15 +48,15 @@ struct FaultTransition {
   bool down = false;  ///< true: fault begins; false: repair completes
 };
 
-/// The word-parallel transition timeline: the net mask change of every
-/// exact transition day, pre-folded into per-word XOR spans. Group g covers
-/// deltas[offsets[g] .. offsets[g+1]) and XORs the faulty mask of days[g]'s
-/// net flips (cancelling same-day edges and overlap-shadowed edges already
-/// removed; days whose edges all cancel are omitted entirely). Because each
-/// group is the exact bit change of its day, groups compose by XOR: the net
-/// change across ANY day range is the XOR of its groups — which is what
-/// lets a replay cursor advance over an arbitrary sample grid with a few
-/// word XORs instead of a per-node walk (see FaultMaskCursor).
+/// A word-parallel fault timeline: net mask changes pre-folded into
+/// per-word XOR spans. Group g covers deltas[offsets[g] .. offsets[g+1])
+/// and XORs into the faulty mask the net flips that become visible at
+/// days[g] (cancelling and overlap-shadowed edges already removed; days
+/// whose edges all cancel are omitted entirely). Groups compose by XOR:
+/// XORing every group with days[g] <= d into an empty mask gives
+/// faulty_at(d) — on every day for the exact timeline, on the sample days
+/// for a grid timeline. The one-pass replay (src/topo/waste.h) walks a grid
+/// timeline and hands each group's spans straight to its allocator.
 struct WordDeltaTimeline {
   std::vector<double> days;       ///< ascending, unique, zero-net days omitted
   std::vector<int> offsets;       ///< days.size() + 1 span bounds into deltas
@@ -93,7 +94,7 @@ class FaultTrace {
   /// clamped to just past end_day, so sample_days()/ratio_series() on a
   /// slice stop at the slice boundary instead of iterating over the full
   /// trace's range. The one-pass replay in src/topo/waste.h never slices:
-  /// its cursor walks the full trace. A slice bounds the work of a
+  /// it walks the full trace's grid timeline. A slice bounds the work of a
   /// serial-oracle replay over a prefix (perfbench's correctness check and
   /// tests).
   FaultTrace slice(double start_day, double end_day) const;
@@ -112,25 +113,23 @@ class FaultTrace {
   std::shared_ptr<const std::vector<FaultTransition>> transition_timeline()
       const;
 
-  /// Shared, lazily built word-parallel timeline (see WordDeltaTimeline):
-  /// one active-interval walk over the whole transition timeline, folded
-  /// into per-day word-XOR groups. Cached like transition_timeline(), so
-  /// the fold cost is paid once per trace no matter how many replay
-  /// cursors or grid cells consume it.
+  /// Shared, lazily built exact timeline (see WordDeltaTimeline): one
+  /// active-interval walk over the whole transition timeline, folded into
+  /// one word-XOR group per exact transition day. Cached like
+  /// transition_timeline(), so the fold cost is paid once per trace.
   std::shared_ptr<const WordDeltaTimeline> word_delta_timeline() const;
 
-  /// Grid-aligned variant: one group per sample day of `step_days`
-  /// (sample_days()) with a net change, holding the mask change from the
-  /// previous sample day to that one — so a replay cursor bound to it
-  /// applies at most ONE group per sample. Built in one pass straight from
-  /// the events (no transition sort): down edges arrive in start order, up
-  /// edges are counting-sorted by the sample they first show at. Edges
-  /// after the last sample day keep one group per exact day. The masks are
-  /// only correct ON the grid; the cursor constructor taking a step
-  /// documents the contract. Built exactly once per distinct step (callers
-  /// racing on a fresh trace wait for that build) and shared by every
-  /// grid cell; byte-equal to folding word_delta_timeline()'s
-  /// groups onto the grid, without ever building it.
+  /// Grid timeline: one group per sample day of `step_days`
+  /// (sample_days()) with a net change, stamped with that sample day and
+  /// holding the mask change from the previous sample day to it, so a
+  /// replay applies at most ONE group per sample. Built in one pass
+  /// straight from the events (no transition sort): down edges arrive in
+  /// start order, up edges are counting-sorted by the sample they first
+  /// show at. Edges after the last sample day are dropped, and the masks
+  /// are only correct ON the grid. Built exactly once per distinct step
+  /// (callers racing on a fresh trace wait for that build) and shared by
+  /// every grid cell; byte-equal to folding word_delta_timeline()'s groups
+  /// up to the last sample onto the grid, without ever building it.
   std::shared_ptr<const WordDeltaTimeline> word_delta_timeline(
       double step_days) const;
 

@@ -27,11 +27,7 @@ std::size_t thread_index() {
 }  // namespace detail
 
 void set_enabled(bool on) {
-#if IHBD_OBS
   detail::g_metrics_enabled.store(on, std::memory_order_relaxed);
-#else
-  (void)on;
-#endif
 }
 
 // --- Counter ----------------------------------------------------------------

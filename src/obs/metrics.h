@@ -5,8 +5,7 @@
 //      counts only; every bench table/CSV is byte-identical with metrics on
 //      or off (CI diffs them).
 //   2. Near-zero cost when disabled (the default): every handle operation
-//      starts with one relaxed atomic load + branch, nothing else. Defining
-//      IHBD_OBS=0 at compile time folds even that branch away.
+//      starts with one relaxed atomic load + branch, nothing else.
 //   3. Lock-free and TSan-clean on the hot path when enabled: handles write
 //      cache-line-padded per-thread-sharded atomic slots (threads hash to a
 //      shard by a dense thread index); scraping merges the shards.
@@ -34,10 +33,6 @@
 // shard state in future distributed sweeps (ROADMAP).
 #pragma once
 
-#ifndef IHBD_OBS
-#define IHBD_OBS 1  ///< 0 compiles all instrumentation down to no-ops
-#endif
-
 #include <array>
 #include <atomic>
 #include <cmath>
@@ -61,10 +56,8 @@ class Reader;
 namespace ihbd::obs {
 
 namespace detail {
-#if IHBD_OBS
 inline std::atomic<bool> g_metrics_enabled{false};
 inline std::atomic<bool> g_trace_enabled{false};
-#endif
 /// Small dense index of the calling thread (assigned on first use); used to
 /// pick a metric shard. Distinct from std::thread::id: consecutive values
 /// spread the pool's workers across distinct shards.
@@ -74,14 +67,10 @@ std::size_t thread_index();
 /// Whether metric handles record anything. One relaxed load — callers on
 /// hot paths may also cache the result across a batch of updates.
 inline bool enabled() {
-#if IHBD_OBS
   return detail::g_metrics_enabled.load(std::memory_order_relaxed);
-#else
-  return false;
-#endif
 }
 
-/// Turn metric recording on/off (off by default; no-op under IHBD_OBS=0).
+/// Turn metric recording on/off (off by default).
 /// Toggling does not clear recorded values — see reset().
 void set_enabled(bool on);
 

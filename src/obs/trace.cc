@@ -79,11 +79,7 @@ void record(const char* name, char phase) {
 }  // namespace
 
 void set_trace_enabled(bool on) {
-#if IHBD_OBS
   detail::g_trace_enabled.store(on, std::memory_order_relaxed);
-#else
-  (void)on;
-#endif
 }
 
 namespace detail {

@@ -7,8 +7,7 @@
 // Spans record paired B/E (begin/end) events into per-thread buffers: the
 // recording path takes the calling thread's own (uncontended) buffer mutex
 // and a steady_clock read — no cross-thread traffic until export. Disabled
-// (the default), IHBD_TRACE_SPAN costs one relaxed load + branch; with
-// IHBD_OBS=0 it compiles away entirely.
+// (the default), IHBD_TRACE_SPAN costs one relaxed load + branch.
 //
 // Span names must be string literals (or otherwise outlive the process):
 // only the pointer is recorded. Nesting comes from scoping — inner spans
@@ -23,20 +22,16 @@
 #include <cstdint>
 #include <string>
 
-#include "src/obs/metrics.h"  // IHBD_OBS + the enabled-flag plumbing
+#include "src/obs/metrics.h"  // the enabled-flag plumbing
 
 namespace ihbd::obs {
 
 /// Whether IHBD_TRACE_SPAN records anything. One relaxed load.
 inline bool trace_enabled() {
-#if IHBD_OBS
   return detail::g_trace_enabled.load(std::memory_order_relaxed);
-#else
-  return false;
-#endif
 }
 
-/// Turn span recording on/off (off by default; no-op under IHBD_OBS=0).
+/// Turn span recording on/off (off by default).
 void set_trace_enabled(bool on);
 
 namespace detail {
@@ -85,10 +80,6 @@ std::uint64_t trace_dropped();
 #define IHBD_OBS_CONCAT2(a, b) a##b
 #define IHBD_OBS_CONCAT(a, b) IHBD_OBS_CONCAT2(a, b)
 
-#if IHBD_OBS
 /// Scoped trace span; `name` must be a string literal.
 #define IHBD_TRACE_SPAN(name) \
   ::ihbd::obs::SpanGuard IHBD_OBS_CONCAT(ihbd_trace_span_, __LINE__)(name)
-#else
-#define IHBD_TRACE_SPAN(name) static_cast<void>(0)
-#endif

@@ -12,27 +12,30 @@ namespace ihbd::topo {
 
 namespace {
 
-/// Incremental-allocator metrics (src/obs): how often each KHop flip case
-/// fires, per-island flip volume, and the dirty-word traffic. All
-/// recording sits behind obs::enabled() so the allocators' flip paths are
-/// unperturbed by default.
+/// K-Hop allocator metrics (src/obs): how often each flip case fires.
+/// Recording sits behind obs::enabled() so the flip paths are unperturbed
+/// by default.
 struct AllocObs {
   obs::Counter& khop_interior;  ///< KHop flip, cut keys unchanged
   obs::Counter& khop_cut_move;  ///< KHop flip, one cut key moves p <-> x
   obs::Counter& khop_split;     ///< KHop flip, a cut key appears
   obs::Counter& khop_merge;     ///< KHop flip, a cut key disappears
-  obs::Counter& island_flips;   ///< per-island O(1) flips applied
-  obs::Counter& dirty_words;    ///< word deltas consumed by apply_words
 };
 
 AllocObs& alloc_obs() {
   static AllocObs o{obs::counter("alloc.khop.interior"),
                     obs::counter("alloc.khop.cut_move"),
                     obs::counter("alloc.khop.split"),
-                    obs::counter("alloc.khop.merge"),
-                    obs::counter("alloc.island.flips"),
-                    obs::counter("alloc.dirty_words")};
+                    obs::counter("alloc.khop.merge")};
   return o;
+}
+
+/// Nodes per TP group; throws unless `tp_size_gpus` is a positive multiple
+/// of arch.gpus_per_node() (the same contract as allocate()).
+int group_nodes(const HbdArchitecture& arch, int tp_size_gpus) {
+  if (tp_size_gpus <= 0 || tp_size_gpus % arch.gpus_per_node() != 0)
+    throw ConfigError("TP size must be a positive multiple of GPUs/node");
+  return tp_size_gpus / arch.gpus_per_node();
 }
 
 }  // namespace
@@ -75,11 +78,8 @@ AllocObs& alloc_obs() {
 
 KHopRingIncrementalAllocator::KHopRingIncrementalAllocator(const KHopRing& ring,
                                                            int tp_size_gpus)
-    : ring_(ring), n_(ring.node_count()), circular_(ring.is_ring()) {
-  if (tp_size_gpus <= 0 || tp_size_gpus % ring.gpus_per_node() != 0)
-    throw ConfigError("TP size must be a positive multiple of GPUs/node");
-  m_ = tp_size_gpus / ring.gpus_per_node();
-}
+    : ring_(ring), n_(ring.node_count()),
+      m_(group_nodes(ring, tp_size_gpus)), circular_(ring.is_ring()) {}
 
 int KHopRingIncrementalAllocator::next_healthy_of_faulty(int x) const {
   // Word-scan the packed healthy set clockwise, wrapping. Callers
@@ -331,8 +331,7 @@ void KHopRingIncrementalAllocator::fill_alloc() {
 }
 
 const Allocation& KHopRingIncrementalAllocator::apply_words(
-    const fault::PackedMask& mask,
-    const std::vector<fault::WordDelta>& deltas) {
+    const fault::PackedMask& mask, std::span<const fault::WordDelta> deltas) {
   IHBD_EXPECTS(mask.size() == n_);
   if (!initialized_) {
     healthy_ = mask.complement();
@@ -346,7 +345,6 @@ const Allocation& KHopRingIncrementalAllocator::apply_words(
           ~healthy_.word(d.word) & healthy_.valid_mask(d.word);
       const std::uint64_t changed = mask.word(d.word) ^ ours;
       if (changed == 0) continue;
-      if (obs::enabled()) alloc_obs().dirty_words.add(1);
       // Each flip reads its neighbors off the state the previous one left,
       // so bits are applied one at a time.
       fault::for_each_set_bit(changed, d.word, [&](int x) {
@@ -362,48 +360,78 @@ const Allocation& KHopRingIncrementalAllocator::apply_words(
 }
 
 // ---------------------------------------------------------------------------
-// Per-island baseline allocators
+// IslandAllocator
 //
 // Every §6.1 baseline decomposes into islands that fragment independently,
 // so the per-island aggregates below are exact restatements of the
-// corresponding allocate() arithmetic — integer-only, hence bit-identical:
-//   * modulo islands (Big-Switch / NVL / TPUv4 TP <= cube):
-//       wasted = sum_i healthy_i % m
-//   * TPUv4 pooled (TP > cube), with npc nodes per cube:
-//       wasted = (healthy - clean_cubes * npc) + (clean_cubes * npc) % m
-//   * SiP-Ring: wasted = sum_{broken rings} (m - faults_r) + trailing_healthy
-// A flip touches exactly one island, so each update is O(1); seeding from a
-// full mask is one masked popcount per island.
+// corresponding allocate() arithmetic — integer-only, hence bit-identical.
+// waste_of_[h] is one island's share of the waste at h healthy nodes: h % m
+// under the modulo rule; under the pooled rule h for a faulted island and 0
+// for a clean one, whose nodes join the pool that wastes
+// (clean_islands_ * nodes_per_island) % m. A flip touches exactly one
+// island, so each update is O(1); seeding from a full mask is one masked
+// popcount per island.
 // ---------------------------------------------------------------------------
 
-PerIslandAllocatorBase::PerIslandAllocatorBase(const HbdArchitecture& arch,
-                                               int tp_size_gpus)
-    : n_(arch.node_count()), gpus_per_node_(arch.gpus_per_node()) {
-  if (tp_size_gpus <= 0 || tp_size_gpus % arch.gpus_per_node() != 0)
-    throw ConfigError("TP size must be a positive multiple of GPUs/node");
-  m_ = tp_size_gpus / arch.gpus_per_node();
+IslandAllocator::IslandAllocator(const HbdArchitecture& arch,
+                                 IslandPartition islands, int tp_size_gpus,
+                                 bool pooled)
+    : islands_(islands), m_(group_nodes(arch, tp_size_gpus)),
+      gpus_per_node_(arch.gpus_per_node()), pooled_(pooled) {
+  IHBD_EXPECTS(islands_.node_count == arch.node_count());
   alloc_.total_gpus = arch.total_gpus();
+  const int size = islands_.nodes_per_island;
+  island_of_.resize(static_cast<std::size_t>(islands_.node_count));
+  for (int i = 0; i < islands_.node_count; ++i)
+    island_of_[static_cast<std::size_t>(i)] = islands_.island_of(i);
+  waste_of_.resize(static_cast<std::size_t>(size) + 1);
+  for (int h = 0; h <= size; ++h)
+    waste_of_[static_cast<std::size_t>(h)] =
+        !pooled_ ? h % m_ : h < size ? h : 0;
 }
 
-void PerIslandAllocatorBase::initialize_from(const fault::PackedMask& mask) {
+void IslandAllocator::initialize_from(const fault::PackedMask& mask) {
   faulty_ = mask;
-  healthy_count_ = n_ - mask.popcount();
-  init_islands(faulty_);
+  healthy_count_ = islands_.node_count - mask.popcount();
+  // Complete islands plus the short remainder, if any.
+  const int count = islands_.island_of(islands_.node_count - 1) + 1;
+  island_healthy_.assign(static_cast<std::size_t>(count), 0);
+  island_waste_ = 0;
+  clean_islands_ = 0;
+  for (int i = 0; i < count; ++i) {
+    const int begin = islands_.island_begin(i);
+    const int end = islands_.island_end(i);
+    const int healthy = end - begin - mask.popcount_range(begin, end);
+    island_healthy_[static_cast<std::size_t>(i)] = healthy;
+    island_waste_ += waste_of_[static_cast<std::size_t>(healthy)];
+    if (healthy == islands_.nodes_per_island) ++clean_islands_;
+  }
   initialized_ = true;
 }
 
-const Allocation& PerIslandAllocatorBase::finish() {
-  const int wasted = wasted_nodes();
-  alloc_.faulty_gpus = (n_ - healthy_count_) * gpus_per_node_;
+void IslandAllocator::flip(int node, int step) {
+  int& healthy = island_healthy_[static_cast<std::size_t>(
+      island_of_[static_cast<std::size_t>(node)])];
+  const int size = islands_.nodes_per_island;
+  island_waste_ -= waste_of_[static_cast<std::size_t>(healthy)];
+  clean_islands_ -= healthy == size;
+  healthy += step;
+  island_waste_ += waste_of_[static_cast<std::size_t>(healthy)];
+  clean_islands_ += healthy == size;
+}
+
+const Allocation& IslandAllocator::finish() {
+  int wasted = island_waste_;
+  if (pooled_) wasted += clean_islands_ * islands_.nodes_per_island % m_;
+  alloc_.faulty_gpus = (islands_.node_count - healthy_count_) * gpus_per_node_;
   alloc_.usable_gpus = (healthy_count_ - wasted) * gpus_per_node_;
   alloc_.wasted_healthy_gpus = wasted * gpus_per_node_;
   return alloc_;
 }
 
-const Allocation& PerIslandAllocatorBase::apply_words(
-    const fault::PackedMask& mask,
-    const std::vector<fault::WordDelta>& deltas) {
-  IHBD_EXPECTS(mask.size() == n_);
+const Allocation& IslandAllocator::apply_words(
+    const fault::PackedMask& mask, std::span<const fault::WordDelta> deltas) {
+  IHBD_EXPECTS(mask.size() == islands_.node_count);
   if (!initialized_) {
     initialize_from(mask);
     return finish();
@@ -419,131 +447,10 @@ const Allocation& PerIslandAllocatorBase::apply_words(
     healthy_count_ +=
         std::popcount(now_healthy) - std::popcount(now_faulty);
     faulty_.apply_xor(d.word, changed);
-    fault::for_each_set_bit(now_faulty, d.word,
-                            [&](int x) { island_flip(x, true); });
-    fault::for_each_set_bit(now_healthy, d.word,
-                            [&](int x) { island_flip(x, false); });
-    if (obs::enabled()) {
-      AllocObs& o = alloc_obs();
-      o.dirty_words.add(1);
-      o.island_flips.add(static_cast<std::uint64_t>(std::popcount(changed)));
-    }
+    fault::for_each_set_bit(now_faulty, d.word, [&](int x) { flip(x, -1); });
+    fault::for_each_set_bit(now_healthy, d.word, [&](int x) { flip(x, +1); });
   }
   return finish();
-}
-
-IslandModuloAllocator::IslandModuloAllocator(const HbdArchitecture& arch,
-                                             IslandPartition islands,
-                                             int tp_size_gpus)
-    : PerIslandAllocatorBase(arch, tp_size_gpus), islands_(islands) {
-  IHBD_EXPECTS(islands_.node_count == arch.node_count());
-  // Modulo islands partition the cluster exactly; a trailing remainder
-  // would need SiP-Ring-style special casing.
-  IHBD_EXPECTS(islands_.node_count % islands_.nodes_per_island == 0);
-  island_of_.resize(static_cast<std::size_t>(islands_.node_count));
-  for (int i = 0; i < islands_.node_count; ++i)
-    island_of_[static_cast<std::size_t>(i)] = islands_.island_of(i);
-  residue_.resize(static_cast<std::size_t>(islands_.nodes_per_island) + 1);
-  for (int h = 0; h <= islands_.nodes_per_island; ++h)
-    residue_[static_cast<std::size_t>(h)] = h % m_;
-}
-
-void IslandModuloAllocator::init_islands(const fault::PackedMask& faulty) {
-  const int count = islands_.full_island_count();
-  island_healthy_.assign(static_cast<std::size_t>(count), 0);
-  wasted_nodes_ = 0;
-  for (int i = 0; i < count; ++i) {
-    const int healthy =
-        islands_.nodes_per_island -
-        faulty.popcount_range(islands_.island_begin(i), islands_.island_end(i));
-    island_healthy_[static_cast<std::size_t>(i)] = healthy;
-    wasted_nodes_ += healthy % m_;
-  }
-}
-
-void IslandModuloAllocator::island_flip(int node, bool to_faulty) {
-  int& healthy = island_healthy_[static_cast<std::size_t>(
-      island_of_[static_cast<std::size_t>(node)])];
-  const int next = healthy + (to_faulty ? -1 : 1);
-  wasted_nodes_ += residue_[static_cast<std::size_t>(next)] -
-                   residue_[static_cast<std::size_t>(healthy)];
-  healthy = next;
-}
-
-TpuCubePoolAllocator::TpuCubePoolAllocator(const TpuV4& tpu, int tp_size_gpus)
-    : PerIslandAllocatorBase(tpu, tp_size_gpus),
-      cubes_(tpu.island_partition()) {
-  IHBD_EXPECTS(tp_size_gpus > tpu.cube_gpus());
-  cube_of_.resize(static_cast<std::size_t>(cubes_.node_count));
-  for (int i = 0; i < cubes_.node_count; ++i)
-    cube_of_[static_cast<std::size_t>(i)] = cubes_.island_of(i);
-}
-
-void TpuCubePoolAllocator::init_islands(const fault::PackedMask& faulty) {
-  const int count = cubes_.full_island_count();
-  cube_faulty_.assign(static_cast<std::size_t>(count), 0);
-  clean_cubes_ = 0;
-  for (int c = 0; c < count; ++c) {
-    const int faults =
-        faulty.popcount_range(cubes_.island_begin(c), cubes_.island_end(c));
-    cube_faulty_[static_cast<std::size_t>(c)] = faults;
-    if (faults == 0) ++clean_cubes_;
-  }
-}
-
-void TpuCubePoolAllocator::island_flip(int node, bool to_faulty) {
-  int& faults =
-      cube_faulty_[static_cast<std::size_t>(
-          cube_of_[static_cast<std::size_t>(node)])];
-  if (to_faulty) {
-    if (faults++ == 0) --clean_cubes_;
-  } else {
-    if (--faults == 0) ++clean_cubes_;
-  }
-}
-
-int TpuCubePoolAllocator::wasted_nodes() const {
-  const int pool = clean_cubes_ * cubes_.nodes_per_island;
-  return (healthy_count() - pool) + pool % m_;
-}
-
-SipRingIncrementalAllocator::SipRingIncrementalAllocator(const SipRing& sip,
-                                                         int tp_size_gpus)
-    : PerIslandAllocatorBase(sip, tp_size_gpus),
-      rings_(sip.ring_partition(m_)) {
-  ring_of_.resize(static_cast<std::size_t>(rings_.node_count));
-  for (int i = 0; i < rings_.node_count; ++i)
-    ring_of_[static_cast<std::size_t>(i)] = rings_.island_of(i);
-}
-
-void SipRingIncrementalAllocator::init_islands(
-    const fault::PackedMask& faulty) {
-  const int count = rings_.full_island_count();
-  ring_faulty_.assign(static_cast<std::size_t>(count), 0);
-  broken_waste_nodes_ = 0;
-  for (int r = 0; r < count; ++r) {
-    const int begin = rings_.island_begin(r);
-    const int faults = faulty.popcount_range(begin, begin + m_);
-    ring_faulty_[static_cast<std::size_t>(r)] = faults;
-    if (faults > 0) broken_waste_nodes_ += m_ - faults;
-  }
-  const int trail_begin = rings_.island_begin(count);
-  trailing_healthy_ = node_count() - trail_begin -
-                      faulty.popcount_range(trail_begin, node_count());
-}
-
-void SipRingIncrementalAllocator::island_flip(int node, bool to_faulty) {
-  const int ring = ring_of_[static_cast<std::size_t>(node)];
-  if (ring >= rings_.full_island_count()) {
-    trailing_healthy_ += to_faulty ? -1 : 1;
-    return;
-  }
-  int& faults = ring_faulty_[static_cast<std::size_t>(ring)];
-  // A broken ring wastes its m - faults healthy members; an intact ring
-  // wastes none.
-  broken_waste_nodes_ -= faults > 0 ? m_ - faults : 0;
-  faults += to_faulty ? 1 : -1;
-  broken_waste_nodes_ += faults > 0 ? m_ - faults : 0;
 }
 
 std::unique_ptr<IncrementalAllocator> make_incremental_allocator(
@@ -551,19 +458,19 @@ std::unique_ptr<IncrementalAllocator> make_incremental_allocator(
   if (const auto* ring = dynamic_cast<const KHopRing*>(&arch))
     return std::make_unique<KHopRingIncrementalAllocator>(*ring, tp_size_gpus);
   if (const auto* bs = dynamic_cast<const BigSwitch*>(&arch))
-    return std::make_unique<IslandModuloAllocator>(
-        *bs, bs->island_partition(), tp_size_gpus);
+    return std::make_unique<IslandAllocator>(*bs, bs->island_partition(),
+                                             tp_size_gpus, /*pooled=*/false);
   if (const auto* nvl = dynamic_cast<const NvlSwitch*>(&arch))
-    return std::make_unique<IslandModuloAllocator>(
-        *nvl, nvl->island_partition(), tp_size_gpus);
-  if (const auto* tpu = dynamic_cast<const TpuV4*>(&arch)) {
-    if (tp_size_gpus > tpu->cube_gpus())
-      return std::make_unique<TpuCubePoolAllocator>(*tpu, tp_size_gpus);
-    return std::make_unique<IslandModuloAllocator>(
-        *tpu, tpu->island_partition(), tp_size_gpus);
-  }
+    return std::make_unique<IslandAllocator>(*nvl, nvl->island_partition(),
+                                             tp_size_gpus, /*pooled=*/false);
+  if (const auto* tpu = dynamic_cast<const TpuV4*>(&arch))
+    return std::make_unique<IslandAllocator>(
+        *tpu, tpu->island_partition(), tp_size_gpus,
+        /*pooled=*/tp_size_gpus > tpu->cube_gpus());
   if (const auto* sip = dynamic_cast<const SipRing*>(&arch))
-    return std::make_unique<SipRingIncrementalAllocator>(*sip, tp_size_gpus);
+    return std::make_unique<IslandAllocator>(
+        *sip, sip->ring_partition(group_nodes(*sip, tp_size_gpus)),
+        tp_size_gpus, /*pooled=*/false);
   throw ConfigError("no incremental allocator for architecture " +
                     arch.name());
 }

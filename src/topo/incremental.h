@@ -4,9 +4,10 @@
 // day, but between consecutive samples only the nodes with a fault
 // transition change — usually none, sometimes a handful. An
 // IncrementalAllocator keeps the allocation state alive across samples and
-// updates it from the word-parallel {word_index, xor_bits} spans of
-// FaultMaskCursor::advance_to_words: it filters spurious flips with one word
-// XOR and seeds per-island healthy counts with masked popcounts.
+// updates it from the word-parallel {word_index, xor_bits} spans of the
+// trace's grid word-delta timeline (FaultTrace::word_delta_timeline(step)):
+// it filters spurious flips with one word XOR and seeds per-island healthy
+// counts with masked popcounts.
 //
 //   * KHopRingIncrementalAllocator — true incremental implementation for
 //     the K-Hop Ring: keeps the sorted non-bypassable cut links with each
@@ -15,15 +16,13 @@
 //     keys, plus one word popcount over the shorter side when a down-flip
 //     splits an arc. It never re-walks arcs or rebuilds the N-node arc
 //     walk.
-//   * Per-island allocators for the baseline architectures (§6.1): every
-//     baseline decomposes into independent islands (the one Big-Switch
-//     domain, NVL HBDs, TPUv4 cubes, SiP-Ring's static TP-sized rings), so
-//     a node flip only disturbs its own island's aggregate — O(1) per flip
-//     instead of a full O(N) allocate() on every sample with a transition.
-//     This mirrors how OCS-partitioned domains bound reconfiguration work
-//     to the affected partition (Mission Apollo). See
-//     IslandModuloAllocator, TpuCubePoolAllocator,
-//     SipRingIncrementalAllocator.
+//   * IslandAllocator — every baseline architecture (§6.1) decomposes into
+//     independent islands (the one Big-Switch domain, NVL HBDs, TPUv4
+//     cubes, SiP-Ring's static TP-sized rings), so a node flip only
+//     disturbs its own island's healthy count — O(1) per flip instead of a
+//     full O(N) allocate() on every sample with a transition. This mirrors
+//     how OCS-partitioned domains bound reconfiguration work to the
+//     affected partition (Mission Apollo).
 //
 // All implementations produce aggregate fields (total/faulty/usable/wasted
 // GPUs, and thus waste_ratio()) bit-identical to arch.allocate(mask, tp) on
@@ -33,6 +32,7 @@
 
 #include <cstddef>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "src/fault/packed_mask.h"
@@ -49,14 +49,14 @@ class IncrementalAllocator {
   virtual ~IncrementalAllocator() = default;
 
   /// The allocation for `mask`, given that `deltas` are the XOR spans
-  /// since the previous call (as reported by
-  /// FaultMaskCursor::advance_to_words). The first call initializes from
-  /// `mask` wholesale and may ignore `deltas`. Spurious entries whose word
-  /// already matches `mask` are tolerated (skipped, never corrupting
-  /// state). The reference stays valid until the next call.
+  /// since the previous call (one group of a WordDeltaTimeline). The first
+  /// call initializes from `mask` wholesale and may ignore `deltas`.
+  /// Spurious entries whose word already matches `mask` are tolerated
+  /// (skipped, never corrupting state). The reference stays valid until
+  /// the next call.
   virtual const Allocation& apply_words(
       const fault::PackedMask& mask,
-      const std::vector<fault::WordDelta>& deltas) = 0;
+      std::span<const fault::WordDelta> deltas) = 0;
 };
 
 /// True incremental allocator for KHopRing (ring and line variants).
@@ -68,7 +68,7 @@ class KHopRingIncrementalAllocator : public IncrementalAllocator {
 
   const Allocation& apply_words(
       const fault::PackedMask& mask,
-      const std::vector<fault::WordDelta>& deltas) override;
+      std::span<const fault::WordDelta> deltas) override;
 
  private:
   // --- arc bookkeeping (see incremental.cc for the invariants) ---
@@ -114,118 +114,50 @@ class KHopRingIncrementalAllocator : public IncrementalAllocator {
   Allocation alloc_;
 };
 
-/// Shared frame for the per-island baseline allocators: owns the packed
-/// faulty bitmap and healthy count, filters spurious deltas with a word
-/// compare, routes genuine single-node flips to the derived class's island
-/// aggregate, and fills the Allocation aggregates from the derived
-/// wasted-node total (usable + wasted = healthy holds for every baseline).
-class PerIslandAllocatorBase : public IncrementalAllocator {
+/// Incremental allocator for the island-decomposed baselines: per-island
+/// healthy counts h_i over an IslandPartition whose last island may be
+/// short, with one of two waste rules (m = nodes per TP group):
+///   * modulo — wasted = sum_i h_i % m. Big-Switch (one global island),
+///     NVL-36/72/576 and TPUv4 at TP <= cube; a TP group larger than an
+///     island gives h_i < m, so the whole island is wasted. SiP-Ring over
+///     its TP-sized rings is the same rule: a ring with f >= 1 faults
+///     wastes (m - f) % m = m - f, an intact ring 0, and the short
+///     remainder island all of its healthy nodes.
+///   * pooled — TPUv4 at TP > cube: groups tile the pool of fault-free
+///     islands, so wasted = sum over faulted islands of h_i plus
+///     (clean islands * island size) % m.
+/// A flip touches one island: O(1) per flip, O(1) waste readout.
+class IslandAllocator final : public IncrementalAllocator {
  public:
+  /// `islands` must cover arch's nodes; `tp_size_gpus` must be a positive
+  /// multiple of arch.gpus_per_node() (same contract as allocate()).
+  IslandAllocator(const HbdArchitecture& arch, IslandPartition islands,
+                  int tp_size_gpus, bool pooled);
+
   const Allocation& apply_words(
       const fault::PackedMask& mask,
-      const std::vector<fault::WordDelta>& deltas) final;
-
- protected:
-  /// `arch` must outlive the allocator; `tp_size_gpus` must be a positive
-  /// multiple of arch.gpus_per_node() (same contract as allocate()).
-  PerIslandAllocatorBase(const HbdArchitecture& arch, int tp_size_gpus);
-
-  int healthy_count() const { return healthy_count_; }
-  int node_count() const { return n_; }
-
-  int m_;  ///< nodes per TP group
+      std::span<const fault::WordDelta> deltas) override;
 
  private:
-  /// Seed the per-island aggregates from a full fault mask (the healthy
-  /// count is already set in the base); implementations use masked
-  /// popcounts per island.
-  virtual void init_islands(const fault::PackedMask& faulty) = 0;
-  /// Update the flipped node's island aggregate (the node's bit and the
-  /// healthy count have already been updated in the base).
-  virtual void island_flip(int node, bool to_faulty) = 0;
-  /// Total healthy-but-unplaceable nodes over all islands.
-  virtual int wasted_nodes() const = 0;
-
   void initialize_from(const fault::PackedMask& mask);
+  void flip(int node, int step);  // the node's island gains `step` healthy
   const Allocation& finish();
 
-  int n_;
+  IslandPartition islands_;
+  int m_;  // nodes per TP group
   int gpus_per_node_;
+  bool pooled_;
   bool initialized_ = false;
   fault::PackedMask faulty_;
   int healthy_count_ = 0;
-  Allocation alloc_;
-};
-
-/// True incremental allocator for the modulo-fragmenting islands:
-/// Big-Switch (one global island), NVL-36/72/576 (independent HBD islands)
-/// and TPUv4 at TP <= cube (independent cubes). Each island wastes
-/// healthy_i % m nodes — which also covers TP groups larger than the island
-/// (healthy_i < m, so the residue is the whole island's healthy count, the
-/// "TP cannot span islands" rule) — so a flip updates one island's residue
-/// in O(1).  Requires an exact partition (no trailing remainder).
-class IslandModuloAllocator : public PerIslandAllocatorBase {
- public:
-  IslandModuloAllocator(const HbdArchitecture& arch, IslandPartition islands,
-                        int tp_size_gpus);
-
- private:
-  void init_islands(const fault::PackedMask& faulty) override;
-  void island_flip(int node, bool to_faulty) override;
-  int wasted_nodes() const override { return wasted_nodes_; }
-
-  IslandPartition islands_;
   std::vector<int> island_healthy_;
-  // Flip-path divisions traded for L1 lookups: node -> island, and
-  // healthy -> healthy % m over the whole [0, nodes_per_island] range.
+  // Flip-path divisions traded for L1 lookups: node -> island, and the
+  // per-island waste of every healthy count in [0, nodes_per_island].
   std::vector<int> island_of_;
-  std::vector<int> residue_;
-  int wasted_nodes_ = 0;
-};
-
-/// True incremental allocator for TPUv4's pooled regime (TP > cube): groups
-/// are tiled over the pool of fault-free cubes and every healthy node in a
-/// faulted cube is wasted, so only the per-cube fault counts and the clean
-/// cube count matter — O(1) per flip, O(1) waste readout.
-class TpuCubePoolAllocator : public PerIslandAllocatorBase {
- public:
-  /// Requires tp_size_gpus > tpu.cube_gpus(); the per-cube fragmentation
-  /// regime is IslandModuloAllocator's job (make_incremental_allocator
-  /// picks the right one).
-  TpuCubePoolAllocator(const TpuV4& tpu, int tp_size_gpus);
-
- private:
-  void init_islands(const fault::PackedMask& faulty) override;
-  void island_flip(int node, bool to_faulty) override;
-  int wasted_nodes() const override;
-
-  IslandPartition cubes_;
-  std::vector<int> cube_of_;      ///< node -> cube (flip-path div removal)
-  std::vector<int> cube_faulty_;  ///< faulty-node count per cube
-  int clean_cubes_ = 0;
-};
-
-/// True incremental allocator for SiP-Ring: static rings of exactly m
-/// consecutive nodes, where one fault breaks the whole ring (every healthy
-/// member is wasted) and nodes past the last full ring are structural
-/// fragmentation. Tracks per-ring fault counts plus the trailing healthy
-/// count — O(1) per flip.
-class SipRingIncrementalAllocator : public PerIslandAllocatorBase {
- public:
-  SipRingIncrementalAllocator(const SipRing& sip, int tp_size_gpus);
-
- private:
-  void init_islands(const fault::PackedMask& faulty) override;
-  void island_flip(int node, bool to_faulty) override;
-  int wasted_nodes() const override {
-    return broken_waste_nodes_ + trailing_healthy_;
-  }
-
-  IslandPartition rings_;
-  std::vector<int> ring_of_;      ///< node -> ring (flip-path div removal)
-  std::vector<int> ring_faulty_;  ///< faulty-node count per full ring
-  int broken_waste_nodes_ = 0;    ///< sum over broken rings of (m - faults)
-  int trailing_healthy_ = 0;
+  std::vector<int> waste_of_;
+  int island_waste_ = 0;   // sum_i waste_of_[h_i]
+  int clean_islands_ = 0;  // islands with no fault (the pooled rule's pool)
+  Allocation alloc_;
 };
 
 /// The right allocator for `arch`: the true incremental implementations for

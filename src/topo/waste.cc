@@ -3,9 +3,9 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <span>
 
 #include "src/common/contracts.h"
-#include "src/fault/transitions.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
 #include "src/runtime/accumulate.h"
@@ -15,19 +15,22 @@ namespace ihbd::topo {
 
 namespace {
 
-/// Replay metrics (src/obs): replays run, samples replayed and fault flips
-/// applied. Recording is skipped unless obs is enabled and never touches
-/// replay results (byte-identical output on vs off).
+/// Replay metrics (src/obs): replays run, samples replayed, fault flips
+/// applied and the word deltas the allocators consumed. Recording is
+/// skipped unless obs is enabled and never touches replay results
+/// (byte-identical output on vs off).
 struct ReplayObs {
   obs::Counter& evaluations;    ///< evaluate_waste_over_trace calls
   obs::Counter& samples;        ///< samples replayed
   obs::Counter& flips_applied;  ///< net fault flips fed to allocators
+  obs::Counter& dirty_words;    ///< word deltas applied after the first sample
 };
 
 ReplayObs& replay_obs() {
   static ReplayObs o{obs::counter("replay.evaluations"),
                      obs::counter("replay.samples"),
-                     obs::counter("replay.flips_applied")};
+                     obs::counter("replay.flips_applied"),
+                     obs::counter("alloc.dirty_words")};
   return o;
 }
 
@@ -42,6 +45,7 @@ TraceWasteResult evaluate_waste_over_trace(const HbdArchitecture& arch,
   IHBD_TRACE_SPAN("replay_trace");
   const bool obs_on = obs::enabled();
   std::uint64_t flips = 0;
+  std::uint64_t dirty_words = 0;
 
   const std::vector<double> days = trace.sample_days(options.step_days);
   TraceWasteResult out;
@@ -51,27 +55,39 @@ TraceWasteResult evaluate_waste_over_trace(const HbdArchitecture& arch,
   out.usable_gpus.v.reserve(days.size());
   runtime::Accumulator waste_acc;
   waste_acc.set_keep_samples(options.keep_samples);
-  // The replay samples strictly on the step grid, so the cursor binds to
-  // the trace's grid word-delta timeline: at most one net group per sample,
-  // built once per trace and step straight from the events and shared by
-  // every grid cell replaying the trace.
-  fault::FaultMaskCursor cursor(trace, options.step_days);
+  // The grid timeline holds at most one net group per sample day, stamped
+  // with that day from the same sample_days(step), so group g applies at
+  // sample k exactly when words.days[g] == days[k]. It is built once per
+  // trace and step and shared by every grid cell replaying the trace.
+  const auto timeline = trace.word_delta_timeline(options.step_days);
+  const fault::WordDeltaTimeline& words = *timeline;
+  fault::PackedMask mask(trace.node_count());
+  std::size_t g = 0;
   const auto allocator = make_incremental_allocator(arch, tp_size_gpus);
-  // Per-word XOR spans from the cursor go straight into the allocator's
-  // dirty-word path. A sample with no deltas cannot change the allocation,
-  // so the previous aggregates are re-emitted without even the virtual
-  // call — identical values either way.
+  // A sample with no group cannot change the allocation, so the previous
+  // aggregates are re-emitted without even the virtual call — identical
+  // values either way.
   double waste = 0.0;
   double usable = 0.0;
   bool have_alloc = false;
   for (const double day : days) {
-    const std::vector<fault::WordDelta>& deltas = cursor.advance_to_words(day);
+    std::span<const fault::WordDelta> deltas;
+    if (g < words.days.size() && words.days[g] == day) {
+      deltas = std::span(words.deltas).subspan(
+          static_cast<std::size_t>(words.offsets[g]),
+          static_cast<std::size_t>(words.offsets[g + 1] - words.offsets[g]));
+      for (const fault::WordDelta& d : deltas)
+        mask.apply_xor(d.word, d.xor_bits);
+      ++g;
+    }
     if (!have_alloc || !deltas.empty()) {
-      if (obs_on)
+      if (obs_on) {
         for (const fault::WordDelta& d : deltas)
           flips += static_cast<std::uint64_t>(std::popcount(d.xor_bits));
-      const Allocation& alloc =
-          allocator->apply_words(cursor.mask(), deltas);
+        // The first apply seeds from the mask; later ones walk the deltas.
+        if (have_alloc) dirty_words += deltas.size();
+      }
+      const Allocation& alloc = allocator->apply_words(mask, deltas);
       waste = alloc.waste_ratio();
       usable = static_cast<double>(alloc.usable_gpus);
       have_alloc = true;
@@ -80,12 +96,14 @@ TraceWasteResult evaluate_waste_over_trace(const HbdArchitecture& arch,
     out.usable_gpus.push(day, usable);
     waste_acc.add(waste);
   }
+  IHBD_ENSURES(g == words.days.size());
   out.waste_summary = waste_acc.summary();
   if (obs_on) {
     ReplayObs& o = replay_obs();
     o.evaluations.add(1);
     o.samples.add(days.size());
     o.flips_applied.add(flips);
+    o.dirty_words.add(dirty_words);
   }
   return out;
 }

@@ -8,12 +8,13 @@
 //     trace.faulty_at() at each. Kept as the bit-equivalence reference.
 //   * evaluate_waste_over_trace(arch, trace, tp, TraceReplayOptions) — the
 //     fast path: one pass over trace.sample_days(step), inline on the
-//     calling thread. A fault::FaultMaskCursor walks the trace's grid
-//     word-delta timeline and patches a topo::IncrementalAllocator by
-//     per-word XOR spans, so samples with no transitions never re-allocate
-//     and a KHopRing transition edits at most two adjacent healthy arcs
-//     (see incremental.h). A replay grid gets its parallelism one level up:
-//     the sweep engine runs its cells concurrently.
+//     calling thread. It walks the trace's grid word-delta timeline
+//     (FaultTrace::word_delta_timeline(step), at most one group per
+//     sample) and hands each group's per-word XOR spans straight to a
+//     topo::IncrementalAllocator, so samples with no transitions never
+//     re-allocate and a KHopRing transition edits at most two adjacent
+//     healthy arcs (see incremental.h). A replay grid gets its parallelism
+//     one level up: the sweep engine runs its cells concurrently.
 // Both produce bit-identical output (when keep_samples is true; with it off
 // the fast path's summary degrades to moments).
 #pragma once

@@ -380,7 +380,6 @@ TEST(ControlPlane, MergeAndSerdeRoundTrip) {
   EXPECT_EQ(result_bytes(back), bytes);
 }
 
-#if IHBD_OBS
 /// `h` holds exactly the buckets of `a` and `b` added together.
 void expect_fold(const obs::Histogram& h, const SloHistogram& a,
                  const SloHistogram& b) {
@@ -414,7 +413,6 @@ TEST(ControlPlane, ObsHistogramsAreTheFoldOfTheSloHistograms) {
               r.job_wait_degraded_s);
   obs::reset();
 }
-#endif
 
 // --- golden result bytes ----------------------------------------------------
 

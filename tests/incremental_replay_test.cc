@@ -1,17 +1,16 @@
-// Event-driven incremental replay (src/fault/transitions.h +
-// src/topo/incremental.h): transition-cursor semantics (zero-length events,
-// same-day up/down, overlapping intervals, slice boundaries, the
-// monotonicity contract, word-delta contract), the grid word-delta timeline
-// against the exact one folded onto the grid, the KHopRing and per-island
-// allocators' apply_words against allocate(), and the randomized end-to-end
-// property that the fast replay is bit-identical to the serial
-// evaluate_waste_over_trace oracle across architectures, TP sizes and
-// trace models.
+// Event-driven incremental replay (src/fault/trace.h word-delta timelines +
+// src/topo/incremental.h): the exact and grid timelines against faulty_at()
+// (zero-length events, same-day up/down, overlapping intervals, slice
+// boundaries, every trace model), the grid timeline against the exact one
+// folded onto the grid, the KHopRing and island allocators' apply_words
+// against allocate(), and the randomized end-to-end property that the fast
+// replay is bit-identical to the serial evaluate_waste_over_trace oracle
+// across architectures, TP sizes and trace models.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
-#include <limits>
 #include <map>
 #include <memory>
 #include <string>
@@ -25,7 +24,6 @@
 #include "src/fault/packed_mask.h"
 #include "src/fault/physics_generator.h"
 #include "src/fault/trace.h"
-#include "src/fault/transitions.h"
 #include "src/obs/metrics.h"
 #include "src/topo/baselines.h"
 #include "src/topo/incremental.h"
@@ -81,44 +79,65 @@ TEST(TransitionTimeline, SortedAndComplete) {
   EXPECT_EQ(downs, trace.events().size());
 }
 
-// --- cursor semantics -----------------------------------------------------
+// --- timelines against faulty_at() ----------------------------------------
 
-/// The nodes whose bit a set of word deltas flips, ascending.
-std::vector<int> flipped_nodes(const std::vector<fault::WordDelta>& deltas) {
+/// The mask a timeline gives at `day`: every group with days[g] <= day
+/// XORed into an empty mask.
+fault::PackedMask mask_through(const fault::WordDeltaTimeline& words,
+                               int nodes, double day) {
+  fault::PackedMask mask(nodes);
+  for (std::size_t g = 0; g < words.days.size() && words.days[g] <= day; ++g)
+    for (int i = words.offsets[g]; i < words.offsets[g + 1]; ++i)
+      mask.apply_xor(words.deltas[static_cast<std::size_t>(i)].word,
+                     words.deltas[static_cast<std::size_t>(i)].xor_bits);
+  return mask;
+}
+
+/// The nodes whose bit group `g` flips, ascending.
+std::vector<int> flipped_nodes(const fault::WordDeltaTimeline& words,
+                               std::size_t g) {
   std::vector<int> nodes;
-  for (const auto& d : deltas)
+  for (int i = words.offsets[g]; i < words.offsets[g + 1]; ++i) {
+    const fault::WordDelta& d = words.deltas[static_cast<std::size_t>(i)];
     fault::for_each_set_bit(d.xor_bits, d.word,
-                            [&](int i) { nodes.push_back(i); });
+                            [&](int x) { nodes.push_back(x); });
+  }
   return nodes;
 }
 
-TEST(FaultMaskCursor, MatchesFaultyAtOnGeneratedTrace) {
-  const auto trace = gen_trace(96, 45.0, 11);
-  fault::FaultMaskCursor cursor(trace);
-  fault::PackedMask replayed(trace.node_count());
-  for (const double day : trace.sample_days(0.25)) {
-    const auto& deltas = cursor.advance_to_words(day);
+/// Days ascending and unique, one offset per group plus one, and within
+/// each group word indices strictly ascending with nonzero XOR bits.
+void expect_well_formed(const fault::WordDeltaTimeline& words) {
+  ASSERT_EQ(words.offsets.size(), words.days.size() + 1);
+  EXPECT_EQ(words.offsets.front(), 0);
+  EXPECT_EQ(static_cast<std::size_t>(words.offsets.back()),
+            words.deltas.size());
+  for (std::size_t g = 0; g < words.days.size(); ++g) {
+    if (g > 0) EXPECT_LT(words.days[g - 1], words.days[g]);
+    EXPECT_LT(words.offsets[g], words.offsets[g + 1]) << "empty group " << g;
     int prev_word = -1;
-    for (const auto& d : deltas) {
-      // Contract: ascending word index, nonzero XOR bits, no tail bits.
-      EXPECT_GT(d.word, prev_word) << "day " << day;
-      EXPECT_NE(d.xor_bits, 0u) << "day " << day;
+    for (int i = words.offsets[g]; i < words.offsets[g + 1]; ++i) {
+      const fault::WordDelta& d = words.deltas[static_cast<std::size_t>(i)];
+      EXPECT_GT(d.word, prev_word) << "group " << g;
+      EXPECT_NE(d.xor_bits, 0u) << "group " << g;
       prev_word = d.word;
-      replayed.apply_xor(d.word, d.xor_bits);
     }
-    EXPECT_EQ(cursor.mask(), trace.faulty_at(day)) << "day " << day;
-    // The reported deltas alone must transform the previous mask into the
-    // current one (no silent changes, no spurious reports).
-    EXPECT_EQ(replayed, cursor.mask()) << "day " << day;
   }
-  // Edges past the last sample day (repairs completing after the trace
-  // window) may remain; advancing past every event drains the timeline and
-  // clears the mask.
-  cursor.advance_to_words(std::numeric_limits<double>::max());
-  EXPECT_EQ(cursor.mask().popcount(), 0);
 }
 
-TEST(FaultMaskCursor, ZeroLengthAndSameDayAndOverlappingEvents) {
+TEST(WordDeltaTimeline, ExactTimelineMatchesFaultyAtOnGeneratedTrace) {
+  const auto trace = gen_trace(96, 45.0, 11);
+  const fault::WordDeltaTimeline& words = *trace.word_delta_timeline();
+  expect_well_formed(words);
+  for (const double day : words.days)
+    EXPECT_EQ(mask_through(words, 96, day), trace.faulty_at(day))
+        << "day " << day;
+  for (const double day : trace.sample_days(0.25))
+    EXPECT_EQ(mask_through(words, 96, day), trace.faulty_at(day))
+        << "day " << day;
+}
+
+TEST(WordDeltaTimeline, ZeroLengthAndSameDayAndOverlappingEvents) {
   // node 0: zero-length event (never faulty: start <= d < end is empty)
   // node 1: overlapping intervals [1,3) and [2,5) (faulty through day 4)
   // node 2: back-to-back [1,2) + [2,4): repair and re-fault on day 2 — the
@@ -128,55 +147,72 @@ TEST(FaultMaskCursor, ZeroLengthAndSameDayAndOverlappingEvents) {
       5, 6.0,
       {{0, 2.0, 2.0}, {1, 1.0, 3.0}, {1, 2.0, 5.0}, {2, 1.0, 2.0},
        {2, 2.0, 4.0}, {3, 0.0, 2.0}});
-  fault::FaultMaskCursor cursor(trace);
-  const auto advance = [&](double day) {
-    return flipped_nodes(cursor.advance_to_words(day));
-  };
-
-  EXPECT_EQ(advance(0.0), (std::vector<int>{3}));
-  EXPECT_EQ(advance(1.0), (std::vector<int>{1, 2}));
+  const fault::WordDeltaTimeline& words = *trace.word_delta_timeline();
+  expect_well_formed(words);
   // Day 2: node 0's zero-length event cancels itself, node 1 stays down
   // (second interval active), node 2's up+down cancel, node 3 comes up.
-  EXPECT_EQ(advance(2.0), (std::vector<int>{3}));
+  // Day 3 has no net change (node 1 still overlapped), so no group.
+  EXPECT_EQ(words.days, (std::vector<double>{0.0, 1.0, 2.0, 4.0, 5.0}));
+  const std::vector<std::vector<int>> flips{{3}, {1, 2}, {3}, {2}, {1}};
+  for (std::size_t g = 0; g < flips.size() && g < words.days.size(); ++g)
+    EXPECT_EQ(flipped_nodes(words, g), flips[g]) << "day " << words.days[g];
   const std::vector<bool> day2{false, true, true, false, false};
-  EXPECT_EQ(cursor.mask(), fault::PackedMask(day2));
-  EXPECT_EQ(advance(3.0), (std::vector<int>{}));  // 1 still overlapped
-  EXPECT_EQ(advance(4.0), (std::vector<int>{2}));
-  EXPECT_EQ(advance(5.0), (std::vector<int>{1}));
-  EXPECT_EQ(cursor.mask().popcount(), 0);
-  // Repeated advance to the same day is a no-op.
-  EXPECT_TRUE(cursor.advance_to_words(5.0).empty());
+  EXPECT_EQ(mask_through(words, 5, 2.0), fault::PackedMask(day2));
+  for (const double day : {0.0, 1.0, 2.0, 3.0, 4.0, 5.0})
+    EXPECT_EQ(mask_through(words, 5, day), trace.faulty_at(day))
+        << "day " << day;
+  EXPECT_EQ(mask_through(words, 5, 5.0).popcount(), 0);
 }
 
-TEST(FaultMaskCursor, GridAlignedCursorMatchesFaultyAt) {
-  // The grid constructor binds the word engine to the per-sample-day folded
-  // timeline (FaultTrace::word_delta_timeline(step)); on the grid it must
-  // be indistinguishable from the exact-day cursor — including a fresh
-  // cursor fast-forwarded to a mid-grid day, where the whole prefix folds
-  // in one multi-group advance.
-  const auto trace = gen_trace(96, 45.0, 11);
+TEST(WordDeltaTimeline, SliceBoundariesMatchTheFullTrace) {
+  const auto trace = gen_trace(64, 40.0, 3);
+  const double lo = 12.0, hi = 23.0;
+  const auto sliced = trace.slice(lo, hi);
+  const fault::WordDeltaTimeline& words = *sliced.word_delta_timeline();
+  expect_well_formed(words);
+  for (double day = lo; day <= hi; day += 0.5)
+    EXPECT_EQ(mask_through(words, 64, day), trace.faulty_at(day))
+        << "day " << day;
+  for (const double day : words.days)
+    if (day >= lo && day <= hi)
+      EXPECT_EQ(mask_through(words, 64, day), trace.faulty_at(day))
+          << "day " << day;
+}
+
+TEST(WordDeltaTimeline, GridTimelineMatchesFaultyAtOnTheGrid) {
+  // Every trace model the fault benches replay (--trace-model).
+  std::vector<std::pair<std::string, fault::FaultTrace>> traces;
+  traces.emplace_back("poisson", gen_trace(96, 45.0, 11));
+  for (const auto model : {fault::TraceModel::kPhysics,
+                           fault::TraceModel::kStorm})
+    traces.emplace_back(fault::trace_model_name(model),
+                        physics_trace(model, 144, 60.0));
   for (const double step : {1.0, 0.25, 0.7}) {
-    SCOPED_TRACE(step);
-    const auto days = trace.sample_days(step);
-    fault::FaultMaskCursor cursor(trace, step);
-    for (const double day : days) {
-      const auto& deltas = cursor.advance_to_words(day);
-      int prev_word = -1;
-      for (const auto& d : deltas) {
-        EXPECT_GT(d.word, prev_word) << "day " << day;
-        EXPECT_NE(d.xor_bits, 0u) << "day " << day;
-        prev_word = d.word;
+    for (const auto& [label, trace] : traces) {
+      SCOPED_TRACE(label + " step " + std::to_string(step));
+      const fault::WordDeltaTimeline& words =
+          *trace.word_delta_timeline(step);
+      expect_well_formed(words);
+      const auto days = trace.sample_days(step);
+      // Every group is stamped with a sample day.
+      for (const double day : words.days)
+        EXPECT_TRUE(std::binary_search(days.begin(), days.end(), day))
+            << "group day " << day;
+      // Walk the grid applying at most one group per sample, as the replay
+      // does.
+      fault::PackedMask mask(trace.node_count());
+      std::size_t g = 0;
+      for (const double day : days) {
+        if (g < words.days.size() && words.days[g] == day) {
+          for (int i = words.offsets[g]; i < words.offsets[g + 1]; ++i)
+            mask.apply_xor(words.deltas[static_cast<std::size_t>(i)].word,
+                           words.deltas[static_cast<std::size_t>(i)].xor_bits);
+          ++g;
+        }
+        EXPECT_EQ(mask, trace.faulty_at(day)) << "day " << day;
       }
-      EXPECT_EQ(cursor.mask(), trace.faulty_at(day)) << "day " << day;
+      EXPECT_EQ(g, words.days.size());
     }
-    // Window start: jump a fresh grid cursor straight to the middle.
-    const double mid = days[days.size() / 2];
-    fault::FaultMaskCursor jumped(trace, step);
-    jumped.advance_to_words(mid);
-    EXPECT_EQ(jumped.mask(), trace.faulty_at(mid));
-    // Beyond the last grid day the exact-day tail groups still apply.
-    jumped.advance_to_words(std::numeric_limits<double>::max());
-    EXPECT_EQ(jumped.mask().popcount(), 0);
   }
 }
 
@@ -184,7 +220,7 @@ TEST(FaultMaskCursor, GridAlignedCursorMatchesFaultyAt) {
 
 /// The reference grid timeline: the exact word_delta_timeline() groups with
 /// days in (grid[k-1], grid[k]] XORed into one group per sample day, zero
-/// words and empty days dropped; groups past the grid keep their own days.
+/// words and empty days dropped, groups past the last sample left out.
 fault::WordDeltaTimeline fold_exact_onto_grid(const fault::FaultTrace& trace,
                                               double step) {
   const fault::WordDeltaTimeline& exact = *trace.word_delta_timeline();
@@ -206,11 +242,6 @@ fault::WordDeltaTimeline fold_exact_onto_grid(const fault::FaultTrace& trace,
     for (const auto& [word, bits] : words)
       if (bits != 0) out.deltas.push_back({word, bits});
     close_group(day);
-  }
-  for (; g < exact.days.size(); ++g) {
-    for (int i = exact.offsets[g]; i < exact.offsets[g + 1]; ++i)
-      out.deltas.push_back(exact.deltas[static_cast<std::size_t>(i)]);
-    close_group(exact.days[g]);
   }
   return out;
 }
@@ -285,37 +316,6 @@ TEST(WordDeltaTimeline, ConcurrentCallersShareOneGridBuild) {
   obs::set_enabled(false);
   for (const auto& timeline : got) EXPECT_EQ(timeline.get(), got[0].get());
   EXPECT_EQ(builds.value() - before, 1u);
-}
-
-// The documented forward-only contract (transitions.h): a cursor cannot
-// rewind, and the violation must trip the IHBD_EXPECTS guard rather than
-// silently corrupt the mask.
-using FaultMaskCursorDeathTest = ::testing::Test;
-
-TEST(FaultMaskCursorDeathTest, RejectsNonMonotonicAdvance) {
-  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-  const auto trace = gen_trace(32, 20.0, 23);
-  fault::FaultMaskCursor cursor(trace);
-  cursor.advance_to_words(10.0);
-  EXPECT_DEATH(cursor.advance_to_words(9.5), "day >= day_");
-  EXPECT_DEATH(cursor.advance_to_words(0.0), "day >= day_");
-  // NaN never satisfies day >= day_, so it is rejected too.
-  EXPECT_DEATH(
-      cursor.advance_to_words(std::numeric_limits<double>::quiet_NaN()),
-      "day >= day_");
-  // Equal day remains a legal no-op.
-  EXPECT_TRUE(cursor.advance_to_words(10.0).empty());
-}
-
-TEST(FaultMaskCursor, SliceBoundariesMatchTheFullTrace) {
-  const auto trace = gen_trace(64, 40.0, 3);
-  const double lo = 12.0, hi = 23.0;
-  const auto sliced = trace.slice(lo, hi);
-  fault::FaultMaskCursor cursor(sliced);
-  for (double day = lo; day <= hi; day += 0.5) {
-    cursor.advance_to_words(day);
-    EXPECT_EQ(cursor.mask(), trace.faulty_at(day)) << "day " << day;
-  }
 }
 
 // --- KHopRing incremental allocator vs allocate() -------------------------
@@ -426,10 +426,8 @@ TEST(KHopRingIncremental, RandomFlipSequencesMatchAllocate) {
   }
   obs::set_enabled(false);
   // Every flip case (interior, cut move, split, merge) was hit.
-  if (IHBD_OBS) {
-    for (int c = 0; c < 4; ++c)
-      EXPECT_GT(obs::counter(kCases[c]).value(), case_before[c]) << kCases[c];
-  }
+  for (int c = 0; c < 4; ++c)
+    EXPECT_GT(obs::counter(kCases[c]).value(), case_before[c]) << kCases[c];
 }
 
 TEST(KHopRingIncremental, ExtremeMasksMatchAllocate) {
@@ -453,62 +451,58 @@ TEST(KHopRingIncremental, ExtremeMasksMatchAllocate) {
   }
 }
 
-// --- per-island baseline allocators vs allocate() -------------------------
+// --- island allocator vs allocate() ---------------------------------------
 
-/// The island-decomposable baselines on a 144 x 4 cluster (the smallest
-/// every §6.1 baseline accepts, incl. NVL-576), with direct constructors
-/// for the concrete allocator classes so the test exercises each
-/// implementation rather than whatever the dispatch picks.
+/// One baseline replay case: an architecture, the allocator
+/// make_incremental_allocator hands it, and the TP size both run at.
 struct BaselineCase {
   std::unique_ptr<HbdArchitecture> arch;
   std::unique_ptr<IncrementalAllocator> allocator;
   int tp = 0;
 };
 
-std::vector<BaselineCase> baseline_cases(int nodes, int gpus, int tp) {
+/// The island-decomposed baselines on a 144 x 4 cluster (the smallest every
+/// §6.1 baseline accepts, incl. NVL-576) at TP `tp`, plus fixed-TP cases
+/// for the island rules' edges whatever `tp` is:
+///   * SiP-Ring on 141 nodes, which no group of m >= 2 nodes tiles, so the
+///     last ring is a short remainder island;
+///   * NVL-36 at TP 128 (larger than an island) and at TP 640, SiP-Ring at
+///     TP 640 (larger than the whole cluster);
+///   * TPUv4 at TP 128, the pooled rule.
+std::vector<BaselineCase> baseline_cases(int tp) {
+  const int n = 144, g = 4;
   std::vector<BaselineCase> cases;
-  const auto add = [&](std::unique_ptr<HbdArchitecture> arch,
-                       std::unique_ptr<IncrementalAllocator> alloc) {
-    cases.push_back({std::move(arch), std::move(alloc), tp});
+  const auto add = [&](std::unique_ptr<HbdArchitecture> arch, int case_tp) {
+    auto allocator = make_incremental_allocator(*arch, case_tp);
+    cases.push_back({std::move(arch), std::move(allocator), case_tp});
   };
-  {
-    auto bs = std::make_unique<BigSwitch>(nodes, gpus);
-    auto alloc = std::make_unique<IslandModuloAllocator>(
-        *bs, bs->island_partition(), tp);
-    add(std::move(bs), std::move(alloc));
-  }
-  for (const int hbd : {36, 72, 576}) {
-    auto nvl = std::make_unique<NvlSwitch>(nodes, gpus, hbd);
-    auto alloc = std::make_unique<IslandModuloAllocator>(
-        *nvl, nvl->island_partition(), tp);
-    add(std::move(nvl), std::move(alloc));
-  }
-  {
-    auto tpu = std::make_unique<TpuV4>(nodes, gpus);
-    auto alloc =
-        tp > tpu->cube_gpus()
-            ? std::unique_ptr<IncrementalAllocator>(
-                  std::make_unique<TpuCubePoolAllocator>(*tpu, tp))
-            : std::make_unique<IslandModuloAllocator>(
-                  *tpu, tpu->island_partition(), tp);
-    add(std::move(tpu), std::move(alloc));
-  }
-  {
-    auto sip = std::make_unique<SipRing>(nodes, gpus);
-    auto alloc = std::make_unique<SipRingIncrementalAllocator>(*sip, tp);
-    add(std::move(sip), std::move(alloc));
-  }
+  add(std::make_unique<BigSwitch>(n, g), tp);
+  for (const int hbd : {36, 72, 576})
+    add(std::make_unique<NvlSwitch>(n, g, hbd), tp);
+  add(std::make_unique<TpuV4>(n, g), tp);
+  add(std::make_unique<SipRing>(n, g), tp);
+  add(std::make_unique<SipRing>(141, g), tp);
+  add(std::make_unique<NvlSwitch>(n, g, 36), 128);
+  add(std::make_unique<NvlSwitch>(n, g, 36), 640);
+  add(std::make_unique<SipRing>(n, g), 640);
+  add(std::make_unique<TpuV4>(n, g), 128);
   return cases;
+}
+
+/// "<arch> n=<nodes> tp=<tp>" for failure messages.
+std::string label(const BaselineCase& c) {
+  return c.arch->name() + " n=" + std::to_string(c.arch->node_count()) +
+         " tp=" + std::to_string(c.tp);
 }
 
 TEST(BaselineIncremental, RandomFlipSequencesMatchAllocate) {
   Rng rng(4321);
-  const int n = 144, g = 4;
   // TP sweep covers every regime: in-island fragmentation (8, 64),
   // TPUv4's pooled clean-cube regime and NVL-36/72 whole-island waste
   // (128), and m larger than the whole cluster (640).
   for (const int tp : {8, 64, 128, 640}) {
-    for (auto& c : baseline_cases(n, g, tp)) {
+    for (auto& c : baseline_cases(tp)) {
+      const int n = c.arch->node_count();
       fault::PackedMask mask = random_mask(n, 0.15, rng);
       c.allocator->apply_words(mask, {});
       for (int step = 0; step < 400; ++step) {
@@ -516,39 +510,36 @@ TEST(BaselineIncremental, RandomFlipSequencesMatchAllocate) {
         // tolerate spurious (net-zero) entries.
         const auto deltas = flip_nodes(mask, random_flip_batch(n, rng));
         const auto& got = c.allocator->apply_words(mask, deltas);
-        const auto want = c.arch->allocate(mask, tp);
+        const auto want = c.arch->allocate(mask, c.tp);
         expect_same_aggregates(got, want,
-                               c.arch->name() + " tp=" + std::to_string(tp) +
-                                   " step " + std::to_string(step));
+                               label(c) + " step " + std::to_string(step));
       }
     }
   }
 }
 
 TEST(BaselineIncremental, DegenerateMasksMatchAllocate) {
-  const int n = 144, g = 4;
   for (const int tp : {32, 128}) {
-    for (auto& c : baseline_cases(n, g, tp)) {
+    for (auto& c : baseline_cases(tp)) {
+      const int n = c.arch->node_count();
       fault::PackedMask mask(n);
       // All healthy, then take one island (the first 18 nodes — one NVL-72
       // island, more than one TPUv4 cube span) fully down node by node,
       // then the whole cluster down, then everything back up.
       expect_same_aggregates(c.allocator->apply_words(mask, {}),
-                             c.arch->allocate(mask, tp),
-                             c.arch->name() + " all-healthy");
+                             c.arch->allocate(mask, c.tp),
+                             label(c) + " all-healthy");
       for (int x = 0; x < n; ++x) {
         const auto deltas = flip_nodes(mask, {x});
-        expect_same_aggregates(
-            c.allocator->apply_words(mask, deltas), c.arch->allocate(mask, tp),
-            c.arch->name() + " tp=" + std::to_string(tp) + " down x=" +
-                std::to_string(x));
+        expect_same_aggregates(c.allocator->apply_words(mask, deltas),
+                               c.arch->allocate(mask, c.tp),
+                               label(c) + " down x=" + std::to_string(x));
       }
       for (int x = n - 1; x >= 0; --x) {
         const auto deltas = flip_nodes(mask, {x});
-        expect_same_aggregates(
-            c.allocator->apply_words(mask, deltas), c.arch->allocate(mask, tp),
-            c.arch->name() + " tp=" + std::to_string(tp) + " up x=" +
-                std::to_string(x));
+        expect_same_aggregates(c.allocator->apply_words(mask, deltas),
+                               c.arch->allocate(mask, c.tp),
+                               label(c) + " up x=" + std::to_string(x));
       }
     }
   }
@@ -556,21 +547,25 @@ TEST(BaselineIncremental, DegenerateMasksMatchAllocate) {
 
 TEST(BaselineIncremental, InitializesFromDegenerateFirstMask) {
   // First apply_words() seeds wholesale from the mask: start from
-  // all-faulty and from one-island-down instead of from all-healthy.
-  const int n = 144, g = 4, tp = 32;
-  for (const bool all_faulty : {true, false}) {
-    for (auto& c : baseline_cases(n, g, tp)) {
+  // all-faulty, from one NVL-36 island (9 nodes) fully down, and from one
+  // fault every 9 nodes (every island of every baseline faulted, incl.
+  // every TPUv4 cube) instead of from all-healthy.
+  const char* const kMasks[] = {"all-faulty", "island-down", "every-9th"};
+  for (int kind = 0; kind < 3; ++kind) {
+    for (auto& c : baseline_cases(32)) {
+      const int n = c.arch->node_count();
       fault::PackedMask mask(n);
-      // All faulty, or exactly one NVL-36 island (9 nodes) fully down.
-      for (int x = 0; x < (all_faulty ? n : 9); ++x) mask.set(x, true);
-      expect_same_aggregates(
-          c.allocator->apply_words(mask, {}), c.arch->allocate(mask, tp),
-          c.arch->name() + (all_faulty ? " all-faulty" : " island-down"));
+      for (int x = 0; x < n; ++x)
+        mask.set(x, kind == 0 || (kind == 1 && x < 9) ||
+                        (kind == 2 && x % 9 == 0));
+      expect_same_aggregates(c.allocator->apply_words(mask, {}),
+                             c.arch->allocate(mask, c.tp),
+                             label(c) + " " + kMasks[kind]);
       // One repair out of the degenerate state.
       const auto deltas = flip_nodes(mask, {0});
       expect_same_aggregates(c.allocator->apply_words(mask, deltas),
-                             c.arch->allocate(mask, tp),
-                             c.arch->name() + " first repair");
+                             c.arch->allocate(mask, c.tp),
+                             label(c) + " " + kMasks[kind] + " first repair");
     }
   }
 }
@@ -649,19 +644,19 @@ std::vector<fault::WordDelta> random_word_batch(fault::PackedMask& mask,
 }
 
 TEST(ApplyWords, RandomWordBatchesMatchAllocate) {
-  // Every allocator the dispatch hands out (KHop arc lengths, the
-  // per-island baselines, TPUv4's pooled regime): word deltas in,
+  // Every allocator the dispatch hands out (KHop arc lengths, the island
+  // allocator's modulo and pooled rules): word deltas in,
   // aggregates bit-identical to a from-scratch allocate().
   Rng rng(9999);
-  const int n = 144, g = 4;
   std::vector<BaselineCase> cases;
   for (const int tp : {8, 64, 128}) {
-    for (auto& c : baseline_cases(n, g, tp)) cases.push_back(std::move(c));
-    auto ring = std::make_unique<KHopRing>(n, g, 2);
+    for (auto& c : baseline_cases(tp)) cases.push_back(std::move(c));
+    auto ring = std::make_unique<KHopRing>(144, 4, 2);
     auto ring_alloc = std::make_unique<KHopRingIncrementalAllocator>(*ring, tp);
     cases.push_back({std::move(ring), std::move(ring_alloc), tp});
   }
   for (auto& c : cases) {
+    const int n = c.arch->node_count();
     fault::PackedMask mask(n);
     for (int i = 0; i < n; ++i) mask.set(i, rng.bernoulli(0.15));
     c.allocator->apply_words(mask, {});
@@ -671,8 +666,7 @@ TEST(ApplyWords, RandomWordBatchesMatchAllocate) {
       const auto& got = c.allocator->apply_words(mask, deltas);
       const auto want = c.arch->allocate(mask, c.tp);
       expect_same_aggregates(got, want,
-                             c.arch->name() + " tp=" + std::to_string(c.tp) +
-                                 " step " + std::to_string(step));
+                             label(c) + " step " + std::to_string(step));
     }
   }
 }
@@ -680,9 +674,8 @@ TEST(ApplyWords, RandomWordBatchesMatchAllocate) {
 TEST(ApplyWords, ToleratesSpuriousDeltas) {
   // A delta whose word already matches the mask (net-zero change) must be
   // ignored.
-  const int n = 144, g = 4, tp = 32;
-  for (auto& c : baseline_cases(n, g, tp)) {
-    fault::PackedMask mask(n);
+  for (auto& c : baseline_cases(32)) {
+    fault::PackedMask mask(c.arch->node_count());
     for (int x = 0; x < 9; ++x) mask.set(x, true);
     c.allocator->apply_words(mask, {});
     // Claim every word changed; none did.
@@ -690,42 +683,33 @@ TEST(ApplyWords, ToleratesSpuriousDeltas) {
     for (int w = 0; w < mask.word_count(); ++w)
       spurious.push_back({w, mask.valid_mask(w)});
     expect_same_aggregates(c.allocator->apply_words(mask, spurious),
-                           c.arch->allocate(mask, tp),
-                           c.arch->name() + " spurious");
+                           c.arch->allocate(mask, c.tp),
+                           label(c) + " spurious");
     // And a real change still lands after the spurious round.
-    mask.set(100, true);
-    expect_same_aggregates(
-        c.allocator->apply_words(
-            mask, {{100 / fault::PackedMask::kWordBits,
-                    std::uint64_t{1} << (100 % fault::PackedMask::kWordBits)}}),
-        c.arch->allocate(mask, tp), c.arch->name() + " post-spurious");
+    const auto deltas = flip_nodes(mask, {100});
+    expect_same_aggregates(c.allocator->apply_words(mask, deltas),
+                           c.arch->allocate(mask, c.tp),
+                           label(c) + " post-spurious");
   }
 }
 
 TEST(ApplyWords, DegenerateMasksMatchAllocate) {
-  const int n = 144, g = 4;
   for (const int tp : {32, 128}) {
-    for (auto& c : baseline_cases(n, g, tp)) {
-      fault::PackedMask mask(n);
+    for (auto& c : baseline_cases(tp)) {
+      fault::PackedMask mask(c.arch->node_count());
       c.allocator->apply_words(mask, {});
       // Whole words down at once (the worst-case delta density), then the
       // whole cluster, then everything back up word by word.
-      for (int w = 0; w < mask.word_count(); ++w) {
-        const std::uint64_t bits = mask.valid_mask(w);
-        mask.apply_xor(w, bits);
-        expect_same_aggregates(c.allocator->apply_words(mask, {{w, bits}}),
-                               c.arch->allocate(mask, tp),
-                               c.arch->name() + " word-down " +
-                                   std::to_string(w));
-      }
-      for (int w = mask.word_count() - 1; w >= 0; --w) {
-        const std::uint64_t bits = mask.valid_mask(w);
-        mask.apply_xor(w, bits);
-        expect_same_aggregates(c.allocator->apply_words(mask, {{w, bits}}),
-                               c.arch->allocate(mask, tp),
-                               c.arch->name() + " word-up " +
-                                   std::to_string(w));
-      }
+      const auto flip_word = [&](int w, const std::string& what) {
+        const fault::WordDelta d{w, mask.valid_mask(w)};
+        mask.apply_xor(d.word, d.xor_bits);
+        expect_same_aggregates(c.allocator->apply_words(mask, {&d, 1}),
+                               c.arch->allocate(mask, c.tp),
+                               label(c) + what + std::to_string(w));
+      };
+      for (int w = 0; w < mask.word_count(); ++w) flip_word(w, " word-down ");
+      for (int w = mask.word_count() - 1; w >= 0; --w)
+        flip_word(w, " word-up ");
     }
   }
 }

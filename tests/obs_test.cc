@@ -39,8 +39,6 @@ class ObsTest : public ::testing::Test {
   void TearDown() override { SetUp(); }
 };
 
-#if IHBD_OBS
-
 TEST_F(ObsTest, CounterConcurrentHammerMatchesSerialOracle) {
   set_enabled(true);
   Counter& c = counter("test.hammer.counter");
@@ -320,8 +318,6 @@ TEST_F(ObsTest, BenchOutputByteIdenticalWithObsOnVsOff) {
   EXPECT_GT(snap.counters.at("replay.samples"), 0u);
   EXPECT_NE(trace_json().find("replay_trace"), std::string::npos);
 }
-
-#endif  // IHBD_OBS
 
 }  // namespace
 }  // namespace ihbd::obs
