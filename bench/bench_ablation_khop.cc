@@ -94,9 +94,8 @@ int main(int argc, char** argv) {
         runtime::Axis::of_values("Fault ratio", {0.0, 0.02, 0.05, 0.10},
                                  [](double f) { return Table::pct(f, 0); }),
     };
-    Paired init;
-    init.ring_waste.set_keep_samples(false);
-    init.line_waste.set_keep_samples(false);
+    const Paired init{runtime::Accumulator(false),
+                      runtime::Accumulator(false)};
     const auto result = runtime::run_sweep_reduce(
         spec, init,
         [&](const runtime::Scenario& s, Rng& rng) {

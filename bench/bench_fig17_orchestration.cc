@@ -40,12 +40,8 @@ struct Rates {
 
 /// Per-cell fold of Rates (moments only; the figure reports means).
 struct RateAcc {
-  runtime::Accumulator optimized;
-  runtime::Accumulator baseline;
-  RateAcc() {
-    optimized.set_keep_samples(false);
-    baseline.set_keep_samples(false);
-  }
+  runtime::Accumulator optimized{false};
+  runtime::Accumulator baseline{false};
 };
 
 const runtime::shard::ShardCodec<RateAcc>& rate_codec() {

@@ -57,7 +57,6 @@ struct Options {
   double shard_lease_s = 15.0;    ///< --shard-lease-s (stale threshold)
   double shard_poll_s = 0.2;      ///< --shard-poll-s (wait poll interval)
   double shard_timeout_s = 0.0;   ///< --shard-timeout-s (0 = wait forever)
-  int shard_checkpoint_every = 1; ///< --shard-checkpoint-every (cells)
 };
 
 namespace detail {
@@ -87,7 +86,6 @@ inline std::string usage(const char* prog) {
       "  --shard-lease-s S   reclaim leases idle longer than S (15)\n"
       "  --shard-poll-s S    poll interval while waiting on results (0.2)\n"
       "  --shard-timeout-s S give up waiting after S seconds (0 = never)\n"
-      "  --shard-checkpoint-every N  checkpoint per N completed cells (1)\n"
       "  --help              print this help and exit\n";
 }
 
@@ -207,11 +205,6 @@ inline Options parse_args(int argc, char** argv) {
         detail::usage_error(prog, "--shard-timeout-s expects seconds");
       opt.shard_timeout_s =
           detail::seconds_flag(prog, arg, argv[i], /*allow_zero=*/true);
-    } else if (arg == "--shard-checkpoint-every") {
-      if (++i >= argc)
-        detail::usage_error(prog, "--shard-checkpoint-every expects a value");
-      opt.shard_checkpoint_every =
-          detail::int_flag(prog, arg, argv[i]);
     } else if (arg == "--help" || arg == "-h") {
       detail::print_help(prog);
     } else {
@@ -229,7 +222,6 @@ inline Options parse_args(int argc, char** argv) {
     fso.poll_interval_s = opt.shard_poll_s;
     fso.wait_timeout_s = opt.shard_timeout_s;
     fso.max_shards = static_cast<std::size_t>(opt.shard_count);
-    fso.checkpoint_every = static_cast<std::size_t>(opt.shard_checkpoint_every);
     auto& holder = detail::shard_context_holder();
     holder = std::make_unique<sweepd::FileShardContext>(std::move(fso));
     runtime::shard::set_context(holder.get());

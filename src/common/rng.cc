@@ -101,46 +101,4 @@ std::uint64_t Rng::poisson(double lambda) {
 
 Rng Rng::fork() { return Rng(next() ^ 0xD1B54A32D192ED03ull); }
 
-namespace {
-
-// Shared jump kernel: advances the state by the subsequence the given
-// polynomial encodes (Blackman & Vigna's reference implementation).
-void apply_jump(Rng& rng, std::uint64_t (&s)[4],
-                const std::uint64_t (&poly)[4]) {
-  std::uint64_t t[4] = {0, 0, 0, 0};
-  for (const std::uint64_t word : poly) {
-    for (int b = 0; b < 64; ++b) {
-      if (word & (1ull << b)) {
-        t[0] ^= s[0];
-        t[1] ^= s[1];
-        t[2] ^= s[2];
-        t[3] ^= s[3];
-      }
-      rng.next();  // advances s in lockstep
-    }
-  }
-  s[0] = t[0];
-  s[1] = t[1];
-  s[2] = t[2];
-  s[3] = t[3];
-}
-
-}  // namespace
-
-void Rng::jump() {
-  static constexpr std::uint64_t kJump[4] = {
-      0x180EC6D33CFD0ABAull, 0xD5A61266F0C9392Cull, 0xA9582618E03FC9AAull,
-      0x39ABDC4529B1661Cull};
-  apply_jump(*this, s_, kJump);
-  have_spare_normal_ = false;  // the cached Box-Muller spare is stream state
-}
-
-void Rng::long_jump() {
-  static constexpr std::uint64_t kLongJump[4] = {
-      0x76E15D3EFEFDCBBFull, 0xC5004E441C522FB3ull, 0x77710069854EE241ull,
-      0x39109BB02ACBE635ull};
-  apply_jump(*this, s_, kLongJump);
-  have_spare_normal_ = false;
-}
-
 }  // namespace ihbd

@@ -80,14 +80,6 @@ class Rng {
   /// Derive an independent child generator (for parallel sub-experiments).
   Rng fork();
 
-  /// Advance this generator by 2^128 steps (the canonical xoshiro256**
-  /// jump polynomial). 2^128 non-overlapping subsequences of length 2^128
-  /// each: the basis for deterministic parallel substreams.
-  void jump();
-  /// Advance by 2^192 steps; yields 2^64 subsequences of length 2^192,
-  /// each of which can itself be split with jump().
-  void long_jump();
-
   /// The 256-bit internal state (for bit-stability tests / checkpointing).
   std::array<std::uint64_t, 4> state() const {
     return {s_[0], s_[1], s_[2], s_[3]};

@@ -8,7 +8,7 @@
 //   * job arrivals/departures - a pre-generated deterministic workload
 //     (src/ctrl/workload.h); completions are cancellable one-shot events
 //     (preemption cancels them via evsim::Engine::cancel);
-//   * fault/repair transitions - FaultTrace::transitions(), walked by a
+//   * fault/repair transitions - FaultTrace::transition_timeline(), walked by a
 //     cursor event chain; each transition patches the incremental
 //     placement (src/orch/incremental.h) and fails/repairs the node's
 //     OCS bundles;

@@ -236,25 +236,20 @@ FaultTrace FaultTrace::slice(double start_day, double end_day) const {
   return FaultTrace(node_count_, sliced_duration, std::move(overlapping));
 }
 
-std::vector<FaultTransition> FaultTrace::transitions() const {
-  std::vector<FaultTransition> edges;
-  edges.reserve(events_.size() * 2);
-  for (const auto& e : events_) {
-    edges.push_back({e.start_day, e.node, /*down=*/true});
-    edges.push_back({e.end_day, e.node, /*down=*/false});
-  }
-  // Deterministic total order. Ties within one day may be applied in any
-  // order (active-interval counts are order-independent); the sort only
-  // keeps repeated runs bit-stable.
-  std::sort(edges.begin(), edges.end(), transition_less);
-  return edges;
-}
-
 std::shared_ptr<const std::vector<FaultTransition>>
 FaultTrace::transition_timeline() const {
   std::call_once(timeline_cache_->once, [&] {
-    timeline_cache_->edges =
-        std::make_shared<const std::vector<FaultTransition>>(transitions());
+    auto edges = std::make_shared<std::vector<FaultTransition>>();
+    edges->reserve(events_.size() * 2);
+    for (const auto& e : events_) {
+      edges->push_back({e.start_day, e.node, /*down=*/true});
+      edges->push_back({e.end_day, e.node, /*down=*/false});
+    }
+    // Deterministic total order. Ties within one day may be applied in any
+    // order (active-interval counts are order-independent); the sort only
+    // keeps repeated runs bit-stable.
+    std::sort(edges->begin(), edges->end(), transition_less);
+    timeline_cache_->edges = std::move(edges);
   });
   return timeline_cache_->edges;
 }

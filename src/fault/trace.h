@@ -104,12 +104,9 @@ class FaultTrace {
   /// Events may overlap on one node; consumers must count active intervals
   /// per node (as word_delta_timeline() does) — a node is faulty while its
   /// active count is positive, which reproduces faulty_at() bit-for-bit.
-  std::vector<FaultTransition> transitions() const;
-
-  /// Shared, lazily built view of transitions(): computed once per trace on
-  /// first use (thread-safe; copies of the trace share the cache) so
-  /// repeated replays — every cell of a TP x architecture grid — skip the
-  /// timeline sort.
+  /// Built lazily once per trace on first use (thread-safe; copies of the
+  /// trace share the cache) so repeated replays — every cell of a TP x
+  /// architecture grid — skip the timeline sort.
   std::shared_ptr<const std::vector<FaultTransition>> transition_timeline()
       const;
 

@@ -17,52 +17,6 @@ void Accumulator::add(double x) {
   if (keep_samples_) samples_.push_back(x);
 }
 
-void Accumulator::merge(const Accumulator& other) {
-  if (other.count_ == 0) return;
-  // Samples survive a merge only when both sides retained a complete set;
-  // otherwise the result degrades to moments-only rather than silently
-  // reporting percentiles over a partial sample.
-  const bool keep = keep_samples_ && samples_.size() == count_ &&
-                    other.samples_.size() == other.count_;
-  if (count_ == 0) {
-    const bool my_keep = keep_samples_;
-    *this = other;
-    keep_samples_ = my_keep;
-  } else {
-    // Chan et al. pairwise moment combination.
-    const double na = static_cast<double>(count_);
-    const double nb = static_cast<double>(other.count_);
-    const double delta = other.mean_ - mean_;
-    mean_ += delta * nb / (na + nb);
-    m2_ += other.m2_ + delta * delta * na * nb / (na + nb);
-    count_ += other.count_;
-    if (other.min_ < min_) min_ = other.min_;
-    if (other.max_ > max_) max_ = other.max_;
-    if (keep)
-      samples_.insert(samples_.end(), other.samples_.begin(),
-                      other.samples_.end());
-  }
-  if (!keep) {
-    samples_.clear();
-    keep_samples_ = false;
-  }
-}
-
-bool Accumulator::set_keep_samples(bool keep) {
-  if (!keep) {
-    // Keep the complete-or-empty invariant: a sample array frozen short of
-    // count_ would feed summary() percentiles over a partial subset.
-    samples_.clear();
-    samples_.shrink_to_fit();
-    keep_samples_ = false;
-  } else if (samples_.size() == count_) {
-    keep_samples_ = true;
-  }
-  // else: values were already dropped; the set can never be complete again,
-  // so retention stays off.
-  return keep_samples_;
-}
-
 void Accumulator::save(serde::Writer& w) const {
   w.u64(count_);
   w.f64(mean_);
@@ -82,10 +36,11 @@ Accumulator Accumulator::load(serde::Reader& r) {
   acc.max_ = r.f64();
   acc.keep_samples_ = r.u8() != 0;
   acc.samples_ = r.f64_vec();
-  if (!acc.samples_.empty() && acc.samples_.size() != acc.count_) {
+  if (acc.keep_samples_ ? acc.samples_.size() != acc.count_
+                        : !acc.samples_.empty()) {
     throw ConfigError(
-        "Accumulator::load: retained samples are neither complete nor "
-        "empty");
+        "Accumulator::load: retained samples disagree with the retention "
+        "flag");
   }
   return acc;
 }
@@ -97,11 +52,8 @@ double Accumulator::variance() const {
 double Accumulator::stddev() const { return std::sqrt(variance()); }
 
 Summary Accumulator::summary() const {
-  // The complete-or-empty invariant makes the size check redundant, but it
-  // is cheap and keeps a partial set (should one ever slip in) from
-  // masquerading as the full sample.
-  if (!samples_.empty() && samples_.size() == count_)
-    return summarize(samples_);
+  // Complete-or-empty: any retained samples are every value added.
+  if (!samples_.empty()) return summarize(samples_);
   Summary s;
   s.count = count_;
   s.mean = mean();

@@ -1,9 +1,7 @@
-// Mergeable running statistics, the reduction primitive shared by the sweep
-// engine (src/runtime/sweep.h) and the trace replay (src/topo/waste.h):
+// Running statistics, the reduction primitive shared by the sweep engine
+// (src/runtime/sweep.h) and the trace replay (src/topo/waste.h):
 // count/mean/M2 (Welford) plus min/max, optionally retaining the raw
-// samples so Summary percentiles are available. merge()
-// is associative up to floating-point rounding in the moments and exact in
-// count/min/max/samples, enabling tree reductions over partial results.
+// samples so Summary percentiles are available.
 #pragma once
 
 #include <cstddef>
@@ -19,21 +17,18 @@ class Reader;
 
 namespace ihbd::runtime {
 
-// Sample-retention semantics: `samples_` is always either empty or a
-// complete record of every add (the complete-or-empty invariant), so
-// summary() percentiles are never computed over a partial subset while
-// count() says otherwise. merge() keeps samples only when BOTH sides hold a
-// complete set and this side retains; any mismatch (e.g. a keep_samples
-// accumulator merged with a moments-only one) drops retention entirely
-// rather than concatenating a partial sample array. set_keep_samples
-// preserves the invariant at the only place it could break: disabling
-// retention discards the samples already held, and re-enabling it on an
-// accumulator that has dropped values is refused (the set can never be
-// completed retroactively).
+// Sample retention is fixed at construction, so `samples_` is always either
+// empty or a complete record of every add (the complete-or-empty
+// invariant): summary() percentiles are never computed over a partial
+// subset while count() says otherwise.
 class Accumulator {
  public:
+  /// Retains samples. Non-explicit so aggregates holding an Accumulator
+  /// value-initialize with `{}`.
+  Accumulator() = default;
+  explicit Accumulator(bool keep_samples) : keep_samples_(keep_samples) {}
+
   void add(double x);
-  void merge(const Accumulator& other);
 
   std::size_t count() const { return count_; }
   bool empty() const { return count_ == 0; }
@@ -49,15 +44,11 @@ class Accumulator {
   /// percentile fields are left at the mean (documented approximation).
   Summary summary() const;
 
-  /// Enable/disable sample retention (see the class comment): disabling
-  /// discards retained samples; enabling after values were dropped is a
-  /// no-op (retention stays off). Returns the retention state in effect.
-  bool set_keep_samples(bool keep);
-
   /// Binary codec (serde): bit-exact round trip of the full state —
   /// moments, min/max, retention flag and retained samples — so a shard
   /// checkpoint restores an Accumulator indistinguishable from the one
-  /// that was saved. load() re-validates the complete-or-empty invariant.
+  /// that was saved. load() re-validates the complete-or-empty invariant
+  /// against the retention flag.
   void save(serde::Writer& w) const;
   static Accumulator load(serde::Reader& r);
 

@@ -4,10 +4,6 @@
 
 namespace ihbd::runtime {
 
-double reduce_mean(const Accumulator& acc) { return acc.mean(); }
-double reduce_p99(const Accumulator& acc) { return acc.summary().p99; }
-double reduce_max(const Accumulator& acc) { return acc.max(); }
-
 Table to_table(const SweepResult& result, const ReportSpec& report) {
   const auto& axes = result.spec.axes;
   IHBD_EXPECTS(report.row_axis < axes.size());
@@ -24,8 +20,6 @@ Table to_table(const SweepResult& result, const ReportSpec& report) {
   }
   for (bool p : pinned) IHBD_EXPECTS(p);
 
-  const auto reduce =
-      report.reduce ? report.reduce : std::function(reduce_mean);
   const auto format = report.format
                           ? report.format
                           : std::function([](double v) { return Table::fmt(v); });
@@ -46,8 +40,7 @@ Table to_table(const SweepResult& result, const ReportSpec& report) {
   }
 
   Table table(report.title);
-  std::vector<std::string> header{report.corner.empty() ? rows.name
-                                                        : report.corner};
+  std::vector<std::string> header{rows.name};
   for (std::size_t c : live_cols) header.push_back(cols.labels[c]);
   table.set_header(header);
 
@@ -57,7 +50,7 @@ Table to_table(const SweepResult& result, const ReportSpec& report) {
       idx[report.row_axis] = r;
       idx[report.col_axis] = c;
       const Accumulator& acc = result.cell(idx);
-      row.push_back(acc.empty() ? "-" : format(reduce(acc)));
+      row.push_back(acc.empty() ? "-" : format(acc.mean()));
     }
     table.add_row(row);
   }

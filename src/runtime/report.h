@@ -1,7 +1,8 @@
 // Report layer: project a SweepResult onto the repo's existing Table/CSV
 // output path. A report picks one axis for rows and one for columns, fixes
-// every other axis at a chosen level, reduces each cell's Accumulator to a
-// scalar (mean by default) and formats it (Table::fmt by default).
+// every other axis at a chosen level, reduces each cell's Accumulator to its
+// mean and formats it (Table::fmt by default). The row-label column is
+// headed by the row axis name.
 //
 // Cells left empty by NaN-returning trials render as "-"; columns that are
 // empty for every row (e.g. NVL-36 at TP-64) are dropped, matching how the
@@ -25,20 +26,11 @@ struct ReportSpec {
   std::size_t col_axis = 1;
   /// Levels for every axis that is neither row nor col: (axis, level).
   std::vector<std::pair<std::size_t, std::size_t>> fixed;
-  /// Accumulator -> scalar; default mean().
-  std::function<double(const Accumulator&)> reduce;
-  /// Scalar -> cell text; default Table::fmt.
+  /// Cell mean -> cell text; default Table::fmt.
   std::function<std::string(double)> format;
-  /// Header of the row-label column; default: the row axis name.
-  std::string corner;
 };
 
 /// Render one 2-D slice of the sweep as a Table.
 Table to_table(const SweepResult& result, const ReportSpec& report);
-
-/// Convenience reducers for ReportSpec::reduce.
-double reduce_mean(const Accumulator& acc);
-double reduce_p99(const Accumulator& acc);
-double reduce_max(const Accumulator& acc);
 
 }  // namespace ihbd::runtime

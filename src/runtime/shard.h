@@ -15,17 +15,16 @@
 //             single-process engine.
 //
 // Granularity: a shard is a contiguous range of whole cells and always
-// covers every trial [0, spec.trials) of each. Trials within a cell fold in
-// trial order, and Accumulator's Chan moment merge is not bit-identical to
-// that sequential fold, so a cell is never split across shards: the reduce
-// is pure placement, with no merge step. Within a shard the trials of one
-// cell still run on several pool workers at once (sweep.h).
+// covers every trial [0, spec.trials) of each. The trials of a cell fold in
+// trial order into one accumulator, and the reduce only places decoded
+// cells, so a cell is never split across shards. Within a shard the trials
+// of one cell still run on several pool workers at once (sweep.h).
 //
 // ShardContext is the transport seam: the engine asks an installed context
-// which shards to execute, where to checkpoint and how to publish/collect
-// results, but never how bytes move. src/sweepd implements the context
-// over a shared run directory (claim/lease/heartbeat/result files); tests
-// implement it in-memory.
+// which shards to execute, where to checkpoint (after every completed cell)
+// and how to publish/collect results, but never how bytes move. src/sweepd
+// implements the context over a shared run directory
+// (claim/lease/heartbeat/result files); tests implement it in-memory.
 #pragma once
 
 #include <cstddef>
@@ -130,7 +129,8 @@ ShardPayload decode_shard_payload(std::string_view bytes);
 ///   begin_sweep(plan)
 ///   while executes():
 ///     claim() -> shard index (nullopt: nothing claimable right now)
-///     ... execute, checkpointing to checkpoint_path(shard) ...
+///     ... execute, checkpointing to checkpoint_path(shard) after every
+///         completed cell ...
 ///     publish_result(shard, payload)   |  release(shard) on failure
 ///   until try_collect() -> all payloads:  poll_wait()
 ///   end_sweep()
@@ -160,12 +160,9 @@ class ShardContext {
   /// shard reclaimed from a dead owner later is still picked up.
   virtual std::optional<std::size_t> claim() = 0;
 
-  /// Where the executor persists mid-shard checkpoints; "" disables
-  /// checkpointing for this transport.
+  /// Where the executor persists a checkpoint after every completed cell;
+  /// "" disables checkpointing for this transport.
   virtual std::string checkpoint_path(std::size_t shard) const = 0;
-
-  /// Checkpoint cadence: persist after every N completed cells.
-  virtual std::size_t checkpoint_every() const { return 1; }
 
   /// A heartbeat opportunity after each completed cell (lease renewal).
   virtual void note_progress(std::size_t shard) { (void)shard; }

@@ -34,13 +34,6 @@ std::size_t SweepSpec::cell_count() const {
   return n;
 }
 
-std::size_t SweepSpec::axis_index(std::string_view name) const {
-  for (std::size_t i = 0; i < axes.size(); ++i)
-    if (axes[i].name == name) return i;
-  IHBD_EXPECTS(!"unknown axis name");
-  return 0;
-}
-
 std::size_t flat_cell_index(const SweepSpec& spec,
                             const std::vector<std::size_t>& idx) {
   IHBD_EXPECTS(idx.size() == spec.axes.size());
@@ -84,10 +77,8 @@ std::vector<std::size_t> decode_cell(const SweepSpec& spec, std::size_t cell) {
 
 SweepResult run_sweep(const SweepSpec& spec, const TrialFn& fn, int threads,
                       ThreadPool* pool) {
-  Accumulator init;
-  init.set_keep_samples(spec.keep_samples);
   return run_sweep_reduce(
-      spec, init, fn,
+      spec, Accumulator(spec.keep_samples), fn,
       [](Accumulator& acc, double sample) {
         if (!std::isnan(sample)) acc.add(sample);
       },

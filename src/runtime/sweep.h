@@ -28,8 +28,8 @@
 //             cell's last trial folds the cell in trial order and hands it
 //             to a per-cell completion step. Locally that step stores the
 //             cell in the result grid; the durable (sharded) path
-//             serializes it through a ShardCodec and periodically persists
-//             versioned, checksummed per-cell checkpoints
+//             serializes it through a ShardCodec and, after every completed
+//             cell, persists a versioned, checksummed checkpoint
 //             (src/runtime/checkpoint.h) so a killed worker resumes
 //             mid-shard.
 //   reduce  — each shard's cells are placed back into the grid.
@@ -46,17 +46,18 @@
 //
 // The scalar path above is a thin adapter over the generic engine,
 // run_sweep_reduce: trials may return ANY result type, folded in trial
-// order into a user-supplied per-cell accumulator. That is how the
-// trace-replay benches carry a full TraceWasteResult (time series +
-// summary) per grid cell instead of one double per trial:
+// order into a user-supplied per-cell accumulator as fold(acc, result).
+// That is how the trace-replay benches carry a full TraceWasteResult (time
+// series + summary) per grid cell instead of one double per trial:
 //
-//   auto res = run_sweep_reduce<ReplayAcc>(spec, ReplayAcc{},
-//       [&](const Scenario& s, Rng& rng) { return replay(s, rng); },
-//       [](ReplayAcc& acc, ReplayFragment&& f) { acc.merge(std::move(f)); },
+//   auto res = run_sweep_reduce(spec, topo::TraceWasteResult{},
+//       [&](const Scenario& s, Rng&) { return replay(s); },
+//       [](topo::TraceWasteResult& acc, topo::TraceWasteResult&& r) {
+//         acc = std::move(r);
+//       },
 //       threads);
 #pragma once
 
-#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstddef>
@@ -102,7 +103,7 @@ struct GenericSweepResult {
   }
 };
 
-/// Scalar sweeps reduce into the mergeable moments Accumulator.
+/// Scalar sweeps fold into the running-moments Accumulator.
 using SweepResult = GenericSweepResult<Accumulator>;
 
 /// One Monte-Carlo trial: observe the scenario, draw from rng, return the
@@ -164,18 +165,6 @@ TrialResult<Trial> run_trial(const SweepSpec& spec, const Scenario& scenario,
   return result;
 }
 
-/// Fold one trial's result into its cell's accumulator, as fold(acc, r) or,
-/// if `fold` accepts it, fold(acc, r, scenario).
-template <typename Acc, typename Result, typename Fold>
-void fold_trial(Acc& acc, Result&& result, const Scenario& scenario,
-                Fold& fold) {
-  if constexpr (std::is_invocable_v<Fold&, Acc&, Result&&, const Scenario&>) {
-    fold(acc, std::forward<Result>(result), scenario);
-  } else {
-    fold(acc, std::forward<Result>(result));
-  }
-}
-
 inline void note_cell_folded() {
   if (obs::enabled()) sweep_obs().cells.add(1);
 }
@@ -207,8 +196,7 @@ void run_cells(const SweepSpec& spec, const std::vector<std::size_t>& cells,
     Acc acc = init;
     for (std::size_t k = 0; k < trials; ++k) {
       std::optional<TrialResult<Trial>>& slot = slots[i * trials + k];
-      const Scenario scenario(spec, cell, idx, static_cast<int>(k));
-      fold_trial(acc, std::move(*slot), scenario, fold);
+      fold(acc, std::move(*slot));
       slot.reset();
     }
     note_cell_folded();
@@ -218,7 +206,7 @@ void run_cells(const SweepSpec& spec, const std::vector<std::size_t>& cells,
 
 /// Execute one shard durably: resume completed cells from the newest valid
 /// checkpoint generation, run the rest through run_cells, persist a
-/// checkpoint every checkpoint_every() completed cells, and return the
+/// checkpoint after every completed cell, and return the
 /// complete encoded ShardPayload. Completed cells are held serialized
 /// (codec bytes), so a checkpoint is a pure concatenation and resume needs
 /// no re-execution. A failed checkpoint write is counted
@@ -282,18 +270,15 @@ std::string execute_shard_durable(const SweepSpec& spec,
   };
 
   std::mutex mu;
-  std::size_t since_checkpoint = 0;
   bool warned = false;
-  const std::size_t every = std::max<std::size_t>(1, ctx.checkpoint_every());
   auto complete = [&](std::size_t cell, Acc&& acc) {
     serde::Writer w;
     codec.save(w, acc);
     std::lock_guard<std::mutex> lock(mu);
     done[cell - sh.cell_begin] = w.take();
     ctx.note_progress(sh.index);
-    if (ckpt_path.empty() || ++since_checkpoint < every) return;
-    since_checkpoint = 0;
-    if (!checkpoint::write(ckpt_path, build_payload()) && !warned) {
+    if (!ckpt_path.empty() && !checkpoint::write(ckpt_path, build_payload()) &&
+        !warned) {
       warned = true;
       std::fprintf(stderr,
                    "sweep: cannot write checkpoint %s; shard %zu continues "
@@ -408,8 +393,7 @@ GenericSweepResult<Acc> run_sweep_sharded(const SweepSpec& spec, Acc init,
 /// Generic reduce engine: run every (cell, trial) on a thread pool and fold
 /// each trial's result into that cell's accumulator, strictly in trial
 /// order within a cell. `init` seeds every cell (copied). `fold` is invoked
-/// as fold(acc, result) or, if it accepts a third parameter,
-/// fold(acc, result, scenario). (cell, trial) pairs are distributed
+/// as fold(acc, result). (cell, trial) pairs are distributed
 /// dynamically — trials of one cell may run concurrently, so `trial` must
 /// only write state owned by its (cell, trial) — and because every trial
 /// draws from its own substream and folds in trial order, results are

@@ -13,7 +13,6 @@
 #include <cstdint>
 #include <functional>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "src/common/rng.h"
@@ -52,8 +51,6 @@ struct SweepSpec {
   std::uint64_t fingerprint_salt = 0;
 
   std::size_t cell_count() const;
-  /// Index of the axis with the given name; aborts if absent.
-  std::size_t axis_index(std::string_view name) const;
 };
 
 /// View of one (cell, trial) handed to the trial function.

@@ -104,9 +104,6 @@ FileShardContext::FileShardContext(FileShardOptions options)
     throw ConfigError("sweepd: --shard-dir must not be empty");
   }
   if (options_.owner.empty()) options_.owner = default_owner();
-  if (options_.heartbeat_interval_s <= 0.0) {
-    options_.heartbeat_interval_s = options_.lease_timeout_s / 4.0;
-  }
   dir_ = fs::path(options_.dir);
   std::error_code ec;
   fs::create_directories(dir_ / "metrics", ec);
@@ -249,8 +246,9 @@ void FileShardContext::start_heartbeat(std::size_t shard) {
   stop_heartbeat();
   hb_stop_ = false;
   const fs::path lease = lease_path(shard);
+  // Four renewals per lease period keep a live owner's lease fresh.
   const auto interval = std::chrono::duration<double>(
-      std::max(0.01, options_.heartbeat_interval_s));
+      std::max(0.01, options_.lease_timeout_s / 4.0));
   heartbeat_ = std::thread([this, lease, interval] {
     std::unique_lock<std::mutex> lock(hb_mu_);
     while (!hb_cv_.wait_for(lock, interval, [this] { return hb_stop_; })) {

@@ -29,7 +29,7 @@
 //   * Claim is an atomic exclusive create of the lease file. A lease whose
 //     mtime is older than lease_timeout_s is stale: any worker may unlink
 //     it and re-claim (the reclaim is logged and counted). A heartbeat
-//     thread re-writes the lease every heartbeat_interval_s while the
+//     thread re-writes the lease every lease_timeout_s / 4 while the
 //     shard executes.
 //   * Publishing a result is atomic (temp + rename), after which the lease
 //     is released. A result file is authoritative and immutable; claim()
@@ -77,16 +77,12 @@ struct FileShardOptions {
   double lease_timeout_s = 15.0;
   /// Sleep between claim/collect attempts while waiting on other workers.
   double poll_interval_s = 0.2;
-  /// Lease refresh cadence while executing; 0 = lease_timeout_s / 4.
-  double heartbeat_interval_s = 0.0;
   /// Give up waiting for missing results after this long; 0 = wait forever.
   double wait_timeout_s = 0.0;
   /// Plan granularity (PlanPolicy::max_shards). First creator of the run
   /// dir writes it to MANIFEST; later joiners adopt the manifest value, so
   /// mismatched CLI flags cannot fork the plan.
   std::size_t max_shards = 16;
-  /// Checkpoint after every N completed cells.
-  std::size_t checkpoint_every = 1;
 };
 
 class FileShardContext final : public runtime::shard::ShardContext {
@@ -106,9 +102,6 @@ class FileShardContext final : public runtime::shard::ShardContext {
   bool executes() const override { return options_.execute; }
   std::optional<std::size_t> claim() override;
   std::string checkpoint_path(std::size_t shard) const override;
-  std::size_t checkpoint_every() const override {
-    return options_.checkpoint_every;
-  }
   void note_progress(std::size_t shard) override;
   void publish_result(std::size_t shard, std::string payload) override;
   void release(std::size_t shard) override;

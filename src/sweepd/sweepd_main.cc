@@ -63,7 +63,8 @@ options forwarded to the bench's shard layer:
   --lease-s SECONDS       stale-lease reclaim threshold (default 15)
   --poll-s SECONDS        wait-poll interval (default 0.2)
   --timeout-s SECONDS     give up waiting for results (default: never)
-  --checkpoint-every N    checkpoint after every N completed cells (default 1)
+A shard checkpoints after every completed cell and renews its lease every
+quarter of --lease-s.
 )";
 
 struct DriverOptions {
@@ -73,7 +74,6 @@ struct DriverOptions {
   std::string lease_s;
   std::string poll_s;
   std::string timeout_s;
-  std::string checkpoint_every;
   int workers = 2;
   std::string out_file = "metrics.json";
   std::vector<std::string> command;
@@ -124,8 +124,6 @@ DriverOptions parse_options(int argc, char** argv, int first) {
       opt.poll_s = seconds_arg(arg, next(), /*allow_zero=*/false);
     } else if (arg == "--timeout-s") {
       opt.timeout_s = seconds_arg(arg, next(), /*allow_zero=*/true);
-    } else if (arg == "--checkpoint-every") {
-      opt.checkpoint_every = positive_int_arg(arg, next());
     } else if (arg == "--workers") {
       opt.workers = std::stoi(positive_int_arg(arg, next()));
     } else if (arg == "-o" || arg == "--out") {
@@ -158,8 +156,6 @@ std::vector<std::string> bench_argv(const DriverOptions& opt,
     args.insert(args.end(), {"--shard-poll-s", opt.poll_s});
   if (!opt.timeout_s.empty())
     args.insert(args.end(), {"--shard-timeout-s", opt.timeout_s});
-  if (!opt.checkpoint_every.empty())
-    args.insert(args.end(), {"--shard-checkpoint-every", opt.checkpoint_every});
   return args;
 }
 

@@ -53,8 +53,7 @@ TraceWasteResult evaluate_waste_over_trace(const HbdArchitecture& arch,
   out.waste_ratio.v.reserve(days.size());
   out.usable_gpus.t.reserve(days.size());
   out.usable_gpus.v.reserve(days.size());
-  runtime::Accumulator waste_acc;
-  waste_acc.set_keep_samples(options.keep_samples);
+  runtime::Accumulator waste_acc(options.keep_samples);
   // The grid timeline holds at most one net group per sample day, stamped
   // with that day from the same sample_days(step), so group g applies at
   // sample k exactly when words.days[g] == days[k]. It is built once per

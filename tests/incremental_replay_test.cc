@@ -70,7 +70,7 @@ void expect_same_result(const TraceWasteResult& a, const TraceWasteResult& b) {
 
 TEST(TransitionTimeline, SortedAndComplete) {
   const auto trace = gen_trace(64, 30.0, 7);
-  const auto edges = trace.transitions();
+  const auto& edges = *trace.transition_timeline();
   ASSERT_EQ(edges.size(), trace.events().size() * 2);
   for (std::size_t i = 1; i < edges.size(); ++i)
     EXPECT_LE(edges[i - 1].day, edges[i].day);

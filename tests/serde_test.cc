@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <limits>
 #include <string>
+#include <vector>
 
 #include "src/common/error.h"
 #include "src/common/serde.h"
@@ -206,6 +207,31 @@ TEST(Serde, AccumulatorLoadRejectsPartialSamples) {
   for (char c : rest) forged.u8(static_cast<std::uint8_t>(c));
   serde::Reader r(forged.buffer());
   EXPECT_THROW(runtime::Accumulator::load(r), ConfigError);
+
+  // The retention flag must agree with the samples: a retaining frame with
+  // values but no samples, and a moments-only frame that holds samples.
+  const auto frame = [](bool keep, const std::vector<double>& samples) {
+    serde::Writer f;
+    f.u64(2);     // count
+    f.f64(1.5);   // mean
+    f.f64(0.5);   // m2
+    f.f64(1.0);   // min
+    f.f64(2.0);   // max
+    f.u8(keep ? 1 : 0);
+    f.f64_vec(samples);
+    return f.take();
+  };
+  for (const std::string& bytes :
+       {frame(true, {}), frame(false, {1.0, 2.0})}) {
+    serde::Reader bad(bytes);
+    EXPECT_THROW(runtime::Accumulator::load(bad), ConfigError);
+  }
+  // ...while both consistent frames load.
+  for (const std::string& bytes :
+       {frame(true, {1.0, 2.0}), frame(false, {})}) {
+    serde::Reader good(bytes);
+    EXPECT_EQ(runtime::Accumulator::load(good).count(), 2u);
+  }
 }
 
 TEST(Serde, MetricsSnapshotRoundTripAndMerge) {

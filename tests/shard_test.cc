@@ -448,7 +448,7 @@ TEST(Checkpoint, FailedWritesAreCountedAndTheSweepCompletes) {
   const std::uint64_t after = obs::snapshot().counters[counter];
   obs::set_enabled(false);
   expect_bit_identical(ref, result);
-  // checkpoint_every() == 1: one attempted write per completed cell.
+  // A checkpoint is attempted after every completed cell.
   EXPECT_EQ(after - before, spec.cell_count());
 }
 
@@ -461,8 +461,8 @@ TEST(Checkpoint, CorruptPrimaryFallsBackToPreviousGenerationBitIdentical) {
   fs::create_directories(dir);
   MemoryShardContext seed_ctx({.max_shards = 1}, dir);
   {
-    // A full run with checkpoint_every=1 leaves the two newest generations
-    // behind (5 and 6 completed cells).
+    // A full run checkpoints after every cell and leaves the two newest
+    // generations behind (5 and 6 completed cells).
     AmbientContext ambient(&seed_ctx);
     const SweepResult first = run_sweep(spec, trial_value, /*threads=*/1);
     expect_bit_identical(ref, first);
