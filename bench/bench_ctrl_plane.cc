@@ -15,16 +15,14 @@
 // and eventually dead-letter, while jobs start on their last good placement
 // (degraded). The degraded-mode SLO split is reported separately.
 //
-// Runs on runtime::run_sweep_reduce with a ControlPlaneResult shard codec:
-// the SLO tables are byte-identical for any --threads value and any
-// --shard-dir fleet shape (CI diffs them), because every histogram lives in
-// a local SloHistogram merged in trial order. Wall-clock events/s goes to
+// Runs on runtime::run_sweep_reduce: the SLO tables are byte-identical for
+// any --threads value (CI diffs them), because every histogram lives in a
+// local SloHistogram merged in trial order. Wall-clock events/s goes to
 // stderr only, keeping stdout deterministic.
 #include <chrono>
 #include <cstdint>
 
 #include "bench/bench_util.h"
-#include "src/common/serde.h"
 #include "src/ctrl/control_plane.h"
 #include "src/ctrl/workload.h"
 #include "src/fault/generator.h"
@@ -128,9 +126,6 @@ int main(int argc, char** argv) {
   spec.seed = 90;
   spec.trials = trials;
   spec.keep_samples = false;
-  // The trace model changes every trial's trace, so it must also change the
-  // sweep identity (a --shard-dir run dir must never mix models).
-  spec.fingerprint_salt = static_cast<std::uint64_t>(opt.trace_model) + 1;
   spec.axes = {
       runtime::Axis::of_values("Nodes", scale.node_counts,
                                [](double n) {
@@ -151,10 +146,6 @@ int main(int argc, char** argv) {
                                [](double r) { return Table::pct(r, 0); }),
   };
 
-  const runtime::shard::ShardCodec<ctrl::ControlPlaneResult> codec{
-      [](serde::Writer& w, const ctrl::ControlPlaneResult& r) { r.save(w); },
-      [](serde::Reader& r) { return ctrl::ControlPlaneResult::load(r); }};
-
   const auto t0 = std::chrono::steady_clock::now();
   const auto result = runtime::run_sweep_reduce(
       spec, ctrl::ControlPlaneResult{},
@@ -166,7 +157,7 @@ int main(int argc, char** argv) {
       [](ctrl::ControlPlaneResult& acc, ctrl::ControlPlaneResult&& r) {
         acc.merge(r);
       },
-      opt.threads, nullptr, &codec);
+      opt.threads);
   const double wall_s =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();

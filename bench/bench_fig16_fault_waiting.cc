@@ -5,8 +5,7 @@
 // Runs on the generic sweep engine via the shared replay grid: each
 // (TP, arch) cell replays the trace in one pass, the cells run in parallel
 // on one pool, and the tables stay bit-identical for any --threads
-// value (and across --shard-dir fleets — the grid carries the trace-waste
-// shard codec).
+// value.
 #include "bench/bench_util.h"
 #include "bench/fault_bench_common.h"
 

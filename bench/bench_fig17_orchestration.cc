@@ -7,13 +7,11 @@
 //
 // All three panels run on runtime::run_sweep_reduce with a paired
 // accumulator (common random numbers: each trial draws one fault mask and
-// evaluates both the optimized and the greedy placement on it) and a shard
-// codec, so the tables are bit-identical across --threads values and
-// --shard-dir fleet shapes.
+// evaluates both the optimized and the greedy placement on it), so the
+// tables are bit-identical across --threads values.
 #include <utility>
 
 #include "bench/bench_util.h"
-#include "src/common/serde.h"
 #include "src/dcn/traffic.h"
 #include "src/fault/trace.h"
 #include "src/orch/orchestrator.h"
@@ -43,21 +41,6 @@ struct RateAcc {
   runtime::Accumulator optimized{false};
   runtime::Accumulator baseline{false};
 };
-
-const runtime::shard::ShardCodec<RateAcc>& rate_codec() {
-  static const runtime::shard::ShardCodec<RateAcc> codec{
-      [](serde::Writer& w, const RateAcc& a) {
-        a.optimized.save(w);
-        a.baseline.save(w);
-      },
-      [](serde::Reader& r) {
-        RateAcc a;
-        a.optimized = runtime::Accumulator::load(r);
-        a.baseline = runtime::Accumulator::load(r);
-        return a;
-      }};
-  return codec;
-}
 
 /// One Monte-Carlo trial: one mask, both placements.
 Rates measure(int nodes, double fault_ratio, double job_ratio, Rng& rng) {
@@ -94,7 +77,7 @@ runtime::GenericSweepResult<RateAcc> panel(std::uint64_t seed, int trials,
         acc.optimized.add(r.optimized);
         acc.baseline.add(r.baseline);
       },
-      threads, nullptr, &rate_codec());
+      threads);
 }
 
 }  // namespace

@@ -4,8 +4,6 @@
 // production trace normalized from 8-GPU to 4-GPU nodes (Appendix A).
 #pragma once
 
-#include <cstdint>
-#include <cstring>
 #include <memory>
 #include <string>
 #include <utility>
@@ -64,35 +62,6 @@ inline bool arch_supports_tp(const topo::HbdArchitecture& arch, int tp) {
   return true;
 }
 
-/// Sweep-identity salt for a trace: two replay grids over different traces
-/// (quick 60-day vs full 348-day, different clusters) must never share a
-/// shard run directory entry even though their cell grids match, so the
-/// trace's shape is folded into SweepSpec::fingerprint_salt. FNV-1a over
-/// node count, duration bits, and every event's (node, start, end) bits.
-inline std::uint64_t trace_fingerprint(const fault::FaultTrace& trace) {
-  std::uint64_t h = 1469598103934665603ull;
-  const auto mix = [&h](std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (v >> (8 * i)) & 0xffu;
-      h *= 1099511628211ull;
-    }
-  };
-  const auto mix_f64 = [&](double d) {
-    std::uint64_t bits;
-    std::memcpy(&bits, &d, sizeof bits);
-    mix(bits);
-  };
-  mix(static_cast<std::uint64_t>(trace.node_count()));
-  mix_f64(trace.duration_days());
-  mix(trace.events().size());
-  for (const auto& ev : trace.events()) {
-    mix(static_cast<std::uint64_t>(ev.node));
-    mix_f64(ev.start_day);
-    mix_f64(ev.end_day);
-  }
-  return h;
-}
-
 /// The (TP x architecture) trace-replay grid shared by Figs. 13, 15, 16 and
 /// 20, run on the generic sweep engine: one trace replay per supported
 /// cell, with the cells spread over a --threads wide pool (0 = one worker
@@ -100,10 +69,7 @@ inline std::uint64_t trace_fingerprint(const fault::FaultTrace& trace) {
 /// Unsupported cells keep the default-constructed (empty) TraceWasteResult.
 /// The replay is deterministic, so the grid is bit-identical for any thread
 /// count (CI diffs them, and ctest checks the replay against the serial
-/// oracle). The attached trace_waste_codec makes the grid shardable: under
-/// an ambient shard::ShardContext (bench --shard-dir, ihbd-sweepd) the
-/// cells spread across the fleet and the reduced grid is byte-identical to
-/// a local run.
+/// oracle).
 inline runtime::GenericSweepResult<topo::TraceWasteResult> replay_trace_grid(
     const std::vector<std::unique_ptr<topo::HbdArchitecture>>& archs,
     const fault::FaultTrace& trace, std::vector<double> tps, int threads,
@@ -111,7 +77,6 @@ inline runtime::GenericSweepResult<topo::TraceWasteResult> replay_trace_grid(
   runtime::SweepSpec spec;
   spec.trials = 1;  // replay is deterministic; the grid itself is the work
   spec.keep_samples = keep_samples;
-  spec.fingerprint_salt = trace_fingerprint(trace);
   std::vector<std::string> arch_names;
   for (const auto& arch : archs) arch_names.push_back(arch->name());
   spec.axes = {
@@ -131,7 +96,7 @@ inline runtime::GenericSweepResult<topo::TraceWasteResult> replay_trace_grid(
       [](topo::TraceWasteResult& acc, topo::TraceWasteResult&& replay) {
         acc = std::move(replay);
       },
-      threads, /*pool=*/nullptr, &topo::trace_waste_codec());
+      threads);
 }
 
 /// True when a replay-grid cell actually ran (unsupported cells are empty).

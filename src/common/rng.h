@@ -80,7 +80,7 @@ class Rng {
   /// Derive an independent child generator (for parallel sub-experiments).
   Rng fork();
 
-  /// The 256-bit internal state (for bit-stability tests / checkpointing).
+  /// The 256-bit internal state (for bit-stability tests).
   std::array<std::uint64_t, 4> state() const {
     return {s_[0], s_[1], s_[2], s_[3]};
   }

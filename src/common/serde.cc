@@ -1,15 +1,10 @@
 #include "src/common/serde.h"
 
-#include <array>
 #include <cinttypes>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <filesystem>
-#include <fstream>
-
-#include <unistd.h>
 
 #include "src/common/error.h"
 
@@ -58,33 +53,6 @@ void json_append_number(std::string& out, std::uint64_t v) {
   char buf[24];
   std::snprintf(buf, sizeof buf, "%" PRIu64, v);
   out += buf;
-}
-
-// --- checksums --------------------------------------------------------------
-
-namespace {
-
-std::array<std::uint32_t, 256> make_crc_table() {
-  std::array<std::uint32_t, 256> table{};
-  for (std::uint32_t n = 0; n < 256; ++n) {
-    std::uint32_t c = n;
-    for (int k = 0; k < 8; ++k) {
-      c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
-    }
-    table[n] = c;
-  }
-  return table;
-}
-
-}  // namespace
-
-std::uint32_t crc32(std::string_view bytes) {
-  static const std::array<std::uint32_t, 256> table = make_crc_table();
-  std::uint32_t crc = 0xFFFFFFFFu;
-  for (const char ch : bytes) {
-    crc = table[(crc ^ static_cast<unsigned char>(ch)) & 0xFFu] ^ (crc >> 8);
-  }
-  return crc ^ 0xFFFFFFFFu;
 }
 
 // --- binary codec -----------------------------------------------------------
@@ -223,86 +191,6 @@ Summary read_summary(Reader& r) {
   s.p90 = r.f64();
   s.p99 = r.f64();
   return s;
-}
-
-// --- versioned, checksummed record frame ------------------------------------
-
-const char* to_string(FrameStatus status) {
-  switch (status) {
-    case FrameStatus::ok: return "ok";
-    case FrameStatus::truncated: return "truncated";
-    case FrameStatus::bad_magic: return "bad-magic";
-    case FrameStatus::bad_version: return "bad-version";
-    case FrameStatus::bad_checksum: return "bad-checksum";
-  }
-  return "unknown";
-}
-
-std::string frame_record(std::uint32_t magic, std::uint32_t version,
-                         std::string_view payload) {
-  Writer w;
-  w.u32(magic);
-  w.u32(version);
-  w.u64(payload.size());
-  w.u32(crc32(payload));
-  std::string out = w.take();
-  out.append(payload.data(), payload.size());
-  return out;
-}
-
-FrameStatus parse_record(std::string_view bytes, std::uint32_t magic,
-                         std::uint32_t version, std::string_view* payload) {
-  constexpr std::size_t kHeader = 4 + 4 + 8 + 4;
-  if (bytes.size() < kHeader) return FrameStatus::truncated;
-  Reader r(bytes.substr(0, kHeader));
-  const std::uint32_t got_magic = r.u32();
-  const std::uint32_t got_version = r.u32();
-  const std::uint64_t length = r.u64();
-  const std::uint32_t checksum = r.u32();
-  if (got_magic != magic) return FrameStatus::bad_magic;
-  if (got_version != version) return FrameStatus::bad_version;
-  if (bytes.size() - kHeader != length) return FrameStatus::truncated;
-  const std::string_view body = bytes.substr(kHeader);
-  if (crc32(body) != checksum) return FrameStatus::bad_checksum;
-  if (payload != nullptr) *payload = body;
-  return FrameStatus::ok;
-}
-
-// --- file IO ----------------------------------------------------------------
-
-bool write_file_atomic(const std::string& path, std::string_view bytes) {
-  namespace fs = std::filesystem;
-  // Unique per process so two owners racing on the same target never share
-  // a temp file; rename() then makes publication atomic.
-  const std::string tmp =
-      path + ".tmp." + std::to_string(static_cast<long long>(::getpid()));
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out) return false;
-    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-    out.flush();
-    if (!out) {
-      std::error_code ec;
-      fs::remove(tmp, ec);
-      return false;
-    }
-  }
-  std::error_code ec;
-  fs::rename(tmp, path, ec);
-  if (ec) {
-    fs::remove(tmp, ec);
-    return false;
-  }
-  return true;
-}
-
-std::optional<std::string> read_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return std::nullopt;
-  std::string bytes((std::istreambuf_iterator<char>(in)),
-                    std::istreambuf_iterator<char>());
-  if (in.bad()) return std::nullopt;
-  return bytes;
 }
 
 }  // namespace ihbd::serde

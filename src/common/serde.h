@@ -1,24 +1,19 @@
 // One common codec layer for every serialized artifact in the tree: the
 // JSON emission used by the observability exports (metrics snapshots,
-// Perfetto traces) and the binary wire format used by the distributed-sweep
-// stack (shard checkpoints, shard result files, fleet metrics snapshots).
+// Perfetto traces) and the binary encoding that result types
+// (topo::TraceWasteResult, ctrl::ControlPlaneResult, ctrl::SloHistogram)
+// save to and load from. Their saved bytes are what the golden result
+// digests hash, so a round trip restores every digested field.
 //
 // Binary encoding: little-endian fixed-width integers, IEEE doubles carried
 // by bit pattern (save -> load is bit-exact, including NaN payloads and
 // infinities), strings and arrays length-prefixed with u64 counts. A
 // Reader throws ConfigError on any underflow or malformed length, so a
 // truncated buffer can never silently decode into a short value.
-//
-// Durable files wrap their payload in a versioned, checksummed record frame
-// (frame_record / parse_record): magic + version + length + CRC-32. Readers
-// get a typed FrameStatus instead of garbage — the checkpoint layer
-// (src/runtime/checkpoint.h) uses it to fall back to the previous
-// generation when a kill left a torn write behind.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -38,11 +33,6 @@ void json_append_string(std::string& out, std::string_view s);
 /// is lossless); non-finite values render as null (JSON has no NaN/inf).
 void json_append_number(std::string& out, double v);
 void json_append_number(std::string& out, std::uint64_t v);
-
-// --- checksums --------------------------------------------------------------
-
-/// CRC-32 (IEEE 802.3 polynomial, reflected) over `bytes`.
-std::uint32_t crc32(std::string_view bytes);
 
 // --- binary codec -----------------------------------------------------------
 
@@ -93,8 +83,8 @@ class Reader {
 };
 
 // --- shared domain codecs ---------------------------------------------------
-// TimeSeries and Summary appear in every replay checkpoint/result payload
-// (via topo::TraceWasteResult), so their encodings live here with the
+// TimeSeries and Summary appear in every saved replay result (via
+// topo::TraceWasteResult), so their encodings live here with the
 // primitives rather than being restated by each consumer.
 
 void write_time_series(Writer& w, const TimeSeries& ts);
@@ -102,37 +92,5 @@ TimeSeries read_time_series(Reader& r);
 
 void write_summary(Writer& w, const Summary& s);
 Summary read_summary(Reader& r);
-
-// --- versioned, checksummed record frame ------------------------------------
-
-enum class FrameStatus {
-  ok,
-  truncated,     ///< shorter than the header or the declared payload
-  bad_magic,     ///< not the expected file kind
-  bad_version,   ///< produced by an incompatible writer
-  bad_checksum,  ///< payload bytes do not match the recorded CRC-32
-};
-const char* to_string(FrameStatus status);
-
-/// Wrap `payload` in a frame: magic(u32) version(u32) length(u64)
-/// crc32(u32) payload-bytes.
-std::string frame_record(std::uint32_t magic, std::uint32_t version,
-                         std::string_view payload);
-
-/// Parse a frame produced by frame_record. On ok, *payload views into
-/// `bytes` (valid while `bytes` lives). Trailing bytes after the declared
-/// payload are rejected as truncated/torn writes would be.
-FrameStatus parse_record(std::string_view bytes, std::uint32_t magic,
-                         std::uint32_t version, std::string_view* payload);
-
-// --- file IO ----------------------------------------------------------------
-
-/// Write `bytes` to `path` atomically: a unique temp file in the same
-/// directory, then rename over the target. Readers never observe a torn
-/// file (they see the old content or the new, not a mix).
-bool write_file_atomic(const std::string& path, std::string_view bytes);
-
-/// Read a whole file; nullopt when it does not exist or cannot be read.
-std::optional<std::string> read_file(const std::string& path);
 
 }  // namespace ihbd::serde

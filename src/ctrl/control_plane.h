@@ -29,7 +29,7 @@
 // Determinism: all randomness (workload, switch-latency draws) comes from
 // the caller's seeds; event ties resolve by the engine's FIFO order;
 // SLO aggregates live in local SloHistograms so sweep results are
-// byte-identical across thread counts and shard shapes. ctrl.* obs
+// byte-identical across thread counts. ctrl.* obs
 // metrics report the same quantities for monitoring and are never read
 // back into results: gauges are set live, while counters and the
 // ctrl.reconfig_latency_seconds / ctrl.job_wait_seconds histograms are
@@ -124,6 +124,9 @@ struct ControlPlaneResult {
   /// Trial-order fold for sweeps (counter adds + histogram merges).
   void merge(const ControlPlaneResult& other);
 
+  /// The saved bytes are what the result digests hash; load() restores
+  /// every field, so a round trip shows the digest covers them all.
+  /// load() throws ConfigError on malformed bytes.
   void save(serde::Writer& w) const;
   static ControlPlaneResult load(serde::Reader& r);
 };

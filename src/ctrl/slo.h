@@ -1,15 +1,15 @@
 // Deterministic SLO histograms for the control plane.
 //
-// The ctrl.* obs histograms are process-global and shard-merged with
-// unspecified FP order — perfect for monitoring, unusable as a bench
-// table source when the table must be byte-identical across thread counts
-// and shard shapes. SloHistogram is the local, value-typed counterpart:
-// the SAME base-2 bucket layout as obs::Histogram (so a run folds its
-// buckets into the global registry once, with obs::Histogram::add), but
-// owned by one control-plane run, mergeable in trial order, and
-// serde-serializable for --shard-dir sweeps. Quantiles are bucket upper
-// bounds — deterministic by construction, with base-2 resolution (plenty
-// for p50/p99/p999 SLO rows).
+// The ctrl.* obs histograms are process-global and summed over per-thread
+// shards in unspecified FP order — perfect for monitoring, unusable as a
+// bench table source when the table must be byte-identical across thread
+// counts. SloHistogram is the local, value-typed counterpart: the SAME
+// base-2 bucket layout as obs::Histogram (so a run folds its buckets into
+// the global registry once, with obs::Histogram::add), but owned by one
+// control-plane run, mergeable in trial order, and serde-serializable so
+// ControlPlaneResult's saved bytes (the golden digests) cover it.
+// Quantiles are bucket upper bounds — deterministic by construction, with
+// base-2 resolution (plenty for p50/p99/p999 SLO rows).
 #pragma once
 
 #include <array>
@@ -57,6 +57,8 @@ class SloHistogram {
   void merge(const SloHistogram& other);
 
   void save(serde::Writer& w) const;
+  /// Inverse of save(). Throws ConfigError naming the field on a bucket
+  /// index past the layout or buckets that do not sum to the count.
   static SloHistogram load(serde::Reader& r);
 
  private:

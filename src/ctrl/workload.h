@@ -4,7 +4,7 @@
 // inter-arrival gaps) with lognormal run lengths and uniformly drawn job
 // scales, pre-generated into a flat arrival list from one substream seed.
 // Pre-generation (rather than drawing inside engine callbacks) is what
-// makes control-plane runs replayable and shardable: the same
+// makes control-plane runs replayable: the same
 // WorkloadConfig always produces byte-identical arrivals regardless of
 // event interleaving, so a sweep cell's trial substream fully determines
 // its input stream.

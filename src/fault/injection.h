@@ -4,7 +4,7 @@
 // failing, every run still completes") needs failures that are (a) cheap,
 // (b) independent of the RNG streams the rest of the run consumes — adding
 // injection must not perturb switch-latency draws or the workload — and
-// (c) reproducible across replays, thread counts and shard shapes.
+// (c) reproducible across replays and thread counts.
 //
 // An InjectionPlan is therefore stateless: whether one drain attempt fails
 // is a pure hash of (seed, node, attempt sequence number). The queue keeps

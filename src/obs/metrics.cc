@@ -189,36 +189,6 @@ void reset() {
   for (const auto& [name, h] : reg.histograms) h->reset();
 }
 
-void MetricsSnapshot::merge(const MetricsSnapshot& later) {
-  for (const auto& [name, v] : later.counters) counters[name] += v;
-  for (const auto& [name, v] : later.gauges) gauges[name] = v;  // right wins
-  for (const auto& [name, hs] : later.histograms) {
-    HistogramSnapshot& mine = histograms[name];
-    mine.count += hs.count;
-    mine.sum += hs.sum;
-    // Merge the sparse (upper bound, count) lists; both are ascending.
-    std::vector<std::pair<double, std::uint64_t>> merged;
-    merged.reserve(mine.buckets.size() + hs.buckets.size());
-    std::size_t i = 0, j = 0;
-    while (i < mine.buckets.size() || j < hs.buckets.size()) {
-      if (j == hs.buckets.size() ||
-          (i < mine.buckets.size() &&
-           mine.buckets[i].first < hs.buckets[j].first)) {
-        merged.push_back(mine.buckets[i++]);
-      } else if (i == mine.buckets.size() ||
-                 hs.buckets[j].first < mine.buckets[i].first) {
-        merged.push_back(hs.buckets[j++]);
-      } else {
-        merged.emplace_back(mine.buckets[i].first,
-                            mine.buckets[i].second + hs.buckets[j].second);
-        ++i;
-        ++j;
-      }
-    }
-    mine.buckets = std::move(merged);
-  }
-}
-
 std::string MetricsSnapshot::to_json() const {
   std::string out = "{\"counters\":{";
   bool first = true;
@@ -261,59 +231,6 @@ std::string MetricsSnapshot::to_json() const {
   }
   out += "}}";
   return out;
-}
-
-void MetricsSnapshot::save(serde::Writer& w) const {
-  w.u64(counters.size());
-  for (const auto& [name, v] : counters) {
-    w.str(name);
-    w.u64(v);
-  }
-  w.u64(gauges.size());
-  for (const auto& [name, v] : gauges) {
-    w.str(name);
-    w.f64(v);
-  }
-  w.u64(histograms.size());
-  for (const auto& [name, hs] : histograms) {
-    w.str(name);
-    w.u64(hs.count);
-    w.f64(hs.sum);
-    w.u64(hs.buckets.size());
-    for (const auto& [le, n] : hs.buckets) {
-      w.f64(le);
-      w.u64(n);
-    }
-  }
-}
-
-MetricsSnapshot MetricsSnapshot::load(serde::Reader& r) {
-  MetricsSnapshot snap;
-  const std::uint64_t n_counters = r.u64();
-  for (std::uint64_t i = 0; i < n_counters; ++i) {
-    std::string name = r.str();
-    snap.counters[std::move(name)] = r.u64();
-  }
-  const std::uint64_t n_gauges = r.u64();
-  for (std::uint64_t i = 0; i < n_gauges; ++i) {
-    std::string name = r.str();
-    snap.gauges[std::move(name)] = r.f64();
-  }
-  const std::uint64_t n_hists = r.u64();
-  for (std::uint64_t i = 0; i < n_hists; ++i) {
-    std::string name = r.str();
-    HistogramSnapshot hs;
-    hs.count = r.u64();
-    hs.sum = r.f64();
-    const std::uint64_t n_buckets = r.u64();
-    hs.buckets.reserve(n_buckets);
-    for (std::uint64_t b = 0; b < n_buckets; ++b) {
-      const double le = r.f64();
-      hs.buckets.emplace_back(le, r.u64());
-    }
-    snap.histograms[std::move(name)] = std::move(hs);
-  }
-  return snap;
 }
 
 Table MetricsSnapshot::to_table() const {

@@ -15,7 +15,7 @@
 //   * Gauge     — last-written double (queue depth, epoch).
 //   * Histogram — base-2 exponential buckets over positive doubles, plus
 //                 sum and count. One universal bucket layout (2^-32..2^31)
-//                 keeps every histogram mergeable with every snapshot.
+//                 lets a local ctrl::SloHistogram fold into any of them.
 //
 // Handles are interned by name in a process-wide registry:
 //
@@ -25,12 +25,10 @@
 // The registry lookup takes a mutex — resolve handles once (constructor,
 // static) and keep the reference; references stay valid for the process
 // lifetime. Names are shared across instances (two ThreadPools both bump
-// "pool.tasks_executed"): metrics are fleet aggregates, not per-object.
+// "pool.tasks_executed"): metrics are process-wide aggregates, not per-object.
 //
-// obs::snapshot() merges all shards into a MetricsSnapshot — a plain value
-// type that itself merges associatively (counters/histograms add, gauges
-// right-win), serializes to JSON, and is the intended wire format for
-// shard state in future distributed sweeps (ROADMAP).
+// obs::snapshot() merges all per-thread shards into a MetricsSnapshot — a
+// plain value type that renders as JSON (metrics.json) or as a table.
 #pragma once
 
 #include <array>
@@ -47,11 +45,6 @@
 namespace ihbd {
 class Table;
 }  // namespace ihbd
-
-namespace ihbd::serde {
-class Writer;
-class Reader;
-}  // namespace ihbd::serde
 
 namespace ihbd::obs {
 
@@ -181,31 +174,16 @@ struct HistogramSnapshot {
   double mean() const { return count == 0 ? 0.0 : sum / static_cast<double>(count); }
 };
 
-/// Point-in-time merged view of every registered metric. A plain value:
-/// serializable, mergeable, comparable. merge() is associative — counters
-/// and histogram buckets add, gauges take the right (later) operand — so
-/// partial snapshots from many shards/processes can be tree-reduced in any
-/// grouping as long as their order is preserved (the planned wire format
-/// for distributed-sweep shard state).
+/// Point-in-time view of every registered metric, its per-thread shards
+/// merged. A plain value type.
 struct MetricsSnapshot {
   std::map<std::string, std::uint64_t> counters;
   std::map<std::string, double> gauges;
   std::map<std::string, HistogramSnapshot> histograms;
 
-  /// Fold `later` into this snapshot (this = this ⊕ later).
-  void merge(const MetricsSnapshot& later);
-
   /// {"counters":{...},"gauges":{...},"histograms":{name:{"count":..,
   /// "sum":..,"buckets":[[le,n],...]}}} — keys sorted (std::map order).
   std::string to_json() const;
-
-  /// Binary codec (serde): the wire format for distributed-sweep shard
-  /// state — checkpoints carry a snapshot so counters survive a worker
-  /// kill, and sweepd workers publish per-owner snapshots that the
-  /// coordinator merge()s into one fleet metrics.json. save -> load is
-  /// exact (doubles travel by bit pattern).
-  void save(serde::Writer& w) const;
-  static MetricsSnapshot load(serde::Reader& r);
 
   /// Human-readable table (one row per metric) for --metrics output.
   Table to_table() const;

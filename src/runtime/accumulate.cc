@@ -2,9 +2,6 @@
 
 #include <cmath>
 
-#include "src/common/error.h"
-#include "src/common/serde.h"
-
 namespace ihbd::runtime {
 
 void Accumulator::add(double x) {
@@ -15,34 +12,6 @@ void Accumulator::add(double x) {
   if (x < min_) min_ = x;
   if (x > max_) max_ = x;
   if (keep_samples_) samples_.push_back(x);
-}
-
-void Accumulator::save(serde::Writer& w) const {
-  w.u64(count_);
-  w.f64(mean_);
-  w.f64(m2_);
-  w.f64(min_);
-  w.f64(max_);
-  w.u8(keep_samples_ ? 1 : 0);
-  w.f64_vec(samples_);
-}
-
-Accumulator Accumulator::load(serde::Reader& r) {
-  Accumulator acc;
-  acc.count_ = static_cast<std::size_t>(r.u64());
-  acc.mean_ = r.f64();
-  acc.m2_ = r.f64();
-  acc.min_ = r.f64();
-  acc.max_ = r.f64();
-  acc.keep_samples_ = r.u8() != 0;
-  acc.samples_ = r.f64_vec();
-  if (acc.keep_samples_ ? acc.samples_.size() != acc.count_
-                        : !acc.samples_.empty()) {
-    throw ConfigError(
-        "Accumulator::load: retained samples disagree with the retention "
-        "flag");
-  }
-  return acc;
 }
 
 double Accumulator::variance() const {

@@ -10,11 +10,6 @@
 
 #include "src/common/stats.h"
 
-namespace ihbd::serde {
-class Writer;
-class Reader;
-}  // namespace ihbd::serde
-
 namespace ihbd::runtime {
 
 // Sample retention is fixed at construction, so `samples_` is always either
@@ -43,14 +38,6 @@ class Accumulator {
   /// Full Summary. Percentiles require retained samples; without them the
   /// percentile fields are left at the mean (documented approximation).
   Summary summary() const;
-
-  /// Binary codec (serde): bit-exact round trip of the full state —
-  /// moments, min/max, retention flag and retained samples — so a shard
-  /// checkpoint restores an Accumulator indistinguishable from the one
-  /// that was saved. load() re-validates the complete-or-empty invariant
-  /// against the retention flag.
-  void save(serde::Writer& w) const;
-  static Accumulator load(serde::Reader& r);
 
  private:
   std::size_t count_ = 0;

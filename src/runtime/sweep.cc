@@ -4,7 +4,6 @@
 
 #include "src/common/contracts.h"
 #include "src/common/table.h"
-#include "src/runtime/shard.h"
 #include "src/runtime/substream.h"
 
 namespace ihbd::runtime {
@@ -82,7 +81,7 @@ SweepResult run_sweep(const SweepSpec& spec, const TrialFn& fn, int threads,
       [](Accumulator& acc, double sample) {
         if (!std::isnan(sample)) acc.add(sample);
       },
-      threads, pool, &shard::accumulator_codec());
+      threads, pool);
 }
 
 }  // namespace ihbd::runtime

@@ -1,12 +1,11 @@
 // The declarative sweep description — axes, spec, scenario view and the
-// per-(cell, trial) RNG substream derivation — split out of sweep.h so the
-// shard planner (src/runtime/shard.h) can partition a spec without pulling
-// in the execution engine (thread pool, obs, accumulators).
+// per-(cell, trial) RNG substream derivation — kept apart from the
+// execution engine in sweep.h (thread pool, obs, accumulators).
 //
-// Everything here is pure data + pure functions of that data: two
-// processes that hold equal SweepSpecs derive identical cell decodings,
-// identical trial RNG streams and identical shard plans, which is what
-// makes a sweep distributable without any coordination beyond the spec.
+// Everything here is pure data + pure functions of that data: equal
+// SweepSpecs derive identical cell decodings and identical trial RNG
+// streams, which is what makes a sweep's result independent of how its
+// (cell, trial) pairs are scheduled.
 #pragma once
 
 #include <cstddef>
@@ -41,14 +40,6 @@ struct SweepSpec {
   int trials = 1;            ///< Monte-Carlo trials per grid cell.
   std::vector<Axis> axes;    ///< row-major: last axis varies fastest.
   bool keep_samples = true;  ///< retain per-trial samples (percentiles).
-  /// Folded into shard::spec_fingerprint alongside the fields above. The
-  /// axes name a grid, not the data behind it — two sweeps over the same
-  /// grid but different inputs (e.g. a full vs --quick fault trace) would
-  /// otherwise hash identically and could adopt each other's shard results
-  /// in a shared run directory. Callers salt with a digest of the inputs
-  /// (replay_trace_grid hashes the trace). Purely an identity: does not
-  /// perturb RNG streams or results.
-  std::uint64_t fingerprint_salt = 0;
 
   std::size_t cell_count() const;
 };
@@ -85,9 +76,8 @@ std::size_t flat_cell_index(const SweepSpec& spec,
 
 /// The RNG substream of one (cell, trial) pair: O(1), order-independent,
 /// shared by the scalar and generic engines (and usable by callers that
-/// need to re-materialize a trial's stream, e.g. for resume or debugging).
-/// This is why a shard checkpoint needs no RNG state beyond the list of
-/// completed cells: every pending trial's stream is re-derived here.
+/// need to re-materialize a trial's stream, e.g. to build its inputs ahead
+/// of the sweep).
 Rng trial_rng(const SweepSpec& spec, std::size_t cell, int trial);
 
 namespace detail {

@@ -6,6 +6,7 @@
 #include <span>
 
 #include "src/common/contracts.h"
+#include "src/common/serde.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
 #include "src/runtime/accumulate.h"
@@ -107,21 +108,22 @@ TraceWasteResult evaluate_waste_over_trace(const HbdArchitecture& arch,
   return out;
 }
 
-const runtime::shard::ShardCodec<TraceWasteResult>& trace_waste_codec() {
-  static const runtime::shard::ShardCodec<TraceWasteResult> codec{
-      [](serde::Writer& w, const TraceWasteResult& r) {
-        serde::write_time_series(w, r.waste_ratio);
-        serde::write_time_series(w, r.usable_gpus);
-        serde::write_summary(w, r.waste_summary);
-      },
-      [](serde::Reader& r) {
-        TraceWasteResult out;
-        out.waste_ratio = serde::read_time_series(r);
-        out.usable_gpus = serde::read_time_series(r);
-        out.waste_summary = serde::read_summary(r);
-        return out;
-      },
-  };
+void TraceWasteCodec::save(serde::Writer& w, const TraceWasteResult& r) const {
+  serde::write_time_series(w, r.waste_ratio);
+  serde::write_time_series(w, r.usable_gpus);
+  serde::write_summary(w, r.waste_summary);
+}
+
+TraceWasteResult TraceWasteCodec::load(serde::Reader& r) const {
+  TraceWasteResult out;
+  out.waste_ratio = serde::read_time_series(r);
+  out.usable_gpus = serde::read_time_series(r);
+  out.waste_summary = serde::read_summary(r);
+  return out;
+}
+
+const TraceWasteCodec& trace_waste_codec() {
+  static const TraceWasteCodec codec;
   return codec;
 }
 

@@ -23,12 +23,16 @@
 
 #include "src/common/stats.h"
 #include "src/fault/trace.h"
-#include "src/runtime/shard.h"
 #include "src/topo/hbd.h"
 
 namespace ihbd::runtime {
 class ThreadPool;
 }  // namespace ihbd::runtime
+
+namespace ihbd::serde {
+class Writer;
+class Reader;
+}  // namespace ihbd::serde
 
 namespace ihbd::topo {
 
@@ -39,11 +43,15 @@ struct TraceWasteResult {
   Summary waste_summary;   ///< summary over waste_ratio.v
 };
 
-/// ShardCodec for replay sweeps whose cells hold a TraceWasteResult (the
-/// fig13/15/16/20 grids): bit-exact save/load of both series and the
-/// summary, so the distributed reduce — pure placement — keeps the sharded
-/// result byte-identical to the single-process one.
-const runtime::shard::ShardCodec<TraceWasteResult>& trace_waste_codec();
+/// Bit-exact binary codec of a TraceWasteResult: both series and the
+/// summary. Its saved bytes are what replay result digests hash; load()
+/// restores every field, so a round trip shows the digest covers them all.
+struct TraceWasteCodec {
+  void save(serde::Writer& w, const TraceWasteResult& r) const;
+  /// Throws ConfigError on malformed bytes.
+  TraceWasteResult load(serde::Reader& r) const;
+};
+const TraceWasteCodec& trace_waste_codec();
 
 /// Options of the one-pass replay (inline on the calling thread). `pool`
 /// and `window_samples` are ignored; they stay only until the benchmark

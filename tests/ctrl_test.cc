@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/common/error.h"
@@ -73,6 +75,64 @@ TEST(SloHistogram, SerdeRoundTripIsExact) {
   EXPECT_EQ(back.sum(), h.sum());  // bit-exact doubles
   for (double q : {0.5, 0.9, 0.99, 0.999})
     EXPECT_DOUBLE_EQ(back.quantile(q), h.quantile(q));
+}
+
+/// An SloHistogram frame of `count` observations whose one non-empty
+/// bucket `b` holds `n`.
+std::string slo_frame(std::uint64_t count, std::uint32_t b, std::uint64_t n) {
+  serde::Writer w;
+  w.u64(count);
+  w.f64(1.0);
+  w.u32(1);
+  w.u32(b);
+  w.u64(n);
+  return w.take();
+}
+
+/// `load(bytes)` throws ConfigError whose message contains `field`.
+template <typename Load>
+void expect_config_error(Load load, const std::string& bytes,
+                         const std::string& field) {
+  serde::Reader r(bytes);
+  try {
+    load(r);
+    ADD_FAILURE() << "no ConfigError for " << field;
+  } catch (const ConfigError& e) {
+    EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(SloHistogram, LoadRejectsCorruptFramesNamingTheField) {
+  const std::string good = slo_frame(3, 7, 3);
+  serde::Reader ok(good);
+  EXPECT_EQ(SloHistogram::load(ok).count(), 3u);
+  // A bucket index past the layout, buckets short of the count, and one
+  // bucket alone past it.
+  const std::vector<std::pair<std::string, std::string>> corrupt = {
+      {slo_frame(3, obs::kHistogramBuckets, 3), "bucket index"},
+      {slo_frame(4, 7, 3), "count is"},
+      {slo_frame(2, 7, 3), "past count"},
+  };
+  const auto load_slo = [](serde::Reader& r) { SloHistogram::load(r); };
+  for (const auto& [bytes, field] : corrupt)
+    expect_config_error(load_slo, bytes, field);
+
+  // ControlPlaneResult::load reads its four histograms through the same
+  // check: replace the last (empty) one of a saved result with each frame.
+  serde::Writer w;
+  ControlPlaneResult{}.save(w);
+  const std::string saved = w.take();
+  serde::Writer e;
+  SloHistogram{}.save(e);
+  const std::string empty_slo = e.take();
+  ASSERT_EQ(saved.substr(saved.size() - empty_slo.size()), empty_slo);
+  const std::string prefix = saved.substr(0, saved.size() - empty_slo.size());
+  const auto load_result = [](serde::Reader& r) {
+    ControlPlaneResult::load(r);
+  };
+  for (const auto& [bytes, field] : corrupt)
+    expect_config_error(load_result, prefix + bytes, field);
 }
 
 // --- workload ---------------------------------------------------------------

@@ -149,39 +149,6 @@ TEST_F(ObsTest, DisabledHandlesAreNoops) {
   EXPECT_EQ(trace_json().find("disabled_span"), std::string::npos);
 }
 
-TEST_F(ObsTest, SnapshotMergeIsAssociative) {
-  // Exactly representable values so (a⊕b)⊕c and a⊕(b⊕c) serialize to the
-  // same bytes.
-  const auto make = [](std::uint64_t n, double gauge_v) {
-    MetricsSnapshot s;
-    s.counters["c.shared"] = n;
-    s.counters["c.only" + std::to_string(n)] = 1;
-    s.gauges["g"] = gauge_v;
-    HistogramSnapshot h;
-    h.count = n;
-    h.sum = static_cast<double>(n) * 0.5;
-    h.buckets = {{1.0, n}, {2.0, 2 * n}};
-    s.histograms["h"] = h;
-    return s;
-  };
-  const MetricsSnapshot a = make(1, 10.0);
-  const MetricsSnapshot b = make(2, 20.0);
-  const MetricsSnapshot c = make(4, 40.0);
-
-  MetricsSnapshot left = a;     // (a ⊕ b) ⊕ c
-  left.merge(b);
-  left.merge(c);
-  MetricsSnapshot bc = b;       // a ⊕ (b ⊕ c)
-  bc.merge(c);
-  MetricsSnapshot right = a;
-  right.merge(bc);
-
-  EXPECT_EQ(left.to_json(), right.to_json());
-  EXPECT_EQ(left.counters.at("c.shared"), 7u);
-  EXPECT_EQ(left.gauges.at("g"), 40.0);  // right operand wins
-  EXPECT_EQ(left.histograms.at("h").count, 7u);
-}
-
 TEST_F(ObsTest, SnapshotRoundTripsRegisteredMetrics) {
   set_enabled(true);
   counter("test.snap.counter").add(41);
