@@ -6,8 +6,8 @@
 // architectures' island allocator. Reports replayed samples per second per
 // path; CI runs it to track the speedups. BM_grid_timeline_build times the
 // serial step every replay grid starts with: the hourly grid word-delta
-// timeline of a 23,040-node trace. Built on the vendored
-// bench/microbench.h harness.
+// timeline of a 23,040-node trace, and BM_trace_generate the generation of
+// that trace. Built on the vendored bench/microbench.h harness.
 #include <chrono>
 #include <cstddef>
 #include <cstdlib>
@@ -151,19 +151,45 @@ static void BM_replay_packed_quarter_day(benchmark::State& state) {
 }
 BENCHMARK(BM_replay_packed_quarter_day)->Arg(32);
 
+namespace {
+
+/// One perfbench replay_mc-sized trace: a 348-day Poisson trace over 11,520
+/// 8-GPU nodes, split onto 23,040 4-GPU nodes.
+fault::FaultTrace make_replay_mc_trace() {
+  fault::TraceGenConfig cfg;
+  cfg.node_count = 11520;
+  Rng split(2);
+  return fault::generate_trace(cfg).split_to_half_nodes(split);
+}
+
+}  // namespace
+
+// Trace generation as every replay_mc trace pays it, single thread:
+// generate_trace, then split_to_half_nodes. events/s counts the split
+// trace's events per second of the whole iteration.
+static void BM_trace_generate(benchmark::State& state) {
+  std::size_t events = 0;
+  const auto t0 = std::chrono::steady_clock::now();
+  for (auto _ : state) {
+    const fault::FaultTrace trace = make_replay_mc_trace();
+    benchmark::DoNotOptimize(trace);
+    events += trace.events().size();
+  }
+  const double secs =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+          .count();
+  if (secs > 0.0)
+    state.counters["events/s"] = static_cast<double>(events) / secs;
+}
+BENCHMARK(BM_trace_generate);
+
 // The grid timeline build that a replay grid's first cell waits on, at
-// perfbench replay_mc scale: a 348-day Poisson trace over 11,520 8-GPU
-// nodes split onto 23,040 4-GPU nodes, folded onto the hourly grid. Each
-// iteration builds on a fresh copy (empty timeline cache); samples/s counts
-// the grid samples folded per second of build time only, while ns_per_iter
-// also pays the copy.
+// perfbench replay_mc scale (make_replay_mc_trace), folded onto the hourly
+// grid. Each iteration builds on a fresh copy (empty timeline cache);
+// samples/s counts the grid samples folded per second of build time only,
+// while ns_per_iter also pays the copy.
 static void BM_grid_timeline_build(benchmark::State& state) {
-  static const fault::FaultTrace trace = [] {
-    fault::TraceGenConfig cfg;
-    cfg.node_count = 11520;
-    Rng split(2);
-    return fault::generate_trace(cfg).split_to_half_nodes(split);
-  }();
+  static const fault::FaultTrace trace = make_replay_mc_trace();
   constexpr double kStepDays = 1.0 / 24.0;
   const std::size_t samples = trace.sample_days(kStepDays).size();
   double build_s = 0.0;

@@ -3,7 +3,9 @@
 
 Reads the vendored micro-bench harness's JSON export (the file named by
 IHBD_MICROBENCH_JSON when running ./bench_replay_micro) and writes a
-machine/core-stamped samples-per-second summary per replay path, so
+machine/core-stamped throughput summary per tier (samples per second for
+the replay paths and the grid timeline build, fault events per second for
+trace generation), so
 cross-PR perf regressions become diffable artifacts instead of log
 archaeology. The headline speedups of the fast incremental packed replay
 over the serial oracle (same trace, same grid, single thread) are derived
@@ -26,6 +28,9 @@ import platform
 # The harness default (bench/microbench.h min_seconds); anything below it
 # is a deliberately shortened CI smoke run.
 FULL_MIN_TIME_SECONDS = 0.05
+
+# harness throughput counter -> the tier field it is recorded under
+RATE_COUNTERS = {"samples/s": "samples_per_s", "events/s": "events_per_s"}
 
 # fast packed replay -> the serial oracle it is measured against
 SPEEDUP_PAIRS = {
@@ -57,9 +62,12 @@ def summarize(results: list) -> dict:
         if not isinstance(r, dict):
             skipped += 1
             continue
-        samples_per_s = r.get("counters", {}).get("samples/s")
-        if samples_per_s is None:
-            continue  # not a replay tier (no throughput counter)
+        counters = r.get("counters", {})
+        rates = {field: round(counters[counter], 1)
+                 for counter, field in RATE_COUNTERS.items()
+                 if counter in counters}
+        if not rates:
+            continue  # not a tracked tier (no throughput counter)
         name = r.get("name")
         ns_per_iter = r.get("ns_per_iter")
         iterations = r.get("iterations")
@@ -67,7 +75,7 @@ def summarize(results: list) -> dict:
             skipped += 1
             continue
         tiers[name] = {
-            "samples_per_s": round(samples_per_s, 1),
+            **rates,
             "ns_per_iter": round(ns_per_iter, 1),
             "iterations": iterations,
         }
@@ -96,7 +104,7 @@ def summarize(results: list) -> dict:
 def main() -> None:
     parser = argparse.ArgumentParser(
         description="Summarize bench_replay_micro JSON into a per-tier "
-                    "samples/s artifact.")
+                    "throughput artifact.")
     parser.add_argument("input", help="BENCH_replay.json from the harness")
     parser.add_argument("-o", "--output", default="BENCH_replay_micro.json")
     args = parser.parse_args()
