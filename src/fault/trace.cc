@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstddef>
 #include <limits>
 #include <mutex>
 #include <string>
@@ -150,6 +151,46 @@ constexpr auto event_less = [](const FaultEvent& a, const FaultEvent& b) {
          std::tie(b.start_day, b.node, b.end_day);
 };
 
+/// Puts `events` in event_less order; `lo` and `hi` are the least and the
+/// greatest start day. A counting sort on start day into one bucket per
+/// event, then event_less inside each bucket holding more than one: the
+/// bucket index is monotone in the start day, and ties on start day (an
+/// incident's nodes) share a bucket. Linear for spread-out start days.
+/// Equal starts and spans too wide (inf) or too narrow (subnormal) for a
+/// positive finite bucket scale fall back to event_less over the whole
+/// vector.
+void order_events(std::vector<FaultEvent>& events, double lo, double hi) {
+  const std::size_t n = events.size();
+  const double span = hi - lo;
+  const double scale = span > 0.0 ? static_cast<double>(n) / span : 0.0;
+  if (!(scale > 0.0) || !std::isfinite(scale)) {
+    std::sort(events.begin(), events.end(), event_less);
+    return;
+  }
+  // Clamped before the cast: rounding can carry the greatest start to n.
+  // -0.0 and +0.0 give one difference from lo, so they share a bucket.
+  const auto bucket_of = [&](double day) -> std::size_t {
+    const double b = std::floor((day - lo) * scale);
+    if (!(b > 0.0)) return 0;
+    return b < static_cast<double>(n) ? static_cast<std::size_t>(b) : n - 1;
+  };
+  // end[b + 1] counts bucket b, then holds where it starts; the scatter
+  // advances end[b] to where bucket b ends.
+  std::vector<std::size_t> end(n + 1, 0);
+  for (const FaultEvent& e : events) ++end[bucket_of(e.start_day) + 1];
+  for (std::size_t b = 0; b < n; ++b) end[b + 1] += end[b];
+  std::vector<FaultEvent> out(n);
+  for (const FaultEvent& e : events) out[end[bucket_of(e.start_day)]++] = e;
+  std::size_t begin = 0;
+  for (std::size_t b = 0; b < n; ++b) {
+    const auto first = out.begin() + static_cast<std::ptrdiff_t>(begin);
+    const auto last = out.begin() + static_cast<std::ptrdiff_t>(end[b]);
+    if (last - first > 1) std::sort(first, last, event_less);
+    begin = end[b];
+  }
+  events.swap(out);
+}
+
 }  // namespace
 
 struct FaultTrace::TimelineCache {
@@ -176,6 +217,10 @@ FaultTrace::FaultTrace(int node_count, double duration_days,
   if (node_count <= 0) throw ConfigError("node_count must be positive");
   if (!(duration_days > 0.0) || !std::isfinite(duration_days))
     throw ConfigError("duration must be positive and finite");
+  // One pass validates, finds the start-day range and checks the order.
+  double lo = std::numeric_limits<double>::infinity();
+  double hi = -lo;
+  bool ordered = true;
   for (std::size_t i = 0; i < events_.size(); ++i) {
     const FaultEvent& e = events_[i];
     const auto where = [i] { return " (event " + std::to_string(i) + ")"; };
@@ -187,12 +232,14 @@ FaultTrace::FaultTrace(int node_count, double duration_days,
       throw ConfigError("fault event end_day is not finite" + where());
     if (e.end_day < e.start_day)
       throw ConfigError("fault event ends early" + where());
+    lo = std::min(lo, e.start_day);
+    hi = std::max(hi, e.start_day);
+    if (i > 0 && event_less(e, events_[i - 1])) ordered = false;
   }
   // Deterministic total order (ties broken by node, then end): keeps
   // save/load round-trips and repeated runs bit-stable. Traces derived from
   // another trace or loaded from a saved one arrive in this order already.
-  if (!std::is_sorted(events_.begin(), events_.end(), event_less))
-    std::sort(events_.begin(), events_.end(), event_less);
+  if (!ordered) order_events(events_, lo, hi);
 }
 
 PackedMask FaultTrace::faulty_at(double day) const {

@@ -68,6 +68,11 @@ class FaultTrace {
  public:
   /// Throws ConfigError naming the event index when an event's node is out
   /// of range, a day is NaN or infinite, or it ends before it starts.
+  /// Holds the events in (start_day, node, end_day) order, whatever their
+  /// input order. Input already in that order is only checked; otherwise
+  /// a counting sort on start day orders it in expected linear time, with
+  /// an O(n log n) worst case (all starts equal, or a start-day span that
+  /// overflows or underflows the bucket scale).
   FaultTrace(int node_count, double duration_days,
              std::vector<FaultEvent> events);
 
@@ -158,7 +163,7 @@ class FaultTrace {
 
   int node_count_;
   double duration_days_;
-  std::vector<FaultEvent> events_;  // sorted by start_day
+  std::vector<FaultEvent> events_;  // (start_day, node, end_day) order
   std::shared_ptr<TimelineCache> timeline_cache_;  // filled on first use
 };
 

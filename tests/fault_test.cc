@@ -1,12 +1,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <limits>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "src/common/error.h"
 #include "src/fault/generator.h"
+#include "src/fault/physics_generator.h"
 #include "src/fault/trace.h"
 
 namespace ihbd::fault {
@@ -89,6 +93,103 @@ TEST(FaultTrace, SortedAndUnsortedInputsGiveOneEventOrder) {
       EXPECT_EQ(rebuilt.events()[i].end_day, trace.events()[i].end_day);
     }
   }
+}
+
+/// Expects the trace built from `events` (in input order, reversed and
+/// shuffled) to hold them in std::sort's (start_day, node, end_day) order,
+/// bit for bit, so -0.0 and +0.0 start days cannot swap.
+void expect_sort_order(std::vector<FaultEvent> events, int node_count) {
+  std::vector<FaultEvent> want = events;
+  std::sort(want.begin(), want.end(),
+            [](const FaultEvent& a, const FaultEvent& b) {
+              return std::tie(a.start_day, a.node, a.end_day) <
+                     std::tie(b.start_day, b.node, b.end_day);
+            });
+  std::vector<FaultEvent> reversed(events.rbegin(), events.rend());
+  std::vector<FaultEvent> shuffled = events;
+  Rng rng(11);
+  rng.shuffle(shuffled);
+  for (const auto& input : {events, reversed, shuffled}) {
+    const FaultTrace trace(node_count, 10.0, input);
+    ASSERT_EQ(trace.events().size(), want.size());
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      const FaultEvent& got = trace.events()[i];
+      EXPECT_EQ(got.node, want[i].node) << "event " << i;
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(got.start_day),
+                std::bit_cast<std::uint64_t>(want[i].start_day))
+          << "event " << i;
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(got.end_day),
+                std::bit_cast<std::uint64_t>(want[i].end_day))
+          << "event " << i;
+    }
+  }
+}
+
+TEST(FaultTrace, OrderMatchesSortOnEdgeCases) {
+  // An incident: one start day on a contiguous node range that wraps past
+  // the last node, among spread-out single-node faults.
+  std::vector<FaultEvent> incident;
+  for (int k = 0; k < 10; ++k) incident.push_back({(12 + k) % 16, 3.0, 4.5});
+  for (int node = 0; node < 16; ++node)
+    incident.push_back({node, 0.37 * node, 0.37 * node + 1.0});
+  expect_sort_order(incident, 16);
+
+  // Ties on (start, node) broken by end day.
+  expect_sort_order({{1, 2.0, 5.0}, {1, 2.0, 3.0}, {0, 2.0, 9.0},
+                     {1, 2.0, 4.0}, {1, 1.0, 7.0}, {2, 6.0, 6.5}},
+                    4);
+
+  // -0.0 and +0.0 start days on different nodes: node decides, whether
+  // the least start is a zero or lies below them.
+  expect_sort_order({{3, 0.0, 1.0}, {1, -0.0, 1.0}, {0, 0.0, 2.0},
+                     {2, -0.0, 1.0}, {0, 1.0, 2.0}},
+                    4);
+  expect_sort_order({{3, 0.0, 1.0}, {1, -0.0, 1.0}, {2, -2.5, 1.0},
+                     {0, -0.0, 2.0}, {0, 1.0, 2.0}},
+                    4);
+
+  // Negative start days.
+  expect_sort_order({{0, -5.0, -4.0}, {1, -0.5, 0.0}, {2, -3.0, 1.0},
+                     {3, -3.0, -1.0}, {0, -7.25, 2.0}},
+                    4);
+
+  // One start day for every event, one event, no events.
+  expect_sort_order({{3, 4.0, 5.0}, {0, 4.0, 6.0}, {2, 4.0, 4.0},
+                     {0, 4.0, 5.0}},
+                    4);
+  expect_sort_order({{2, 1.0, 2.0}}, 4);
+  expect_sort_order({}, 4);
+
+  // Start days of +-1e308: the start-day span overflows to inf.
+  expect_sort_order({{0, 1e308, 1e308}, {1, -1e308, 0.0}, {2, 0.0, 1.0},
+                     {3, -1e308, -1e308}, {1, 5.0, 6.0}},
+                    4);
+
+  // Subnormal start days: a span too narrow for a finite bucket scale, and
+  // subnormals beside a normal span.
+  const double tiny = std::numeric_limits<double>::denorm_min();
+  expect_sort_order({{0, 3 * tiny, 1.0}, {1, 0.0, 1.0}, {2, tiny, 1.0},
+                     {3, 2 * tiny, 1.0}, {1, tiny, 1.0}},
+                    4);
+  expect_sort_order({{0, 3 * tiny, 1.0}, {1, 1.0, 1.0}, {2, 1e-310, 1.0},
+                     {3, 0.0, 1.0}, {1, tiny, 1.0}},
+                    4);
+}
+
+TEST(FaultTrace, OrderMatchesSortOnGeneratedTraces) {
+  TraceGenConfig poisson;
+  poisson.node_count = 96;
+  poisson.duration_days = 120.0;
+  const FaultTrace poisson_trace = generate_trace(poisson);
+  ASSERT_GT(poisson_trace.events().size(), 100u);
+  expect_sort_order(poisson_trace.events(), poisson_trace.node_count());
+
+  PhysicsTraceConfig storm = storm_trace_defaults();
+  storm.node_count = 64;
+  storm.duration_days = 60.0;
+  const FaultTrace storm_trace = generate_physics_trace(storm);
+  ASSERT_GT(storm_trace.events().size(), 20u);
+  expect_sort_order(storm_trace.events(), storm_trace.node_count());
 }
 
 TEST(FaultTrace, FaultyAtRespectsIntervals) {
