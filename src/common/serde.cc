@@ -76,11 +76,6 @@ void Writer::f64(double v) {
   u64(bits);
 }
 
-void Writer::str(std::string_view s) {
-  u64(s.size());
-  buf_.append(s.data(), s.size());
-}
-
 void Writer::f64_vec(const std::vector<double>& v) {
   u64(v.size());
   for (const double x : v) f64(x);
@@ -93,10 +88,6 @@ std::string_view Reader::take(std::size_t n, const char* what) {
   const std::string_view out = data_.substr(pos_, n);
   pos_ += n;
   return out;
-}
-
-std::uint8_t Reader::u8() {
-  return static_cast<std::uint8_t>(take(1, "u8")[0]);
 }
 
 std::uint32_t Reader::u32() {
@@ -124,14 +115,6 @@ double Reader::f64() {
   double v;
   std::memcpy(&v, &bits, sizeof v);
   return v;
-}
-
-std::string Reader::str() {
-  const std::uint64_t n = u64();
-  if (n > remaining()) {
-    throw ConfigError("serde: string length exceeds remaining bytes");
-  }
-  return std::string(take(static_cast<std::size_t>(n), "string body"));
 }
 
 std::vector<double> Reader::f64_vec() {

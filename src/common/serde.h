@@ -7,7 +7,7 @@
 //
 // Binary encoding: little-endian fixed-width integers, IEEE doubles carried
 // by bit pattern (save -> load is bit-exact, including NaN payloads and
-// infinities), strings and arrays length-prefixed with u64 counts. A
+// infinities), arrays length-prefixed with u64 counts. A
 // Reader throws ConfigError on any underflow or malformed length, so a
 // truncated buffer can never silently decode into a short value.
 #pragma once
@@ -39,13 +39,10 @@ void json_append_number(std::string& out, std::uint64_t v);
 /// Append-only binary encoder over an owned byte buffer.
 class Writer {
  public:
-  void u8(std::uint8_t v) { buf_.push_back(static_cast<char>(v)); }
   void u32(std::uint32_t v);
   void u64(std::uint64_t v);
   /// Bit-exact double: the IEEE bit pattern travels as a u64.
   void f64(double v);
-  /// u64 length prefix + raw bytes.
-  void str(std::string_view s);
   void f64_vec(const std::vector<double>& v);
 
   const std::string& buffer() const { return buf_; }
@@ -62,11 +59,9 @@ class Reader {
  public:
   explicit Reader(std::string_view data) : data_(data) {}
 
-  std::uint8_t u8();
   std::uint32_t u32();
   std::uint64_t u64();
   double f64();
-  std::string str();
   std::vector<double> f64_vec();
 
   std::size_t remaining() const { return data_.size() - pos_; }
