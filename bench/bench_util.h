@@ -47,7 +47,7 @@ namespace detail {
 inline std::string usage(const char* prog) {
   return std::string("usage: ") + prog +
       " [--quick] [--csv <dir>] [--trials N] [--threads N] "
-      "[--metrics] [--trace-out <file>] [--help]\n"
+      "[--trace-model M] [--metrics] [--trace-out <file>] [--help]\n"
       "  --quick             reduced trial counts (CI smoke mode)\n"
       "  --csv <dir>         also write machine-readable CSV into <dir>\n"
       "  --trials N          override the bench's default trial count\n"
