@@ -156,19 +156,17 @@ constexpr auto event_less = [](const FaultEvent& a, const FaultEvent& b) {
 /// event, then event_less inside each bucket holding more than one: the
 /// bucket index is monotone in the start day, and ties on start day (an
 /// incident's nodes) share a bucket. Linear for spread-out start days.
-/// Equal starts and spans too wide (inf) or too narrow (subnormal) for a
-/// positive finite bucket scale fall back to event_less over the whole
-/// vector.
+/// Degenerate spans send every event to bucket 0 (equal starts: scale 0;
+/// a span that overflows to inf: scale 0, and inf * 0 is NaN) or split
+/// them between buckets 0 and n - 1 (a subnormal span, where the scale
+/// can be inf), so event_less over one bucket orders them in O(n log n).
 void order_events(std::vector<FaultEvent>& events, double lo, double hi) {
   const std::size_t n = events.size();
   const double span = hi - lo;
   const double scale = span > 0.0 ? static_cast<double>(n) / span : 0.0;
-  if (!(scale > 0.0) || !std::isfinite(scale)) {
-    std::sort(events.begin(), events.end(), event_less);
-    return;
-  }
-  // Clamped before the cast: rounding can carry the greatest start to n.
-  // -0.0 and +0.0 give one difference from lo, so they share a bucket.
+  // Clamped before the cast: rounding can carry the greatest start to n,
+  // and NaN goes to bucket 0. -0.0 and +0.0 give one difference from lo,
+  // so they share a bucket.
   const auto bucket_of = [&](double day) -> std::size_t {
     const double b = std::floor((day - lo) * scale);
     if (!(b > 0.0)) return 0;

@@ -70,9 +70,10 @@ class FaultTrace {
   /// of range, a day is NaN or infinite, or it ends before it starts.
   /// Holds the events in (start_day, node, end_day) order, whatever their
   /// input order. Input already in that order is only checked; otherwise
-  /// a counting sort on start day orders it in expected linear time, with
-  /// an O(n log n) worst case (all starts equal, or a start-day span that
-  /// overflows or underflows the bucket scale).
+  /// a counting sort on start day orders it in expected linear time. Ties
+  /// in one bucket are sorted, so the worst case (all starts equal, or a
+  /// start-day span that overflows to inf or is subnormal, which put the
+  /// events into one or two buckets) is O(n log n).
   FaultTrace(int node_count, double duration_days,
              std::vector<FaultEvent> events);
 

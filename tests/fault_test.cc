@@ -56,48 +56,24 @@ TEST(FaultTrace, ValidationNamesTheFieldAndTheEventIndex) {
   EXPECT_THROW(FaultTrace(4, inf, {}), ConfigError);
 }
 
-TEST(FaultTrace, SortedAndUnsortedInputsGiveOneEventOrder) {
-  // Ties on start day (broken by node) and on start day and node (broken
-  // by end day): every input permutation lands in this one order.
-  const std::vector<FaultEvent> sorted = {
-      {0, 0.5, 4.0}, {1, 1.0, 1.5}, {1, 1.0, 2.0}, {2, 1.0, 3.0},
-      {3, 2.0, 2.0}};
-  std::vector<int> perm = {0, 1, 2, 3, 4};
-  do {
-    std::vector<FaultEvent> events;
-    for (const int i : perm) events.push_back(sorted[static_cast<std::size_t>(i)]);
-    const FaultTrace trace(4, 10.0, events);
-    ASSERT_EQ(trace.events().size(), sorted.size());
-    for (std::size_t i = 0; i < sorted.size(); ++i) {
-      EXPECT_EQ(trace.events()[i].node, sorted[i].node);
-      EXPECT_EQ(trace.events()[i].start_day, sorted[i].start_day);
-      EXPECT_EQ(trace.events()[i].end_day, sorted[i].end_day);
-    }
-  } while (std::next_permutation(perm.begin(), perm.end()));
-
-  // A generated trace, re-built from its own (sorted) events and from a
-  // shuffled copy.
-  TraceGenConfig cfg;
-  cfg.node_count = 64;
-  cfg.duration_days = 60.0;
-  const FaultTrace trace = generate_trace(cfg);
-  std::vector<FaultEvent> shuffled = trace.events();
-  Rng rng(5);
-  rng.shuffle(shuffled);
-  for (const auto& events : {trace.events(), shuffled}) {
-    const FaultTrace rebuilt(trace.node_count(), trace.duration_days(), events);
-    ASSERT_EQ(rebuilt.events().size(), trace.events().size());
-    for (std::size_t i = 0; i < events.size(); ++i) {
-      EXPECT_EQ(rebuilt.events()[i].node, trace.events()[i].node);
-      EXPECT_EQ(rebuilt.events()[i].start_day, trace.events()[i].start_day);
-      EXPECT_EQ(rebuilt.events()[i].end_day, trace.events()[i].end_day);
-    }
+/// Expects `got` to equal `want` field for field, bit for bit, so -0.0
+/// and +0.0 days cannot swap.
+void expect_same_events(const std::vector<FaultEvent>& got,
+                        const std::vector<FaultEvent>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(got[i].node, want[i].node) << "event " << i;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(got[i].start_day),
+              std::bit_cast<std::uint64_t>(want[i].start_day))
+        << "event " << i;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(got[i].end_day),
+              std::bit_cast<std::uint64_t>(want[i].end_day))
+        << "event " << i;
   }
 }
 
 /// Expects the trace built from `events` (in input order, reversed and
-/// shuffled) to hold them in std::sort's (start_day, node, end_day) order,
-/// bit for bit, so -0.0 and +0.0 start days cannot swap.
+/// shuffled) to hold them in std::sort's (start_day, node, end_day) order.
 void expect_sort_order(std::vector<FaultEvent> events, int node_count) {
   std::vector<FaultEvent> want = events;
   std::sort(want.begin(), want.end(),
@@ -109,20 +85,38 @@ void expect_sort_order(std::vector<FaultEvent> events, int node_count) {
   std::vector<FaultEvent> shuffled = events;
   Rng rng(11);
   rng.shuffle(shuffled);
-  for (const auto& input : {events, reversed, shuffled}) {
-    const FaultTrace trace(node_count, 10.0, input);
-    ASSERT_EQ(trace.events().size(), want.size());
-    for (std::size_t i = 0; i < want.size(); ++i) {
-      const FaultEvent& got = trace.events()[i];
-      EXPECT_EQ(got.node, want[i].node) << "event " << i;
-      EXPECT_EQ(std::bit_cast<std::uint64_t>(got.start_day),
-                std::bit_cast<std::uint64_t>(want[i].start_day))
-          << "event " << i;
-      EXPECT_EQ(std::bit_cast<std::uint64_t>(got.end_day),
-                std::bit_cast<std::uint64_t>(want[i].end_day))
-          << "event " << i;
-    }
-  }
+  for (const auto& input : {events, reversed, shuffled})
+    expect_same_events(FaultTrace(node_count, 10.0, input).events(), want);
+}
+
+TEST(FaultTrace, SortedAndUnsortedInputsGiveOneEventOrder) {
+  // Ties on start day (broken by node) and on start day and node (broken
+  // by end day): every input permutation lands in this one order.
+  const std::vector<FaultEvent> sorted = {
+      {0, 0.5, 4.0}, {1, 1.0, 1.5}, {1, 1.0, 2.0}, {2, 1.0, 3.0},
+      {3, 2.0, 2.0}};
+  std::vector<int> perm = {0, 1, 2, 3, 4};
+  do {
+    std::vector<FaultEvent> events;
+    for (const int i : perm) events.push_back(sorted[static_cast<std::size_t>(i)]);
+    expect_same_events(FaultTrace(4, 10.0, events).events(), sorted);
+  } while (std::next_permutation(perm.begin(), perm.end()));
+
+  // Generated Poisson and storm traces, re-built from their own (sorted)
+  // events, reversed and shuffled.
+  TraceGenConfig poisson;
+  poisson.node_count = 96;
+  poisson.duration_days = 120.0;
+  const FaultTrace poisson_trace = generate_trace(poisson);
+  ASSERT_GT(poisson_trace.events().size(), 100u);
+  expect_sort_order(poisson_trace.events(), poisson_trace.node_count());
+
+  PhysicsTraceConfig storm = storm_trace_defaults();
+  storm.node_count = 64;
+  storm.duration_days = 60.0;
+  const FaultTrace storm_trace = generate_physics_trace(storm);
+  ASSERT_GT(storm_trace.events().size(), 20u);
+  expect_sort_order(storm_trace.events(), storm_trace.node_count());
 }
 
 TEST(FaultTrace, OrderMatchesSortOnEdgeCases) {
@@ -174,22 +168,6 @@ TEST(FaultTrace, OrderMatchesSortOnEdgeCases) {
   expect_sort_order({{0, 3 * tiny, 1.0}, {1, 1.0, 1.0}, {2, 1e-310, 1.0},
                      {3, 0.0, 1.0}, {1, tiny, 1.0}},
                     4);
-}
-
-TEST(FaultTrace, OrderMatchesSortOnGeneratedTraces) {
-  TraceGenConfig poisson;
-  poisson.node_count = 96;
-  poisson.duration_days = 120.0;
-  const FaultTrace poisson_trace = generate_trace(poisson);
-  ASSERT_GT(poisson_trace.events().size(), 100u);
-  expect_sort_order(poisson_trace.events(), poisson_trace.node_count());
-
-  PhysicsTraceConfig storm = storm_trace_defaults();
-  storm.node_count = 64;
-  storm.duration_days = 60.0;
-  const FaultTrace storm_trace = generate_physics_trace(storm);
-  ASSERT_GT(storm_trace.events().size(), 20u);
-  expect_sort_order(storm_trace.events(), storm_trace.node_count());
 }
 
 TEST(FaultTrace, FaultyAtRespectsIntervals) {
