@@ -7,7 +7,9 @@
 // path; CI runs it to track the speedups. BM_grid_timeline_build times the
 // serial step every replay grid starts with: the hourly grid word-delta
 // timeline of a 23,040-node trace, and BM_trace_generate the generation of
-// that trace. Built on the vendored bench/microbench.h harness.
+// that trace. BM_physics_trace_generate times one perfbench ctrl_storm-sized
+// storm trace, whose cost is the per-tick link evaluation. Built on the
+// vendored bench/microbench.h harness.
 #include <chrono>
 #include <cstddef>
 #include <cstdlib>
@@ -16,6 +18,7 @@
 #include "bench/microbench.h"
 #include "src/common/rng.h"
 #include "src/fault/generator.h"
+#include "src/fault/physics_generator.h"
 #include "src/topo/baselines.h"
 #include "src/topo/khop_ring.h"
 #include "src/topo/waste.h"
@@ -182,6 +185,29 @@ static void BM_trace_generate(benchmark::State& state) {
     state.counters["events/s"] = static_cast<double>(events) / secs;
 }
 BENCHMARK(BM_trace_generate);
+
+// One storm trace at perfbench ctrl_storm scale (2,560 nodes x 16 days),
+// single thread: the per-node degradation walk probes the link every tick,
+// so this times the per-tick BER evaluation. events/s counts the trace's
+// events per second of the whole iteration.
+static void BM_physics_trace_generate(benchmark::State& state) {
+  fault::PhysicsTraceConfig cfg = fault::storm_trace_defaults();
+  cfg.node_count = 2560;
+  cfg.duration_days = 16.0;
+  std::size_t events = 0;
+  const auto t0 = std::chrono::steady_clock::now();
+  for (auto _ : state) {
+    const fault::FaultTrace trace = fault::generate_physics_trace(cfg);
+    benchmark::DoNotOptimize(trace);
+    events += trace.events().size();
+  }
+  const double secs =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+          .count();
+  if (secs > 0.0)
+    state.counters["events/s"] = static_cast<double>(events) / secs;
+}
+BENCHMARK(BM_physics_trace_generate);
 
 // The grid timeline build that a replay grid's first cell waits on, at
 // perfbench replay_mc scale (make_replay_mc_trace), folded onto the hourly

@@ -6,8 +6,11 @@
 // Supported surface: benchmark::State (range-for iteration, range(i),
 // counters), BENCHMARK(fn) registration with ->Arg(n), DoNotOptimize,
 // Counter, and BENCHMARK_MAIN(). Timing is adaptive: each benchmark reruns
-// with a growing iteration count until it occupies a minimum wall-clock
-// window, then reports ns/iteration plus any user counters.
+// with a growing iteration count until one run both occupies a minimum
+// wall-clock window and has at least kMinIterations iterations, then
+// reports that run's ns/iteration plus any user counters. The iteration
+// floor keeps a tier of tens of milliseconds per iteration from being
+// reported off a handful of cold iterations.
 // The measurement window defaults to 0.05 s per benchmark and can be
 // overridden with the IHBD_MICROBENCH_MIN_TIME environment variable
 // (seconds; CI's quick mode uses a smaller window so the full registry
@@ -139,6 +142,9 @@ struct RunResult {
   std::map<std::string, Counter> counters;
 };
 
+/// Fewest iterations a reported run may have, whatever its wall clock.
+inline constexpr std::int64_t kMinIterations = 16;
+
 inline RunResult run_one(const Registered& bench,
                          const std::vector<std::int64_t>& args) {
   using clock = std::chrono::steady_clock;
@@ -155,7 +161,9 @@ inline RunResult run_one(const Registered& bench,
         std::chrono::duration<double>(clock::now() - state.start_time())
             .count();
     result.counters = state.counters;
-    if (elapsed >= kMinSeconds || iters >= kMaxIters) break;
+    if ((elapsed >= kMinSeconds && iters >= kMinIterations) ||
+        iters >= kMaxIters)
+      break;
   }
 
   result.name = bench.name;

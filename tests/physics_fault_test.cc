@@ -1,10 +1,14 @@
 // Tests for the physics-grounded fault generator (src/fault/physics_generator.h):
 // calibration against the paper's Appendix A statistics, the burstiness
-// contract versus the Poisson baseline, determinism, config validation, and
-// the overlapping-interval geometry storm traces feed into every consumer.
+// contract versus the Poisson baseline, determinism, pinned event bytes,
+// config validation, and the overlapping-interval geometry storm traces feed
+// into every consumer.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <iterator>
 #include <string>
 #include <utility>
 #include <vector>
@@ -118,6 +122,71 @@ TEST(PhysicsGenerator, CrewPoolQueuesDomainStorms) {
   for (const auto& ev : queued.events()) queued_downtime += ev.duration();
   for (const auto& ev : parallel.events()) parallel_downtime += ev.duration();
   EXPECT_GT(queued_downtime, 2.0 * parallel_downtime);
+}
+
+/// FNV-1a over each event's node and the bit patterns of its start and end
+/// day, in trace order: any moved byte of the event vector moves it.
+std::uint64_t event_digest(const FaultTrace& trace) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  const auto mix = [&h](std::uint64_t word, int bytes) {
+    for (int i = 0; i < bytes; ++i) {
+      h ^= (word >> (8 * i)) & 0xFF;
+      h *= 0x100000001b3ULL;
+    }
+  };
+  for (const auto& ev : trace.events()) {
+    mix(static_cast<std::uint32_t>(ev.node), 4);
+    mix(std::bit_cast<std::uint64_t>(ev.start_day), 8);
+    mix(std::bit_cast<std::uint64_t>(ev.end_day), 8);
+  }
+  return h;
+}
+
+TEST(PhysicsGenerator, EventBytesArePinned) {
+  // Digests of the full event vector for configs that span the per-tick
+  // link evaluation: the calibrated defaults, a hot marginal hall where
+  // most ticks sit near the BER threshold, temperature coefficients of
+  // negative sign, and no transient drift penalty at all. A change to how
+  // ticks are evaluated must leave every one of them unmoved.
+  PhysicsTraceConfig storm = storm_trace_defaults();
+  storm.node_count = 2560;
+  storm.duration_days = 16.0;
+
+  PhysicsTraceConfig hot = physics_trace_defaults();
+  hot.duration_days = 60.0;
+  hot.base_temp_c = 58.0;
+  hot.transient_prob = 1.0;
+  hot.oma_dbm_mean = -7.6;
+  hot.aging_db_per_day = 0.0;
+
+  PhysicsTraceConfig negative = physics_trace_defaults();
+  negative.duration_days = 120.0;
+  negative.base_temp_c = 45.0;
+  negative.matrix.element.loss_temp_coeff_db = -0.004;
+  negative.ber.noise_temp_coeff = -0.006;
+
+  PhysicsTraceConfig no_drift = physics_trace_defaults();
+  no_drift.duration_days = 120.0;
+  no_drift.ber.drift_penalty_db_per_c = 0.0;
+
+  const std::pair<const char*, PhysicsTraceConfig> cases[] = {
+      {"storm 2560x16", storm},
+      {"physics defaults", physics_trace_defaults()},
+      {"hot marginal hall", hot},
+      {"negative temperature coefficients", negative},
+      {"no drift penalty", no_drift},
+  };
+  const std::uint64_t want[] = {
+      0x2b20d7bc6bce9565ULL, 0xc4bf9736ef064d58ULL, 0x8fef9622ff20c3bbULL,
+      0xf9dd628fc13885bcULL, 0xdcc440991c244856ULL,
+  };
+  for (std::size_t i = 0; i < std::size(cases); ++i) {
+    const FaultTrace trace = generate_physics_trace(cases[i].second);
+    EXPECT_FALSE(trace.events().empty()) << cases[i].first;
+    EXPECT_EQ(event_digest(trace), want[i])
+        << cases[i].first << ": 0x" << std::hex << event_digest(trace)
+        << " over " << std::dec << trace.events().size() << " events";
+  }
 }
 
 TEST(PhysicsGenerator, ValidationNamesTheOffendingField) {
