@@ -6,6 +6,7 @@
 #include <queue>
 #include <vector>
 
+#include "src/common/contracts.h"
 #include "src/common/error.h"
 
 namespace ihbd::fault {
@@ -42,6 +43,23 @@ void validate(const PhysicsTraceConfig& c) {
           "must be in (0, 0.5)");
   require(c.repair_lognorm_sigma >= 0.0, "repair_lognorm_sigma",
           "must be >= 0");
+  // The physical layer: checked here so that a bad value names its field
+  // instead of tripping a contract in phy::. drift_penalty_db_per_c >= 0
+  // also keeps the transient probability in [0, 1] and the margin bound's
+  // skip test sound.
+  require(c.ber.drift_penalty_db_per_c >= 0.0 &&
+              std::isfinite(c.ber.drift_penalty_db_per_c),
+          "ber.drift_penalty_db_per_c", "must be finite and >= 0");
+  require(c.ber.detector_noise_mw_25c > 0.0, "ber.detector_noise_mw_25c",
+          "must be > 0");
+  require(c.ber.measured_bits > 0.0, "ber.measured_bits", "must be > 0");
+  require(c.matrix.lane_count >= 2, "matrix.lane_count", "must be >= 2");
+  require(c.matrix.coupling_loss_db >= 0.0, "matrix.coupling_loss_db",
+          "must be >= 0");
+  require(c.matrix.element.insertion_loss_db > 0.0,
+          "matrix.element.insertion_loss_db", "must be > 0");
+  require(c.matrix.element.extinction_ratio_db > 0.0,
+          "matrix.element.extinction_ratio_db", "must be > 0");
   require(c.storm.rate_per_day >= 0.0, "storm.rate_per_day",
           "must be >= 0");
   if (c.storm.rate_per_day > 0.0) {
@@ -166,6 +184,19 @@ FaultTrace generate_physics_trace(const PhysicsTraceConfig& config) {
   const double q_thr = q_for_ber(config.ber_threshold);
   const double sqrt_dt = std::sqrt(dt);
 
+  // Hall temperature range; a NaN anywhere makes both ends NaN, so every
+  // bound formed from them is NaN and no tick is skipped.
+  double hall_lo = hall.empty() ? 0.0 : hall[0];
+  double hall_hi = hall_lo;
+  for (const double h : hall) {
+    if (std::isnan(h)) {
+      hall_lo = hall_hi = h;
+      break;
+    }
+    hall_lo = std::min(hall_lo, h);
+    hall_hi = std::max(hall_hi, h);
+  }
+
   std::vector<FaultEvent> events;
   for (int node = 0; node < config.node_count; ++node) {
     Rng rng(node_seeds[static_cast<std::size_t>(node)]);
@@ -173,6 +204,22 @@ FaultTrace generate_physics_trace(const PhysicsTraceConfig& config) {
     double oma_dbm = rng.normal(config.oma_dbm_mean, config.oma_dbm_sigma);
     double age_db = 0.0;
     double drift_db = 0.0;
+    // Per-node floor under the exact margin: margin_db = eff_dbm - loss_db
+    // - 10 log10(noise) - 10 log10(q_thr), and every tick's temp_c lies in
+    // [t_lo, t_hi] (FP addition is monotone). Loss and noise are linear in
+    // temperature, so their maxima over the range sit at an endpoint; the
+    // slack covers the rounding of pow/log10 on the exact path. Hence
+    // lb = eff_dbm - floor_db never exceeds margin_db.
+    const double t_lo = hall_lo + offset_c;
+    const double t_hi = hall_hi + offset_c;
+    const auto loss_db = [&matrix](double temp_c) {
+      return matrix.mean_insertion_loss_db(phy::OcsPath::kExternal1, temp_c);
+    };
+    const double noise_mw =
+        std::max({model.noise_mw(t_lo), model.noise_mw(t_hi), 1e-6});
+    const double floor_db = std::max(loss_db(t_lo), loss_db(t_hi)) +
+                            10.0 * std::log10(noise_mw) +
+                            10.0 * std::log10(q_thr) + 1e-6;
     for (std::size_t i = 0; i < ticks; ++i) {
       const double t = static_cast<double>(i + 1) * dt;
       const double temp_c =
@@ -185,19 +232,41 @@ FaultTrace generate_physics_trace(const PhysicsTraceConfig& config) {
       drift_db += -config.drift_reversion_per_day * drift_db * dt +
                   config.drift_sigma_db * sqrt_dt * rng.normal();
       const double eff_dbm = oma_dbm - age_db - std::fabs(drift_db);
+      // Above the drift onset the TO trim takes a transient penalty with
+      // this exponential tail (as in BerModel::measure_ber).
+      const bool hot = temp_c > config.ber.drift_onset_temp_c;
+      const double scale = config.ber.drift_penalty_db_per_c *
+                           (temp_c - config.ber.drift_onset_temp_c);
+      const double lb = eff_dbm - floor_db;
+      // The transient draw, made ahead of the exact margin when the bound
+      // alone may decide the tick; -1 while not drawn.
+      double u = -1.0;
+      if (lb > 0.0) {
+        // margin_db >= lb > 0: the threshold test cannot fire, and a cool
+        // tick draws nothing.
+        if (!hot) continue;
+        // The one draw bernoulli() would make. With x = lb / scale,
+        // exp(-margin_db / scale) <= exp(-x) <= 1 / (1 + x + x^2 / 2), so
+        // u at or above that bound (padded for rounding) fails the exact
+        // test too.
+        u = rng.uniform();
+        const double x = lb / scale;
+        if (u >= config.transient_prob * (1.0 + 1e-6) /
+                     (1.0 + x + 0.5 * x * x))
+          continue;
+      }
       const double oma_mw = std::pow(10.0, eff_dbm / 10.0);
       const double q =
           model.q_factor(phy::OcsPath::kExternal1, oma_mw, temp_c);
       const double margin_db = 10.0 * std::log10(std::max(q, 1e-12) / q_thr);
+      IHBD_EXPECTS(!(margin_db < lb));
       bool down = margin_db <= 0.0;
-      if (!down && temp_c > config.ber.drift_onset_temp_c) {
-        // Transient TO drift penalty (same exponential tail as
-        // BerModel::measure_ber): the monitor probe fails when the
-        // transient eats the whole margin.
-        const double scale = config.ber.drift_penalty_db_per_c *
-                             (temp_c - config.ber.drift_onset_temp_c);
-        down = rng.bernoulli(config.transient_prob *
-                             std::exp(-margin_db / scale));
+      if (!down && hot) {
+        // The monitor probe fails when the transient eats the whole margin.
+        const double p = config.transient_prob * std::exp(-margin_db / scale);
+        IHBD_EXPECTS(p >= 0.0 && p <= 1.0);
+        if (u < 0.0) u = rng.uniform();
+        down = u < p;
       }
       if (!down) continue;
       const double repair = rng.lognormal(config.repair_lognorm_mu,

@@ -11,6 +11,20 @@
 // also takes transient exponential-tail hits (the same mechanism as
 // BerModel::measure_ber), so a hot hall fails marginal links in bursts.
 //
+// Most ticks are healthy by several dB, so a per-node bound decides them
+// before the exact pow/log10 evaluation runs. Each node's temperature stays
+// in [min hall + offset, max hall + offset]; loss and noise are linear in
+// temperature, so the worse endpoint of each, plus a 1e-6 dB rounding
+// slack, gives a floor with lb = eff_dbm - floor <= margin_db on every
+// tick. When lb > 0 the threshold cannot fire: a cool tick is done, and a
+// hot tick makes the transient draw bernoulli() would make and is done if
+// that draw clears tp / (1 + x + x^2/2) >= tp * exp(-x), x = lb / scale
+// (padded by 1e-6 relative). Skipping only ever replaces a test whose
+// answer the bound already knows and makes the same draws, so the trace is
+// byte-identical to evaluating every tick; the remaining ticks (about 0.4%
+// of a 16-day storm trace, 11% over 348 days) run the exact code, which
+// checks lb <= margin_db each time.
+//
 // Correlation enters twice:
 //   * every node shares the hall temperature field (seasonal + diurnal
 //     cycles plus stochastic cooling excursions), so thermal stress fails

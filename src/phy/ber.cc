@@ -17,10 +17,7 @@ double BerModel::q_factor(OcsPath path, double oma_mw, double temp_c) const {
   IHBD_EXPECTS(oma_mw >= 0.0);
   const double loss_db = matrix_.mean_insertion_loss_db(path, temp_c);
   const double rx_mw = oma_mw * std::pow(10.0, -loss_db / 10.0);
-  const double noise =
-      params_.detector_noise_mw_25c *
-      (1.0 + params_.noise_temp_coeff * (temp_c - 25.0));
-  return rx_mw / std::max(noise, 1e-6);
+  return rx_mw / std::max(noise_mw(temp_c), 1e-6);
 }
 
 double BerModel::ber_from_q(double q) {

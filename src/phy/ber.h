@@ -30,8 +30,19 @@ class BerModel {
   explicit BerModel(const OcsSwitchMatrix& matrix, const BerParams& params = {});
 
   /// Q factor for a given transmit OMA (mW), path and ambient temperature,
-  /// before any transient drift penalty.
+  /// before any transient drift penalty: the received OMA after the path's
+  /// mean insertion loss over max(noise_mw(temp_c), 1e-6). Loss and noise
+  /// are both linear in temperature, so over a temperature range the
+  /// worst of either sits at an endpoint (the physics trace generator's
+  /// per-node margin bound relies on this).
   double q_factor(OcsPath path, double oma_mw, double temp_c) const;
+
+  /// Input-referred detector noise (mW) at ambient `temp_c`: linear in
+  /// temperature around the 25 C figure.
+  double noise_mw(double temp_c) const {
+    return params_.detector_noise_mw_25c *
+           (1.0 + params_.noise_temp_coeff * (temp_c - 25.0));
+  }
 
   /// Analytic BER from a Q factor: 0.5 * erfc(Q / sqrt(2)).
   static double ber_from_q(double q);

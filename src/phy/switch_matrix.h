@@ -49,6 +49,8 @@ class OcsSwitchMatrix {
   int stages_for(OcsPath path) const;
 
   /// Mean end-to-end insertion loss (dB) at ambient temperature `temp_c`.
+  /// Linear in `temp_c` (MziParams::loss_temp_coeff_db per C), so its
+  /// maximum over a temperature range sits at an endpoint.
   double mean_insertion_loss_db(OcsPath path, double temp_c) const;
 
   /// One sampled loss measurement (device spread + measurement noise).

@@ -9,6 +9,7 @@
 #include <bit>
 #include <cstdint>
 #include <iterator>
+#include <limits>
 #include <string>
 #include <utility>
 #include <vector>
@@ -225,6 +226,31 @@ TEST(PhysicsGenerator, ValidationNamesTheOffendingField) {
   cfg.storm.rate_per_day = 0.01;
   cfg.storm.domain_prob = -0.2;
   expect_names(cfg, "PhysicsTraceConfig.storm.domain_prob");
+  // Nested physical-layer fields: each used to abort on a phy:: contract.
+  for (const double bad : {-0.01, std::numeric_limits<double>::infinity(),
+                           std::numeric_limits<double>::quiet_NaN()}) {
+    cfg = {};
+    cfg.ber.drift_penalty_db_per_c = bad;
+    expect_names(cfg, "PhysicsTraceConfig.ber.drift_penalty_db_per_c");
+  }
+  cfg = {};
+  cfg.ber.detector_noise_mw_25c = 0.0;
+  expect_names(cfg, "PhysicsTraceConfig.ber.detector_noise_mw_25c");
+  cfg = {};
+  cfg.ber.measured_bits = -1.0;
+  expect_names(cfg, "PhysicsTraceConfig.ber.measured_bits");
+  cfg = {};
+  cfg.matrix.lane_count = 1;
+  expect_names(cfg, "PhysicsTraceConfig.matrix.lane_count");
+  cfg = {};
+  cfg.matrix.coupling_loss_db = -0.5;
+  expect_names(cfg, "PhysicsTraceConfig.matrix.coupling_loss_db");
+  cfg = {};
+  cfg.matrix.element.insertion_loss_db = 0.0;
+  expect_names(cfg, "PhysicsTraceConfig.matrix.element.insertion_loss_db");
+  cfg = {};
+  cfg.matrix.element.extinction_ratio_db = -3.0;
+  expect_names(cfg, "PhysicsTraceConfig.matrix.element.extinction_ratio_db");
 }
 
 TEST(InjectionPlan, PureHashIsDeterministicAndRateBounded) {
