@@ -8,8 +8,9 @@
 // serial step every replay grid starts with: the hourly grid word-delta
 // timeline of a 23,040-node trace, and BM_trace_generate the generation of
 // that trace. BM_physics_trace_generate times one perfbench ctrl_storm-sized
-// storm trace, whose cost is the per-tick link evaluation. Built on the
-// vendored bench/microbench.h harness.
+// storm trace, whose cost is the per-tick link evaluation, and
+// BM_replay_khop_cell one replay_mc K-Hop Ring cell. Built on the vendored
+// bench/microbench.h harness.
 #include <chrono>
 #include <cstddef>
 #include <cstdlib>
@@ -235,5 +236,22 @@ static void BM_grid_timeline_build(benchmark::State& state) {
         static_cast<double>(samples * builds) / build_s;
 }
 BENCHMARK(BM_grid_timeline_build);
+
+// One replay_mc K-Hop Ring cell: the make_replay_mc_trace trace replayed on
+// the hourly grid at TP 32 for K = Arg, single thread. The grid timeline is
+// built before the timed loop, so this times the allocator's flips alone
+// (K=2 keeps about three times as many cut keys live as K=3).
+static void BM_replay_khop_cell(benchmark::State& state) {
+  static const fault::FaultTrace trace = make_replay_mc_trace();
+  constexpr double kStepDays = 1.0 / 24.0;
+  trace.word_delta_timeline(kStepDays);
+  const topo::KHopRing ring(trace.node_count(), bench::kGpusPerNode,
+                            static_cast<int>(state.range(0)));
+  run_replay_bench(state, [&] {
+    return topo::evaluate_waste_over_trace(ring, trace, 32,
+                                           replay_options(kStepDays));
+  });
+}
+BENCHMARK(BM_replay_khop_cell)->Arg(2)->Arg(3);
 
 BENCHMARK_MAIN();

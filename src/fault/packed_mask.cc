@@ -25,19 +25,6 @@ int PackedMask::popcount_range(int begin, int end) const {
   return n;
 }
 
-int PackedMask::find_first_from(int from) const {
-  IHBD_EXPECTS(from >= 0 && from <= bits_);
-  if (from == bits_) return -1;
-  int w = from / kWordBits;
-  std::uint64_t bits = words_[static_cast<std::size_t>(w)] &
-                       (~std::uint64_t{0} << (from % kWordBits));
-  while (bits == 0) {
-    if (++w == word_count()) return -1;
-    bits = words_[static_cast<std::size_t>(w)];
-  }
-  return w * kWordBits + std::countr_zero(bits);
-}
-
 PackedMask PackedMask::complement() const {
   PackedMask out(bits_);
   for (int w = 0; w < word_count(); ++w)

@@ -118,6 +118,10 @@ class PackedMask {
   /// is allowed (returns -1), so scans can pass one-past-the-last.
   int find_first_from(int from) const;
 
+  /// Largest set-bit position < to, or -1 when none: the downward mirror
+  /// of find_first_from. `to` ranges over [0, size()].
+  int find_last_before(int to) const;
+
   /// The bitwise complement over the valid positions (tail stays clear):
   /// a faulty mask's complement is the healthy mask.
   PackedMask complement() const;
@@ -130,6 +134,34 @@ class PackedMask {
   int bits_ = 0;
   std::vector<std::uint64_t> words_;  // tail bits always zero
 };
+
+// The scans sit inline: the K-Hop allocator runs them on every flip.
+inline int PackedMask::find_first_from(int from) const {
+  IHBD_EXPECTS(from >= 0 && from <= bits_);
+  if (from == bits_) return -1;
+  int w = from / kWordBits;
+  std::uint64_t bits = words_[static_cast<std::size_t>(w)] &
+                       (~std::uint64_t{0} << (from % kWordBits));
+  while (bits == 0) {
+    if (++w == word_count()) return -1;
+    bits = words_[static_cast<std::size_t>(w)];
+  }
+  return w * kWordBits + std::countr_zero(bits);
+}
+
+inline int PackedMask::find_last_before(int to) const {
+  IHBD_EXPECTS(to >= 0 && to <= bits_);
+  if (to == 0) return -1;
+  int w = (to - 1) / kWordBits;
+  const std::uint64_t below =
+      ~std::uint64_t{0} >> (kWordBits - 1 - (to - 1) % kWordBits);
+  std::uint64_t bits = words_[static_cast<std::size_t>(w)] & below;
+  while (bits == 0) {
+    if (w-- == 0) return -1;
+    bits = words_[static_cast<std::size_t>(w)];
+  }
+  return w * kWordBits + kWordBits - 1 - std::countl_zero(bits);
+}
 
 /// Call `fn(position)` for every set bit of `bits`, ascending, where the
 /// word sits at index `word` of a mask (positions are absolute).

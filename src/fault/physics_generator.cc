@@ -19,8 +19,11 @@ void validate(const PhysicsTraceConfig& c) {
                         what);
   };
   require(c.node_count > 0, "node_count", "must be > 0");
-  require(c.duration_days > 0.0, "duration_days", "must be > 0");
-  require(c.tick_days > 0.0, "tick_days", "must be > 0");
+  // +inf passes "> 0" and would reach the size_t cast of the tick count.
+  require(c.duration_days > 0.0 && std::isfinite(c.duration_days),
+          "duration_days", "must be finite and > 0");
+  require(c.tick_days > 0.0 && std::isfinite(c.tick_days), "tick_days",
+          "must be finite and > 0");
   require(c.seasonal_amp_c >= 0.0, "seasonal_amp_c", "must be >= 0");
   require(c.diurnal_amp_c >= 0.0, "diurnal_amp_c", "must be >= 0");
   require(c.node_offset_sigma_c >= 0.0, "node_offset_sigma_c",
@@ -43,6 +46,21 @@ void validate(const PhysicsTraceConfig& c) {
           "must be in (0, 0.5)");
   require(c.repair_lognorm_sigma >= 0.0, "repair_lognorm_sigma",
           "must be >= 0");
+  // Means and coefficients with no range of their own must still be
+  // finite: a NaN or an infinity would flow through the temperature and
+  // link model into every tick's fault decision.
+  const auto require_finite = [&](double v, const char* field) {
+    require(std::isfinite(v), field, "must be finite");
+  };
+  require_finite(c.base_temp_c, "base_temp_c");
+  require_finite(c.excursion_amp_mu_c, "excursion_amp_mu_c");
+  require_finite(c.excursion_duration_mu, "excursion_duration_mu");
+  require_finite(c.oma_dbm_mean, "oma_dbm_mean");
+  require_finite(c.repair_lognorm_mu, "repair_lognorm_mu");
+  require_finite(c.ber.noise_temp_coeff, "ber.noise_temp_coeff");
+  require_finite(c.ber.drift_onset_temp_c, "ber.drift_onset_temp_c");
+  require_finite(c.matrix.element.loss_temp_coeff_db,
+                 "matrix.element.loss_temp_coeff_db");
   // The physical layer: checked here so that a bad value names its field
   // instead of tripping a contract in phy::. drift_penalty_db_per_c >= 0
   // also keeps the transient probability in [0, 1] and the margin bound's
@@ -56,6 +74,9 @@ void validate(const PhysicsTraceConfig& c) {
   require(c.matrix.lane_count >= 2, "matrix.lane_count", "must be >= 2");
   require(c.matrix.coupling_loss_db >= 0.0, "matrix.coupling_loss_db",
           "must be >= 0");
+  require(c.matrix.waveguide_loss_db >= 0.0 &&
+              std::isfinite(c.matrix.waveguide_loss_db),
+          "matrix.waveguide_loss_db", "must be finite and >= 0");
   require(c.matrix.element.insertion_loss_db > 0.0,
           "matrix.element.insertion_loss_db", "must be > 0");
   require(c.matrix.element.extinction_ratio_db > 0.0,
@@ -72,6 +93,7 @@ void validate(const PhysicsTraceConfig& c) {
     require(c.storm.repair_crews > 0, "storm.repair_crews", "must be > 0");
     require(c.storm.crew_work_sigma >= 0.0, "storm.crew_work_sigma",
             "must be >= 0");
+    require_finite(c.storm.crew_work_mu, "storm.crew_work_mu");
   }
 }
 

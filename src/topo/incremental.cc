@@ -1,6 +1,5 @@
 #include "src/topo/incremental.h"
 
-#include <algorithm>
 #include <bit>
 #include <cstdint>
 
@@ -47,15 +46,16 @@ int group_nodes(const HbdArchitecture& arch, int tp_size_gpus) {
 //   * healthy_ (set bit = healthy node) / healthy_count_ track the healthy
 //     node set, and prev_/next_ link the healthy nodes into a circular
 //     list (entries for faulty nodes are stale until they come back up).
-//   * cuts_ holds every healthy position p whose link to the next healthy
-//     node s (clockwise, wrapping) is NOT bypassable: the faulty gap
-//     between them exceeds K-1 hops, or it is the wrap link of the line
-//     variant.
-//   * Arcs are the intervals between consecutive cuts: key cuts_[i] opens
-//     the arc holding the healthy nodes in (cuts_[i], cuts_[i+1]], and
-//     lens_[i] is its length. A single key's arc is the whole circle. With
-//     no cuts (and any healthy nodes) the ring is one unbroken circular
-//     arc of healthy_count_ nodes, and lens_ is empty.
+//   * keys_ has a bit set at every healthy position p whose link to the
+//     next healthy node s (clockwise, wrapping) is NOT bypassable: the
+//     faulty gap between them exceeds K-1 hops, or it is the wrap link of
+//     the line variant. key_count_ counts them, and bit w of key_words_ is
+//     set iff word w of keys_ is nonzero.
+//   * Arcs are the intervals between consecutive keys: key p opens the arc
+//     holding the healthy nodes in (p, next_key(p)], and len_at_[p] is its
+//     length. A single key's arc is the whole circle. With no keys (and
+//     any healthy nodes) the ring is one unbroken circular arc of
+//     healthy_count_ nodes.
 //   * wasted_nodes_ is the sum of len % m over all arcs — exactly what
 //     allocate() derives from its arc walk; usable nodes follow as
 //     healthy_count_ - wasted_nodes_ (usable + wasted = healthy, always).
@@ -104,89 +104,120 @@ int KHopRingIncrementalAllocator::healthy_in(int a, int b) const {
          healthy_.popcount_range(0, b + 1);
 }
 
-std::size_t KHopRingIncrementalAllocator::key_index(int key) const {
-  return static_cast<std::size_t>(
-      std::lower_bound(cuts_.begin(), cuts_.end(), key) - cuts_.begin());
+int KHopRingIncrementalAllocator::prev_key(int x) const {
+  // Keys below x in x's own word, else the last nonzero key word before
+  // it, else (wrapping) the last nonzero key word of all. Needs a key.
+  constexpr int kBits = fault::PackedMask::kWordBits;
+  int w = x / kBits;
+  const std::uint64_t below = (std::uint64_t{1} << (x % kBits)) - 1;
+  std::uint64_t bits = keys_.word(w) & below;
+  if (bits == 0) {
+    w = key_words_.find_last_before(w);
+    if (w < 0) w = key_words_.find_last_before(key_words_.size());
+    bits = keys_.word(w);
+  }
+  return w * kBits + kBits - 1 - std::countl_zero(bits);
 }
 
-std::size_t KHopRingIncrementalAllocator::before(std::size_t i) const {
-  return (i == 0 ? cuts_.size() : i) - 1;
+int KHopRingIncrementalAllocator::next_key(int x) const {
+  // The mirror of prev_key: keys above x in its word, else the first
+  // nonzero key word after it, else (wrapping) the first of all.
+  constexpr int kBits = fault::PackedMask::kWordBits;
+  int w = x / kBits;
+  const std::uint64_t above = ~std::uint64_t{1} << (x % kBits);
+  std::uint64_t bits = keys_.word(w) & above;
+  if (bits == 0) {
+    w = key_words_.find_first_from(w + 1);
+    if (w < 0) w = key_words_.find_first_from(0);
+    bits = keys_.word(w);
+  }
+  return w * kBits + std::countr_zero(bits);
 }
 
-std::size_t KHopRingIncrementalAllocator::arc_holding(int x) const {
-  // The largest key below x, wrapping to the last; x must not be a key.
-  return before(key_index(x));
+void KHopRingIncrementalAllocator::add_key(int key, int len) {
+  keys_.set(key, true);
+  key_words_.set(key / fault::PackedMask::kWordBits, true);
+  len_at_[static_cast<std::size_t>(key)] = len;
+  ++key_count_;
 }
 
-void KHopRingIncrementalAllocator::resize_arc(std::size_t i, int len) {
-  wasted_nodes_ += len % m_ - lens_[i] % m_;
-  lens_[i] = len;
+void KHopRingIncrementalAllocator::drop_key(int key) {
+  const int w = key / fault::PackedMask::kWordBits;
+  keys_.set(key, false);
+  if (keys_.word(w) == 0) key_words_.set(w, false);
+  --key_count_;
+}
+
+void KHopRingIncrementalAllocator::resize_arc(int key, int len) {
+  int& cur = len_at_[static_cast<std::size_t>(key)];
+  wasted_nodes_ += len % m_ - cur % m_;
+  cur = len;
 }
 
 void KHopRingIncrementalAllocator::step_arc_holding(int x, int delta) {
   if (obs::enabled()) alloc_obs().khop_interior.add(1);
-  if (cuts_.empty()) {
+  if (key_count_ == 0) {
     wasted_nodes_ = healthy_count_ % m_;  // the unbroken circle
   } else {
-    const std::size_t i = arc_holding(x);
-    resize_arc(i, lens_[i] + delta);
+    // x is no key, so the arc holding it opens at the key before it.
+    const int k = prev_key(x);
+    resize_arc(k, len_at_[static_cast<std::size_t>(k)] + delta);
   }
 }
 
-void KHopRingIncrementalAllocator::move_key(std::size_t i, int key) {
-  // No other key lies between the old and the new position in ring order,
-  // so the key keeps its slot unless the move crosses the wrap point.
-  if ((i == 0 || cuts_[i - 1] < key) &&
-      (i + 1 == cuts_.size() || key < cuts_[i + 1])) {
-    cuts_[i] = key;
-    return;
-  }
-  const int len = lens_[i];
-  cuts_.erase(cuts_.begin() + static_cast<std::ptrdiff_t>(i));
-  lens_.erase(lens_.begin() + static_cast<std::ptrdiff_t>(i));
-  const std::size_t j = key_index(key);
-  cuts_.insert(cuts_.begin() + static_cast<std::ptrdiff_t>(j), key);
-  lens_.insert(lens_.begin() + static_cast<std::ptrdiff_t>(j), len);
+void KHopRingIncrementalAllocator::move_key(int from, int to) {
+  const int len = len_at_[static_cast<std::size_t>(from)];
+  drop_key(from);
+  add_key(to, len);
 }
 
 void KHopRingIncrementalAllocator::insert_key(int key, int len) {
-  const std::size_t j = key_index(key);
-  cuts_.insert(cuts_.begin() + static_cast<std::ptrdiff_t>(j), key);
-  lens_.insert(lens_.begin() + static_cast<std::ptrdiff_t>(j), len);
+  add_key(key, len);
   wasted_nodes_ += len % m_;
 }
 
-void KHopRingIncrementalAllocator::merge_key(std::size_t i, int delta) {
-  const std::size_t b = before(i);
-  resize_arc(b, lens_[b] + delta + lens_[i]);
-  wasted_nodes_ -= lens_[i] % m_;
-  cuts_.erase(cuts_.begin() + static_cast<std::ptrdiff_t>(i));
-  lens_.erase(lens_.begin() + static_cast<std::ptrdiff_t>(i));
+void KHopRingIncrementalAllocator::merge_key(int key, int delta) {
+  const int b = prev_key(key);
+  const int len = len_at_[static_cast<std::size_t>(key)];
+  resize_arc(b, len_at_[static_cast<std::size_t>(b)] + delta + len);
+  wasted_nodes_ -= len % m_;
+  drop_key(key);
 }
 
 void KHopRingIncrementalAllocator::rebuild_from_healthy() {
   prev_.assign(static_cast<std::size_t>(n_), 0);
   next_.assign(static_cast<std::size_t>(n_), 0);
   healthy_count_ = healthy_.popcount();
-  cuts_.clear();
-  lens_.clear();
+  keys_ = fault::PackedMask(n_);
+  key_words_ = fault::PackedMask(keys_.word_count());
+  len_at_.assign(static_cast<std::size_t>(n_), 0);
+  key_count_ = 0;
+  wasted_nodes_ = 0;
   // Link the healthy nodes circularly and collect cuts, straight off the
-  // packed words. Cut keys come out ascending: stays sorted. Each key
-  // first records its rank (#healthy up to and including it); consecutive
-  // ranks differ by the arc length between them.
+  // packed words. Keys come out ascending, each with its rank (#healthy up
+  // to and including it); consecutive ranks differ by the arc length
+  // between them.
   int first = -1;
   int prev_node = -1;
   int rank = 0;
+  int first_rank = 0;
+  int last_key = -1, last_rank = 0;
+  const auto cut_at = [&](int key) {
+    if (last_key < 0) {
+      first_rank = rank;
+    } else {
+      insert_key(last_key, rank - last_rank);
+    }
+    last_key = key;
+    last_rank = rank;
+  };
   fault::for_each_set_bit(healthy_, [&](int i) {
     if (first < 0) {
       first = i;
     } else {
       next_[static_cast<std::size_t>(prev_node)] = i;
       prev_[static_cast<std::size_t>(i)] = prev_node;
-      if (is_cut_link(prev_node, i)) {
-        cuts_.push_back(prev_node);
-        lens_.push_back(rank);
-      }
+      if (is_cut_link(prev_node, i)) cut_at(prev_node);
     }
     prev_node = i;
     ++rank;
@@ -194,20 +225,13 @@ void KHopRingIncrementalAllocator::rebuild_from_healthy() {
   if (prev_node >= 0) {  // close the circle (self-link for a lone node)
     next_[static_cast<std::size_t>(prev_node)] = first;
     prev_[static_cast<std::size_t>(first)] = prev_node;
-    if (is_cut_link(prev_node, first)) {
-      cuts_.push_back(prev_node);
-      lens_.push_back(rank);
-    }
+    if (is_cut_link(prev_node, first)) cut_at(prev_node);
   }
-  wasted_nodes_ = 0;
-  if (cuts_.empty()) {
+  if (last_key < 0) {
     wasted_nodes_ = healthy_count_ % m_;
   } else {
-    const int first_rank = lens_.front();
-    for (std::size_t i = 0; i + 1 < lens_.size(); ++i)
-      lens_[i] = lens_[i + 1] - lens_[i];
-    lens_.back() = healthy_count_ - lens_.back() + first_rank;
-    for (const int len : lens_) wasted_nodes_ += len % m_;
+    // The last key's arc wraps round to the first key.
+    insert_key(last_key, healthy_count_ - last_rank + first_rank);
   }
   initialized_ = true;
 }
@@ -218,10 +242,9 @@ void KHopRingIncrementalAllocator::take_down(int x) {
   healthy_.set(x, false);
   if (--healthy_count_ == 0) {  // the lone node's arc vanishes
     if (obs::enabled())
-      (cuts_.empty() ? alloc_obs().khop_interior : alloc_obs().khop_merge)
+      (key_count_ == 0 ? alloc_obs().khop_interior : alloc_obs().khop_merge)
           .add(1);
-    cuts_.clear();
-    lens_.clear();
+    if (key_count_ != 0) drop_key(x);  // the lone node is the only key
     wasted_nodes_ = 0;
     return;
   }
@@ -230,18 +253,17 @@ void KHopRingIncrementalAllocator::take_down(int x) {
 
   const bool cut_px = is_cut_link(p, x);
   if (is_cut_link(x, s)) {
-    const std::size_t ix = key_index(x);
     if (cut_px) {
       // Merge: x's key disappears; p's arc {x} takes over x's old arc.
       if (obs::enabled()) alloc_obs().khop_merge.add(1);
-      merge_key(ix, -1);
+      merge_key(x, -1);
     } else {
       // Cut move x -> p: x leaves the arc before the key (the key's own
       // arc when it is the only one), which keeps its length.
       if (obs::enabled()) alloc_obs().khop_cut_move.add(1);
-      const std::size_t b = before(ix);
-      resize_arc(b, lens_[b] - 1);
-      move_key(ix, p);
+      const int b = prev_key(x);
+      resize_arc(b, len_at_[static_cast<std::size_t>(b)] - 1);
+      move_key(x, p);
     }
   } else if (cut_px || !is_cut_link(p, s)) {
     step_arc_holding(x, -1);
@@ -249,19 +271,20 @@ void KHopRingIncrementalAllocator::take_down(int x) {
     // Split at p: the arc holding x loses it and breaks into (ca, p] and
     // (p, cb]. Popcount the shorter side; the other is the remainder.
     if (obs::enabled()) alloc_obs().khop_split.add(1);
-    if (cuts_.empty()) {
+    if (key_count_ == 0) {
       wasted_nodes_ = 0;
       insert_key(p, healthy_count_);
       return;
     }
-    const std::size_t ia = arc_holding(p);
-    const int ca = cuts_[ia];
-    const int cb = cuts_[ia + 1 == cuts_.size() ? 0 : ia + 1];
-    const int len = lens_[ia] - 1;
+    // Neither p nor x is a key, so the arc holding them runs from ca to
+    // cb (one and the same key when it is the only one).
+    const int ca = prev_key(p);
+    const int cb = next_key(p);
+    const int len = len_at_[static_cast<std::size_t>(ca)] - 1;
     const int head = gap(ca, p) <= gap(p, cb)
                          ? healthy_in(ca, p)
                          : len - healthy_in(p, cb);
-    resize_arc(ia, head);
+    resize_arc(ca, head);
     insert_key(p, len - head);
   }
 }
@@ -275,10 +298,7 @@ void KHopRingIncrementalAllocator::bring_up(int x) {
     const bool cut = is_cut_link(x, x);
     if (obs::enabled())
       (cut ? alloc_obs().khop_split : alloc_obs().khop_interior).add(1);
-    if (cut) {
-      cuts_.assign(1, x);
-      lens_.assign(1, 1);
-    }
+    if (cut) add_key(x, 1);
     return;
   }
   // Healthy neighbors of x (p == s when x joins a lone node): word-scan
@@ -297,28 +317,25 @@ void KHopRingIncrementalAllocator::bring_up(int x) {
   } else if (cut_px) {
     // Split: p's arc shrinks to {x}; x's new key opens the rest of it.
     if (obs::enabled()) alloc_obs().khop_split.add(1);
-    const std::size_t ip = key_index(p);
-    const int rest = lens_[ip];
-    resize_arc(ip, 1);
+    const int rest = len_at_[static_cast<std::size_t>(p)];
+    resize_arc(p, 1);
     insert_key(x, rest);
   } else if (cut_xs) {
     // Cut move p -> x: x joins the arc before the key (the key's own arc
     // when it is the only one), which keeps its length.
     if (obs::enabled()) alloc_obs().khop_cut_move.add(1);
-    const std::size_t ip = key_index(p);
-    const std::size_t b = before(ip);
-    resize_arc(b, lens_[b] + 1);
-    move_key(ip, x);
+    const int b = prev_key(p);
+    resize_arc(b, len_at_[static_cast<std::size_t>(b)] + 1);
+    move_key(p, x);
   } else {
     // Merge: p's key disappears; the arcs either side of it join through x.
     if (obs::enabled()) alloc_obs().khop_merge.add(1);
-    if (cuts_.size() == 1) {
-      cuts_.clear();
-      lens_.clear();
+    if (key_count_ == 1) {
+      drop_key(p);
       wasted_nodes_ = healthy_count_ % m_;
       return;
     }
-    merge_key(key_index(p), +1);
+    merge_key(p, +1);
   }
 }
 

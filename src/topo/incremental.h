@@ -10,12 +10,14 @@
 // counts with masked popcounts.
 //
 //   * KHopRingIncrementalAllocator — true incremental implementation for
-//     the K-Hop Ring: keeps the sorted non-bypassable cut links with each
-//     arc's healthy length stored beside its cut key. A single-node flip
-//     edits at most two adjacent arcs: one binary search over the cut
-//     keys, plus one word popcount over the shorter side when a down-flip
-//     splits an arc. It never re-walks arcs or rebuilds the N-node arc
-//     walk.
+//     the K-Hop Ring: keeps the non-bypassable cut links as a two-level
+//     bitset of cut keys, with each arc's healthy length stored at its
+//     key node. A single-node flip edits at most two adjacent arcs: finding
+//     the neighbouring key is a masked scan of one key word (plus one scan
+//     of the summary and one more key word when that word holds no key),
+//     and a down-flip that splits an arc pays one word popcount over the
+//     shorter side. Adding or removing a key sets or clears two bits. It
+//     never re-walks arcs or rebuilds the N-node arc walk.
 //   * IslandAllocator — every baseline architecture (§6.1) decomposes into
 //     independent islands (the one Big-Switch domain, NVL HBDs, TPUv4
 //     cubes, SiP-Ring's static TP-sized rings), so a node flip only
@@ -76,14 +78,15 @@ class KHopRingIncrementalAllocator : public IncrementalAllocator {
   bool is_cut_link(int p, int s) const; // link p -> s not bypassable
   int next_healthy_of_faulty(int x) const;  // smallest healthy > x, wrapping
   int healthy_in(int a, int b) const;   // #healthy in ring-interval (a, b]
-  std::size_t key_index(int key) const;     // lower bound of key in cuts_
-  std::size_t before(std::size_t i) const;  // previous key, wrapping
-  std::size_t arc_holding(int x) const;     // key whose arc holds non-key x
-  void resize_arc(std::size_t i, int len);  // set lens_[i], re-tally waste
+  int prev_key(int x) const;  // largest key < x, wrapping to the last
+  int next_key(int x) const;  // smallest key > x, wrapping to the first
+  void add_key(int key, int len);     // set the key's two bits
+  void drop_key(int key);             // clear them
+  void resize_arc(int key, int len);  // set len_at_[key], re-tally waste
   void step_arc_holding(int x, int delta);  // the interior case
-  void move_key(std::size_t i, int key);    // keeps the arc's length
+  void move_key(int from, int to);          // keeps the arc's length
   void insert_key(int key, int len);
-  void merge_key(std::size_t i, int delta); // fold arc i into the previous
+  void merge_key(int key, int delta);  // fold key's arc into the previous
   void rebuild_from_healthy();
   void take_down(int x);
   void bring_up(int x);
@@ -101,13 +104,16 @@ class KHopRingIncrementalAllocator : public IncrementalAllocator {
   // nodes are stale): O(1) neighbor lookup on down-flips.
   std::vector<int> prev_, next_;
   int healthy_count_ = 0;
-  // Healthy positions p whose following link is a cut, sorted ascending,
-  // and beside each key the healthy length of the arc it opens:
-  // lens_[i] = #healthy in (cuts_[i], cuts_[i+1]] (wrapping). Flat vectors:
-  // cut sets are tiny on realistic fault ratios (a cut needs a faulty run
-  // >= K), so binary search + memmove beat a node-based set.
-  std::vector<int> cuts_;
-  std::vector<int> lens_;
+  // Cut keys: set bit = a healthy position p whose following link is a
+  // cut. key_words_ has one bit per word of keys_, set iff that word holds
+  // a key, so the neighbouring key of any node is at most three masked
+  // word scans away (23,040 nodes: 360 key words, 6 summary words).
+  fault::PackedMask keys_;
+  fault::PackedMask key_words_;
+  // len_at_[p] = the healthy length of the arc key p opens, i.e. #healthy
+  // in (p, next_key(p)] (wrapping); stale at non-key nodes.
+  std::vector<int> len_at_;
+  int key_count_ = 0;
   // Sum over arcs of len % m. Usable nodes need no separate counter:
   // usable + wasted = healthy, always.
   int wasted_nodes_ = 0;

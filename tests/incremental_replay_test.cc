@@ -382,6 +382,30 @@ fault::PackedMask random_pair_mask(int n, double p, Rng& rng) {
   return mask;
 }
 
+/// 1-3 flips that keep a sparse mask sparse: each brings a faulty node (or
+/// pair) back up or takes a random one down with even odds, so the fault
+/// ratio random-walks around its start instead of drifting up.
+std::vector<int> sparse_flip_batch(const fault::PackedMask& mask, bool pairs,
+                                   Rng& rng) {
+  const int n = mask.size();
+  std::vector<int> nodes;
+  const int batch = 1 + static_cast<int>(rng.uniform_index(3));
+  for (int b = 0; b < batch; ++b) {
+    int x = static_cast<int>(rng.uniform_index(n));
+    if (rng.bernoulli(0.5)) {  // the next faulty node from x, wrapping
+      const int f = mask.find_first_from(x);
+      x = f >= 0 ? f : std::max(mask.find_first_from(0), 0);
+    }
+    if (pairs) {
+      nodes.push_back(x & ~1);
+      nodes.push_back(x | 1);
+    } else {
+      nodes.push_back(x);
+    }
+  }
+  return nodes;
+}
+
 TEST(KHopRingIncremental, RandomFlipSequencesMatchAllocate) {
   const char* const kCases[] = {"alloc.khop.interior", "alloc.khop.cut_move",
                                 "alloc.khop.split", "alloc.khop.merge"};
@@ -391,9 +415,14 @@ TEST(KHopRingIncremental, RandomFlipSequencesMatchAllocate) {
   Rng rng(1234);
   for (const bool ring_variant : {true, false}) {
     // 48 nodes fit one word; 130 span two full words and a 2-bit tail, so
-    // split popcounts and wrap arcs cross word boundaries.
-    for (const int n : {48, 130}) {
+    // split popcounts and wrap arcs cross word boundaries. 4226 nodes are
+    // 66 key words plus a 2-bit tail, so the key summary spans two words;
+    // at a 1% fault ratio the cut keys are sparse and the key scans cross
+    // summary words and wrap round the ring.
+    for (const int n : {48, 130, 4226}) {
+      const bool sparse = n > 4096;
       for (const int k : {1, 2, 3}) {
+        if (sparse && k != 2) continue;
         for (const int m : {2, 4, 8}) {
           // Pair-shaped flips only for K=2, the replay workload's shape.
           for (const bool pairs : {false, true}) {
@@ -402,13 +431,15 @@ TEST(KHopRingIncremental, RandomFlipSequencesMatchAllocate) {
             const KHopRing ring(n, g, k, ring_variant);
             KHopRingIncrementalAllocator inc(ring, m * g);
             // Start from a random mask, then walk 400 random flip batches.
-            fault::PackedMask mask = pairs ? random_pair_mask(n, 0.2, rng)
-                                           : random_mask(n, 0.2, rng);
+            const double ratio = sparse ? 0.01 : 0.2;
+            fault::PackedMask mask = pairs ? random_pair_mask(n, ratio, rng)
+                                           : random_mask(n, ratio, rng);
             inc.apply_words(mask, {});
             for (int step = 0; step < 400; ++step) {
               const auto deltas = flip_nodes(
-                  mask, pairs ? random_pair_batch(n, rng)
-                              : random_flip_batch(n, rng));
+                  mask, sparse  ? sparse_flip_batch(mask, pairs, rng)
+                        : pairs ? random_pair_batch(n, rng)
+                                : random_flip_batch(n, rng));
               const auto& got = inc.apply_words(mask, deltas);
               const auto want = ring.allocate(mask, m * g);
               expect_same_aggregates(
@@ -431,22 +462,27 @@ TEST(KHopRingIncremental, RandomFlipSequencesMatchAllocate) {
 }
 
 TEST(KHopRingIncremental, ExtremeMasksMatchAllocate) {
-  const int n = 24, g = 4, tp = 16;
-  for (const bool ring_variant : {true, false}) {
-    const KHopRing ring(n, g, 2, ring_variant);
-    KHopRingIncrementalAllocator inc(ring, tp);
-    fault::PackedMask mask(n);
-    inc.apply_words(mask, {});  // all healthy
-    // Take every node down one by one, then bring them all back.
-    for (int x = 0; x < n; ++x) {
-      const auto& got = inc.apply_words(mask, flip_nodes(mask, {x}));
-      expect_same_aggregates(got, ring.allocate(mask, tp),
-                             "down x=" + std::to_string(x));
-    }
-    for (int x = n - 1; x >= 0; --x) {
-      const auto& got = inc.apply_words(mask, flip_nodes(mask, {x}));
-      expect_same_aggregates(got, ring.allocate(mask, tp),
-                             "up x=" + std::to_string(x));
+  const int g = 4, tp = 16;
+  // 4226 nodes: the key summary spans two words.
+  for (const int n : {24, 4226}) {
+    for (const bool ring_variant : {true, false}) {
+      const KHopRing ring(n, g, 2, ring_variant);
+      KHopRingIncrementalAllocator inc(ring, tp);
+      fault::PackedMask mask(n);
+      inc.apply_words(mask, {});  // all healthy
+      const std::string label = (ring_variant ? "ring" : "line") +
+                                std::string(" n=") + std::to_string(n);
+      // Take every node down one by one, then bring them all back.
+      for (int x = 0; x < n; ++x) {
+        const auto& got = inc.apply_words(mask, flip_nodes(mask, {x}));
+        expect_same_aggregates(got, ring.allocate(mask, tp),
+                               label + " down x=" + std::to_string(x));
+      }
+      for (int x = n - 1; x >= 0; --x) {
+        const auto& got = inc.apply_words(mask, flip_nodes(mask, {x}));
+        expect_same_aggregates(got, ring.allocate(mask, tp),
+                               label + " up x=" + std::to_string(x));
+      }
     }
   }
 }

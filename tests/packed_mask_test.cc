@@ -1,9 +1,9 @@
 // Randomized differential tests for fault::PackedMask against a
 // std::vector<bool> oracle: every word-parallel operation (set / flip /
-// XOR-apply / popcount / range popcount / first-set scan / complement /
-// dirty-word enumeration) must agree with the naive per-node computation,
-// across word-boundary sizes (N % 64 in {0, 1, 63}) and degenerate
-// all-healthy / all-faulty masks.
+// XOR-apply / popcount / range popcount / first- and last-set scans /
+// complement / dirty-word enumeration) must agree with the naive per-node
+// computation, across word-boundary sizes (N % 64 in {0, 1, 63}) and
+// degenerate all-healthy / all-faulty masks.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -34,6 +34,12 @@ int oracle_popcount_range(const std::vector<bool>& bits, int begin, int end) {
 
 int oracle_find_first_from(const std::vector<bool>& bits, int from) {
   for (int i = from; i < static_cast<int>(bits.size()); ++i)
+    if (bits[static_cast<std::size_t>(i)]) return i;
+  return -1;
+}
+
+int oracle_find_last_before(const std::vector<bool>& bits, int to) {
+  for (int i = to - 1; i >= 0; --i)
     if (bits[static_cast<std::size_t>(i)]) return i;
   return -1;
 }
@@ -142,6 +148,43 @@ TEST(PackedMask, FindFirstFromMatchesOracle) {
             << "n=" << n << " p=" << p << " from=" << from;
     }
   }
+}
+
+TEST(PackedMask, FindLastBeforeMatchesOracle) {
+  Rng rng(27182);
+  for (const int n : kSizes) {
+    for (const double p : {0.0, 0.05, 1.0}) {
+      const auto bits = random_bools(n, p, rng);
+      const PackedMask mask(bits);
+      for (int to = 0; to <= n; ++to)
+        EXPECT_EQ(mask.find_last_before(to),
+                  oracle_find_last_before(bits, to))
+            << "n=" << n << " p=" << p << " to=" << to;
+    }
+  }
+}
+
+TEST(PackedMask, FindLastBeforeEdges) {
+  // An empty mask has nothing below its one valid bound.
+  EXPECT_EQ(PackedMask(0).find_last_before(0), -1);
+  EXPECT_EQ(PackedMask(130).find_last_before(130), -1);
+  // to = 0 never finds a bit; to = size() finds the last one.
+  PackedMask mask(130);
+  for (const int i : {0, 63, 64, 65}) mask.set(i, true);
+  EXPECT_EQ(mask.find_last_before(0), -1);
+  EXPECT_EQ(mask.find_last_before(130), 65);
+  // Bits either side of the first word boundary: the scan is strict.
+  EXPECT_EQ(mask.find_last_before(66), 65);
+  EXPECT_EQ(mask.find_last_before(65), 64);
+  EXPECT_EQ(mask.find_last_before(64), 63);
+  EXPECT_EQ(mask.find_last_before(63), 0);
+  EXPECT_EQ(mask.find_last_before(1), 0);
+  // A set bit in the partial last word (130 = 2 words + a 2-bit tail).
+  mask.set(129, true);
+  EXPECT_EQ(mask.find_last_before(130), 129);
+  EXPECT_EQ(mask.find_last_before(129), 65);
+  mask.set(128, true);
+  EXPECT_EQ(mask.find_last_before(129), 128);
 }
 
 TEST(PackedMask, ComplementIsHealthyMask) {

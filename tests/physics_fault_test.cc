@@ -251,6 +251,50 @@ TEST(PhysicsGenerator, ValidationNamesTheOffendingField) {
   cfg = {};
   cfg.matrix.element.extinction_ratio_db = -3.0;
   expect_names(cfg, "PhysicsTraceConfig.matrix.element.extinction_ratio_db");
+  cfg = {};
+  cfg.matrix.waveguide_loss_db = -0.1;
+  expect_names(cfg, "PhysicsTraceConfig.matrix.waveguide_loss_db");
+  // Doubles read with no range of their own must be finite; +inf used to
+  // pass "> 0" on the durations and reach the tick count's size_t cast.
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  cfg = {};
+  cfg.duration_days = inf;
+  expect_names(cfg, "PhysicsTraceConfig.duration_days");
+  cfg = {};
+  cfg.tick_days = inf;
+  expect_names(cfg, "PhysicsTraceConfig.tick_days");
+  using Field = double PhysicsTraceConfig::*;
+  const std::pair<Field, const char*> top_level[] = {
+      {&PhysicsTraceConfig::base_temp_c, "base_temp_c"},
+      {&PhysicsTraceConfig::excursion_amp_mu_c, "excursion_amp_mu_c"},
+      {&PhysicsTraceConfig::excursion_duration_mu, "excursion_duration_mu"},
+      {&PhysicsTraceConfig::oma_dbm_mean, "oma_dbm_mean"},
+      {&PhysicsTraceConfig::repair_lognorm_mu, "repair_lognorm_mu"},
+  };
+  for (const double bad : {inf, -inf, nan}) {
+    for (const auto& [field, name] : top_level) {
+      cfg = {};
+      cfg.*field = bad;
+      expect_names(cfg, (std::string("PhysicsTraceConfig.") + name).c_str());
+    }
+    cfg = {};
+    cfg.storm.rate_per_day = 0.01;
+    cfg.storm.crew_work_mu = bad;
+    expect_names(cfg, "PhysicsTraceConfig.storm.crew_work_mu");
+    cfg = {};
+    cfg.ber.noise_temp_coeff = bad;
+    expect_names(cfg, "PhysicsTraceConfig.ber.noise_temp_coeff");
+    cfg = {};
+    cfg.ber.drift_onset_temp_c = bad;
+    expect_names(cfg, "PhysicsTraceConfig.ber.drift_onset_temp_c");
+    cfg = {};
+    cfg.matrix.element.loss_temp_coeff_db = bad;
+    expect_names(cfg, "PhysicsTraceConfig.matrix.element.loss_temp_coeff_db");
+    cfg = {};
+    cfg.matrix.waveguide_loss_db = bad;
+    expect_names(cfg, "PhysicsTraceConfig.matrix.waveguide_loss_db");
+  }
 }
 
 TEST(InjectionPlan, PureHashIsDeterministicAndRateBounded) {
