@@ -20,8 +20,7 @@ int main(int argc, char** argv) {
   const auto archs = bench::make_archs();
 
   const auto grid =
-      bench::replay_trace_grid(archs, trace, {8, 16, 32, 64}, opt.threads,
-                               /*keep_samples=*/true);
+      bench::replay_trace_grid(archs, trace, {8, 16, 32, 64}, opt.threads);
 
   for (std::size_t t = 0; t < grid.spec.axes[0].size(); ++t) {
     const int tp = static_cast<int>(grid.spec.axes[0].values[t]);

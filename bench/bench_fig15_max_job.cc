@@ -18,10 +18,8 @@ int main(int argc, char** argv) {
   const auto trace = bench::make_sim_trace(opt.quick, opt.trace_model);
   const auto archs = bench::make_archs();
 
-  // keep_samples=false: only the usable-GPUs series feeds the quantile.
   const auto grid =
-      bench::replay_trace_grid(archs, trace, {8, 16, 32, 64}, opt.threads,
-                               /*keep_samples=*/false);
+      bench::replay_trace_grid(archs, trace, {8, 16, 32, 64}, opt.threads);
 
   Table table("Job scale (GPUs) supportable 99% of the trace duration");
   std::vector<std::string> header{"Architecture"};

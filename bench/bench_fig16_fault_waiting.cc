@@ -18,10 +18,8 @@ int main(int argc, char** argv) {
   const auto trace = bench::make_sim_trace(opt.quick, opt.trace_model);
   const auto archs = bench::make_archs();
 
-  // Only the usable-GPU series is read, so skip the waste samples.
   const auto grid =
-      bench::replay_trace_grid(archs, trace, {8, 16, 32, 64}, opt.threads,
-                               /*keep_samples=*/false);
+      bench::replay_trace_grid(archs, trace, {8, 16, 32, 64}, opt.threads);
 
   for (std::size_t t = 0; t < grid.spec.axes[0].size(); ++t) {
     const int tp = static_cast<int>(grid.spec.axes[0].values[t]);

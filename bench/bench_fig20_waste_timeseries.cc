@@ -2,11 +2,9 @@
 // samples printed; CSV mode additionally writes the full daily series),
 // per architecture and TP size.
 //
-// Runs on the generic sweep engine with keep_samples=false: each (TP, arch)
-// cell keeps only the replayed time series (what this figure prints), not a
-// duplicate per-sample array inside the summary accumulator, bounding
-// memory on fleet-scale sweeps. The cells run in parallel on one pool;
-// bit-identical for any --threads value.
+// Runs on the generic sweep engine: each (TP, arch) cell replays the trace
+// in one pass and carries the time series this figure prints. The cells
+// run in parallel on one pool; bit-identical for any --threads value.
 #include "bench/bench_util.h"
 #include "bench/fault_bench_common.h"
 
@@ -20,9 +18,8 @@ int main(int argc, char** argv) {
   const auto archs = bench::make_archs();
 
   // Representative TP pair of the paper's plot.
-  const auto grid = bench::replay_trace_grid(archs, trace, {8, 32},
-                                             opt.threads,
-                                             /*keep_samples=*/false);
+  const auto grid =
+      bench::replay_trace_grid(archs, trace, {8, 32}, opt.threads);
 
   for (std::size_t t = 0; t < grid.spec.axes[0].size(); ++t) {
     const int tp = static_cast<int>(grid.spec.axes[0].values[t]);

@@ -72,11 +72,9 @@ inline bool arch_supports_tp(const topo::HbdArchitecture& arch, int tp) {
 /// oracle).
 inline runtime::GenericSweepResult<topo::TraceWasteResult> replay_trace_grid(
     const std::vector<std::unique_ptr<topo::HbdArchitecture>>& archs,
-    const fault::FaultTrace& trace, std::vector<double> tps, int threads,
-    bool keep_samples = true) {
+    const fault::FaultTrace& trace, std::vector<double> tps, int threads) {
   runtime::SweepSpec spec;
   spec.trials = 1;  // replay is deterministic; the grid itself is the work
-  spec.keep_samples = keep_samples;
   std::vector<std::string> arch_names;
   for (const auto& arch : archs) arch_names.push_back(arch->name());
   spec.axes = {
@@ -89,9 +87,8 @@ inline runtime::GenericSweepResult<topo::TraceWasteResult> replay_trace_grid(
         const int tp = static_cast<int>(s.value(0));
         const auto& arch = *archs[s.index(1)];
         if (!arch_supports_tp(arch, tp)) return {};
-        topo::TraceReplayOptions opts;
-        opts.keep_samples = s.spec().keep_samples;
-        return topo::evaluate_waste_over_trace(arch, trace, tp, opts);
+        return topo::evaluate_waste_over_trace(arch, trace, tp,
+                                               topo::TraceReplayOptions{});
       },
       [](topo::TraceWasteResult& acc, topo::TraceWasteResult&& replay) {
         acc = std::move(replay);

@@ -1,18 +1,16 @@
 // One common codec layer for every serialized artifact in the tree: the
 // JSON emission used by the observability exports (metrics snapshots,
-// Perfetto traces) and the binary encoding that result types
+// Perfetto traces) and the write-only binary encoding that result types
 // (topo::TraceWasteResult, ctrl::ControlPlaneResult, ctrl::SloHistogram)
-// save to and load from. Their saved bytes are what the golden result
-// digests hash, so a round trip restores every digested field.
+// save to. Their saved bytes are what the result digests hash; nothing
+// reads them back, so each type's field-coverage test pins that every
+// field reaches the bytes.
 //
 // Binary encoding: little-endian fixed-width integers, IEEE doubles carried
-// by bit pattern (save -> load is bit-exact, including NaN payloads and
-// infinities), arrays length-prefixed with u64 counts. A
-// Reader throws ConfigError on any underflow or malformed length, so a
-// truncated buffer can never silently decode into a short value.
+// by bit pattern (NaN payloads, infinities and signed zeros included),
+// arrays length-prefixed with u64 counts.
 #pragma once
 
-#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -52,40 +50,12 @@ class Writer {
   std::string buf_;
 };
 
-/// Sequential binary decoder over a borrowed byte range. Every accessor
-/// throws ConfigError on underflow; decode helpers validate length prefixes
-/// against the remaining bytes before allocating.
-class Reader {
- public:
-  explicit Reader(std::string_view data) : data_(data) {}
-
-  std::uint32_t u32();
-  std::uint64_t u64();
-  double f64();
-  std::vector<double> f64_vec();
-
-  std::size_t remaining() const { return data_.size() - pos_; }
-  bool done() const { return pos_ == data_.size(); }
-  /// Throws ConfigError unless every byte has been consumed — catches a
-  /// payload longer than the decoder expects (version skew, corruption).
-  void expect_done(std::string_view what) const;
-
- private:
-  std::string_view take(std::size_t n, const char* what);
-
-  std::string_view data_;
-  std::size_t pos_ = 0;
-};
-
 // --- shared domain codecs ---------------------------------------------------
 // TimeSeries and Summary appear in every saved replay result (via
 // topo::TraceWasteResult), so their encodings live here with the
 // primitives rather than being restated by each consumer.
 
 void write_time_series(Writer& w, const TimeSeries& ts);
-TimeSeries read_time_series(Reader& r);
-
 void write_summary(Writer& w, const Summary& s);
-Summary read_summary(Reader& r);
 
 }  // namespace ihbd::serde

@@ -104,35 +104,6 @@ void ControlPlaneResult::save(serde::Writer& w) const {
   reconfig_latency_retried_s.save(w);
 }
 
-ControlPlaneResult ControlPlaneResult::load(serde::Reader& r) {
-  ControlPlaneResult out;
-  out.events = r.u64();
-  out.arrivals = r.u64();
-  out.starts = r.u64();
-  out.completions = r.u64();
-  out.preemptions = r.u64();
-  out.unfinished = r.u64();
-  out.fault_transitions = r.u64();
-  out.placement_churn = r.u64();
-  out.reconfig_enqueued = r.u64();
-  out.reconfig_coalesced = r.u64();
-  out.reconfig_drained = r.u64();
-  out.reconfig_failed = r.u64();
-  out.reconfig_retried = r.u64();
-  out.reconfig_dead_lettered = r.u64();
-  out.reconfig_injected = r.u64();
-  out.reconfig_pending_end = r.u64();
-  out.reconfig_batches = r.u64();
-  out.degraded_starts = r.u64();
-  out.peak_pending_jobs = r.u64();
-  out.peak_reconfig_depth = r.u64();
-  out.job_wait_s = SloHistogram::load(r);
-  out.job_wait_degraded_s = SloHistogram::load(r);
-  out.reconfig_latency_s = SloHistogram::load(r);
-  out.reconfig_latency_retried_s = SloHistogram::load(r);
-  return out;
-}
-
 ControlPlane::ControlPlane(const ControlPlaneConfig& cfg,
                            const fault::FaultTrace& trace,
                            std::vector<JobArrival> arrivals)

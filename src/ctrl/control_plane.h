@@ -57,7 +57,6 @@
 
 namespace ihbd::serde {
 class Writer;
-class Reader;
 }  // namespace ihbd::serde
 
 namespace ihbd::ctrl {
@@ -124,11 +123,9 @@ struct ControlPlaneResult {
   /// Trial-order fold for sweeps (counter adds + histogram merges).
   void merge(const ControlPlaneResult& other);
 
-  /// The saved bytes are what the result digests hash; load() restores
-  /// every field, so a round trip shows the digest covers them all.
-  /// load() throws ConfigError on malformed bytes.
+  /// Every counter in declaration order, then the four histograms. The
+  /// saved bytes are what the result digests hash.
   void save(serde::Writer& w) const;
-  static ControlPlaneResult load(serde::Reader& r);
 };
 
 /// The daemon. Construct, then run() to the trace horizon. One-shot: a new

@@ -1,9 +1,5 @@
 #include "src/ctrl/slo.h"
 
-#include <cmath>
-#include <string>
-
-#include "src/common/error.h"
 #include "src/common/serde.h"
 
 namespace ihbd::ctrl {
@@ -46,37 +42,6 @@ void SloHistogram::save(serde::Writer& w) const {
     w.u32(static_cast<std::uint32_t>(b));
     w.u64(buckets_[b]);
   }
-}
-
-SloHistogram SloHistogram::load(serde::Reader& r) {
-  SloHistogram h;
-  h.count_ = r.u64();
-  h.sum_ = r.f64();
-  const std::uint32_t nonzero = r.u32();
-  std::uint64_t total = 0;
-  for (std::uint32_t i = 0; i < nonzero; ++i) {
-    const std::uint32_t b = r.u32();
-    if (b >= h.buckets_.size()) {
-      throw ConfigError("SloHistogram::load: bucket index " +
-                        std::to_string(b) + " >= bucket count " +
-                        std::to_string(h.buckets_.size()));
-    }
-    // total stays the sum of buckets_ and never passes count_, so the
-    // subtraction cannot wrap and a repeated index cannot hide a mismatch.
-    const std::uint64_t n = r.u64();
-    if (n > h.count_ - total) {
-      throw ConfigError("SloHistogram::load: buckets sum past count " +
-                        std::to_string(h.count_));
-    }
-    h.buckets_[b] += n;
-    total += n;
-  }
-  if (total != h.count_) {
-    throw ConfigError("SloHistogram::load: buckets sum to " +
-                      std::to_string(total) + ", count is " +
-                      std::to_string(h.count_));
-  }
-  return h;
 }
 
 }  // namespace ihbd::ctrl

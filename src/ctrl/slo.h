@@ -6,8 +6,8 @@
 // counts. SloHistogram is the local, value-typed counterpart: the SAME
 // base-2 bucket layout as obs::Histogram (so a run folds its buckets into
 // the global registry once, with obs::Histogram::add), but owned by one
-// control-plane run, mergeable in trial order, and serde-serializable so
-// ControlPlaneResult's saved bytes (the golden digests) cover it.
+// control-plane run, mergeable in trial order, and saved into
+// ControlPlaneResult's bytes so the result digests cover it.
 // Quantiles are bucket upper bounds — deterministic by construction, with
 // base-2 resolution (plenty for p50/p99/p999 SLO rows).
 #pragma once
@@ -19,7 +19,6 @@
 
 namespace ihbd::serde {
 class Writer;
-class Reader;
 }  // namespace ihbd::serde
 
 namespace ihbd::ctrl {
@@ -56,10 +55,8 @@ class SloHistogram {
   /// commutative except for the FP sum, which callers keep in trial order).
   void merge(const SloHistogram& other);
 
+  /// Count, sum, then the non-empty buckets as (index, count) pairs.
   void save(serde::Writer& w) const;
-  /// Inverse of save(). Throws ConfigError naming the field on a bucket
-  /// index past the layout or buckets that do not sum to the count.
-  static SloHistogram load(serde::Reader& r);
 
  private:
   std::array<std::uint64_t, obs::kHistogramBuckets> buckets_{};

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 #include "src/common/error.h"
@@ -82,6 +83,9 @@ FaultTrace load_trace_csv(std::istream& in, int node_count,
     // Row-level semantic checks carry the line number; the FaultTrace
     // constructor re-validates but can only say "somewhere in the trace".
     if (e.node < 0) row_error(line_no, line, "negative node id");
+    // An inferred node_count is max id + 1, which must fit an int.
+    if (node_count <= 0 && e.node == std::numeric_limits<int>::max())
+      row_error(line_no, line, "node id too large to infer node_count");
     if (node_count > 0 && e.node >= node_count)
       row_error(line_no, line,
                 "node id >= node_count (" + std::to_string(node_count) + ")");

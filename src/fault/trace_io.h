@@ -25,8 +25,9 @@ bool save_trace_csv(const FaultTrace& trace, const std::string& path);
 /// (max node id + 1, max end_day). Throws ConfigError (with the offending
 /// line) on malformed rows — partial or non-finite fields, extra columns,
 /// negative node ids or start days, end < start, node id >= an explicit
-/// node_count, end_day beyond an explicit duration, or rows not sorted by
-/// start_day (save_trace_csv always writes them sorted).
+/// node_count (or INT_MAX when node_count is inferred), end_day beyond an
+/// explicit duration, or rows not sorted by start_day (save_trace_csv always
+/// writes them sorted).
 FaultTrace load_trace_csv(std::istream& in, int node_count = 0,
                           double duration_days = 0.0);
 FaultTrace load_trace_csv_file(const std::string& path, int node_count = 0,

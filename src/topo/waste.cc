@@ -9,7 +9,6 @@
 #include "src/common/serde.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
-#include "src/runtime/accumulate.h"
 #include "src/topo/incremental.h"
 
 namespace ihbd::topo {
@@ -54,7 +53,6 @@ TraceWasteResult evaluate_waste_over_trace(const HbdArchitecture& arch,
   out.waste_ratio.v.reserve(days.size());
   out.usable_gpus.t.reserve(days.size());
   out.usable_gpus.v.reserve(days.size());
-  runtime::Accumulator waste_acc(options.keep_samples);
   // The grid timeline holds at most one net group per sample day, stamped
   // with that day from the same sample_days(step), so group g applies at
   // sample k exactly when words.days[g] == days[k]. It is built once per
@@ -94,10 +92,9 @@ TraceWasteResult evaluate_waste_over_trace(const HbdArchitecture& arch,
     }
     out.waste_ratio.push(day, waste);
     out.usable_gpus.push(day, usable);
-    waste_acc.add(waste);
   }
   IHBD_ENSURES(g == words.days.size());
-  out.waste_summary = waste_acc.summary();
+  out.waste_summary = out.waste_ratio.summarize_values();
   if (obs_on) {
     ReplayObs& o = replay_obs();
     o.evaluations.add(1);
@@ -112,14 +109,6 @@ void TraceWasteCodec::save(serde::Writer& w, const TraceWasteResult& r) const {
   serde::write_time_series(w, r.waste_ratio);
   serde::write_time_series(w, r.usable_gpus);
   serde::write_summary(w, r.waste_summary);
-}
-
-TraceWasteResult TraceWasteCodec::load(serde::Reader& r) const {
-  TraceWasteResult out;
-  out.waste_ratio = serde::read_time_series(r);
-  out.usable_gpus = serde::read_time_series(r);
-  out.waste_summary = serde::read_summary(r);
-  return out;
 }
 
 const TraceWasteCodec& trace_waste_codec() {

@@ -15,8 +15,8 @@
 //     re-allocate and a KHopRing transition edits at most two adjacent
 //     healthy arcs (see incremental.h). A replay grid gets its parallelism
 //     one level up: the sweep engine runs its cells concurrently.
-// Both produce bit-identical output (when keep_samples is true; with it off
-// the fast path's summary degrades to moments).
+// Both produce bit-identical output: each builds its waste summary from its
+// own waste-ratio series.
 #pragma once
 
 #include <cstddef>
@@ -31,7 +31,6 @@ class ThreadPool;
 
 namespace ihbd::serde {
 class Writer;
-class Reader;
 }  // namespace ihbd::serde
 
 namespace ihbd::topo {
@@ -43,25 +42,19 @@ struct TraceWasteResult {
   Summary waste_summary;   ///< summary over waste_ratio.v
 };
 
-/// Bit-exact binary codec of a TraceWasteResult: both series and the
-/// summary. Its saved bytes are what replay result digests hash; load()
-/// restores every field, so a round trip shows the digest covers them all.
+/// Bit-exact binary encoding of a TraceWasteResult: both series and the
+/// summary. Its saved bytes are what replay result digests hash.
 struct TraceWasteCodec {
   void save(serde::Writer& w, const TraceWasteResult& r) const;
-  /// Throws ConfigError on malformed bytes.
-  TraceWasteResult load(serde::Reader& r) const;
 };
 const TraceWasteCodec& trace_waste_codec();
 
-/// Options of the one-pass replay (inline on the calling thread). `pool`
-/// and `window_samples` are ignored; they stay only until the benchmark
-/// harness stops setting them.
+/// Options of the one-pass replay (inline on the calling thread).
+/// `keep_samples`, `pool` and `window_samples` are ignored; they stay only
+/// until the benchmark harness stops setting them.
 struct TraceReplayOptions {
   double step_days = 1.0;
-  /// Retain per-sample values inside the waste summary so its percentiles
-  /// are exact. false bounds memory to O(series) — the summary degrades to
-  /// moments (percentile fields = mean), the series are kept.
-  bool keep_samples = true;
+  bool keep_samples = true;             ///< ignored
   runtime::ThreadPool* pool = nullptr;  ///< ignored
   std::size_t window_samples = 0;       ///< ignored
 };

@@ -1,11 +1,16 @@
+// The write-only binary encoder (src/common/serde.h): its bytes against
+// hand-built little-endian words, and the field coverage of the replay
+// result's saved bytes (what the replay result digests hash).
 #include <gtest/gtest.h>
 
-#include <cmath>
+#include <bit>
+#include <cstdint>
+#include <functional>
 #include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
-#include "src/common/error.h"
 #include "src/common/serde.h"
 #include "src/common/stats.h"
 #include "src/topo/waste.h"
@@ -13,115 +18,81 @@
 namespace ihbd {
 namespace {
 
-TEST(Serde, PrimitiveRoundTrip) {
+/// The `n` low bytes of `v`, least significant first.
+std::string le_bytes(std::uint64_t v, int n = 8) {
+  std::string out;
+  for (int i = 0; i < n; ++i)
+    out.push_back(static_cast<char>((v >> (8 * i)) & 0xFFu));
+  return out;
+}
+
+TEST(Serde, WriterBytesAreLittleEndian) {
   serde::Writer w;
   w.u32(0xDEADBEEF);
   w.u64(0x0123456789ABCDEFull);
-  w.f64(-1.5e300);
-  w.f64_vec({1.0, -2.25, 3.5});
-
-  serde::Reader r(w.buffer());
-  EXPECT_EQ(r.u32(), 0xDEADBEEFu);
-  EXPECT_EQ(r.u64(), 0x0123456789ABCDEFull);
-  EXPECT_EQ(r.f64(), -1.5e300);
-  EXPECT_EQ(r.f64_vec(), (std::vector<double>{1.0, -2.25, 3.5}));
-  EXPECT_TRUE(r.done());
-  r.expect_done("primitives");
+  w.f64_vec({1.0, -2.25});
+  EXPECT_EQ(w.buffer(), le_bytes(0xDEADBEEF, 4) +
+                            le_bytes(0x0123456789ABCDEFull) + le_bytes(2) +
+                            le_bytes(0x3FF0000000000000ull) +
+                            le_bytes(0xC002000000000000ull));
 }
 
 TEST(Serde, DoublesTravelByBitPattern) {
-  const double nan = std::nan("0x5ca1e");
-  const double inf = std::numeric_limits<double>::infinity();
+  // A quiet NaN with a payload, -inf and -0.0: each is written as its IEEE
+  // bit pattern, so no value collapses into another.
+  const std::uint64_t nan_bits = 0x7FF800000005CA1Eull;
   serde::Writer w;
-  w.f64(nan);
-  w.f64(-inf);
+  w.f64(std::bit_cast<double>(nan_bits));
+  w.f64(-std::numeric_limits<double>::infinity());
   w.f64(-0.0);
-  serde::Reader r(w.buffer());
-  EXPECT_TRUE(std::isnan(r.f64()));
-  EXPECT_EQ(r.f64(), -inf);
-  EXPECT_TRUE(std::signbit(r.f64()));
+  EXPECT_EQ(w.buffer(), le_bytes(nan_bits) + le_bytes(0xFFF0000000000000ull) +
+                            le_bytes(0x8000000000000000ull));
 }
 
-TEST(Serde, ReaderThrowsOnUnderflow) {
-  serde::Writer w;
-  w.u32(7);
-  serde::Reader r(w.buffer());
-  EXPECT_EQ(r.u32(), 7u);
-  EXPECT_THROW(r.u32(), ConfigError);
+TEST(Serde, TraceWasteResultBytesCoverEveryField) {
+  // Each variant changes one member of a result; a save() that skipped the
+  // member would give the base bytes. The size checks fail when a member
+  // is added without a variant here.
+  using topo::TraceWasteResult;
+  static_assert(sizeof(Summary) == 8 * sizeof(double));
+  static_assert(sizeof(TraceWasteResult) ==
+                2 * sizeof(TimeSeries) + sizeof(Summary));
+  static_assert(sizeof(TimeSeries) == 2 * sizeof(std::vector<double>));
 
-  // A length prefix larger than the remaining bytes must throw, not
-  // allocate or read out of bounds.
-  serde::Writer bad;
-  bad.u64(1000);  // claims a 1000-element array with no bytes behind it
-  serde::Reader rv(bad.buffer());
-  EXPECT_THROW(rv.f64_vec(), ConfigError);
-}
+  TraceWasteResult base;
+  base.waste_ratio.push(0.0, 0.01);
+  base.waste_ratio.push(1.0, 0.02);
+  base.usable_gpus.push(0.0, 2816.0);
+  base.usable_gpus.push(1.0, 2784.0);
+  base.waste_summary = base.waste_ratio.summarize_values();
 
-TEST(Serde, ExpectDoneThrowsOnTrailingBytes) {
-  serde::Writer w;
-  w.u32(1);
-  w.u32(2);
-  serde::Reader r(w.buffer());
-  r.u32();
-  EXPECT_THROW(r.expect_done("partial"), ConfigError);
-}
-
-TEST(Serde, TimeSeriesAndSummaryRoundTrip) {
-  TimeSeries ts;
-  ts.push(0.0, 1.5);
-  ts.push(0.25, -2.0);
-  Summary s;
-  s.count = 7;
-  s.mean = 1.25;
-  s.stddev = 0.5;
-  s.min = -1;
-  s.max = 9;
-  s.p50 = 1.0;
-  s.p90 = 4.0;
-  s.p99 = 8.5;
-
-  serde::Writer w;
-  serde::write_time_series(w, ts);
-  serde::write_summary(w, s);
-  serde::Reader r(w.buffer());
-  const TimeSeries ts2 = serde::read_time_series(r);
-  const Summary s2 = serde::read_summary(r);
-  r.expect_done("time series + summary");
-  EXPECT_EQ(ts2.t, ts.t);
-  EXPECT_EQ(ts2.v, ts.v);
-  EXPECT_EQ(s2.count, s.count);
-  EXPECT_EQ(s2.mean, s.mean);
-  EXPECT_EQ(s2.stddev, s.stddev);
-  EXPECT_EQ(s2.min, s.min);
-  EXPECT_EQ(s2.max, s.max);
-  EXPECT_EQ(s2.p50, s.p50);
-  EXPECT_EQ(s2.p90, s.p90);
-  EXPECT_EQ(s2.p99, s.p99);
-}
-
-TEST(Serde, TraceWasteCodecRoundTrip) {
-  topo::TraceWasteResult res;
-  res.waste_ratio.push(0.0, 0.01);
-  res.waste_ratio.push(1.0, 0.02);
-  res.usable_gpus.push(0.0, 2816.0);
-  res.waste_summary.count = 2;
-  res.waste_summary.mean = 0.015;
-  res.waste_summary.max = 0.02;
-
-  const auto& codec = topo::trace_waste_codec();
-  serde::Writer w;
-  codec.save(w, res);
-  serde::Reader r(w.buffer());
-  const topo::TraceWasteResult back = codec.load(r);
-  r.expect_done("trace waste result");
-
-  EXPECT_EQ(back.waste_ratio.t, res.waste_ratio.t);
-  EXPECT_EQ(back.waste_ratio.v, res.waste_ratio.v);
-  EXPECT_EQ(back.usable_gpus.t, res.usable_gpus.t);
-  EXPECT_EQ(back.usable_gpus.v, res.usable_gpus.v);
-  EXPECT_EQ(back.waste_summary.count, res.waste_summary.count);
-  EXPECT_EQ(back.waste_summary.mean, res.waste_summary.mean);
-  EXPECT_EQ(back.waste_summary.max, res.waste_summary.max);
+  const std::vector<std::pair<const char*, std::function<void(
+                                                TraceWasteResult&)>>>
+      variants = {
+          {"waste_ratio.t", [](auto& r) { r.waste_ratio.t[1] = 2.0; }},
+          {"waste_ratio.v", [](auto& r) { r.waste_ratio.v[1] = 0.03; }},
+          {"usable_gpus.t", [](auto& r) { r.usable_gpus.t[1] = 2.0; }},
+          {"usable_gpus.v", [](auto& r) { r.usable_gpus.v[1] = 2752.0; }},
+          {"summary.count", [](auto& r) { ++r.waste_summary.count; }},
+          {"summary.mean", [](auto& r) { r.waste_summary.mean += 1.0; }},
+          {"summary.stddev", [](auto& r) { r.waste_summary.stddev += 1.0; }},
+          {"summary.min", [](auto& r) { r.waste_summary.min += 1.0; }},
+          {"summary.max", [](auto& r) { r.waste_summary.max += 1.0; }},
+          {"summary.p50", [](auto& r) { r.waste_summary.p50 += 1.0; }},
+          {"summary.p90", [](auto& r) { r.waste_summary.p90 += 1.0; }},
+          {"summary.p99", [](auto& r) { r.waste_summary.p99 += 1.0; }},
+      };
+  const auto bytes = [](const TraceWasteResult& r) {
+    serde::Writer w;
+    topo::trace_waste_codec().save(w, r);
+    return w.take();
+  };
+  const std::string base_bytes = bytes(base);
+  for (const auto& [field, change] : variants) {
+    TraceWasteResult r = base;
+    change(r);
+    EXPECT_NE(bytes(r), base_bytes) << field << " is not saved";
+  }
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
 // One-pass trace replay (src/topo/waste.h): bit-equivalence against the
 // serial oracle, alone and as the cells of a pooled sweep grid; the ignored
-// TraceReplayOptions members; sample-day/slice primitives
-// (src/fault/trace.h); and the keep_samples memory-bounding mode.
+// TraceReplayOptions members; and sample-day/slice primitives
+// (src/fault/trace.h).
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -96,8 +96,8 @@ TEST(TraceReplay, BitIdenticalToSerialOracle) {
 }
 
 TEST(TraceReplay, PoolAndWindowSamplesAreIgnored) {
-  // The two members stay only for source compatibility; setting them must
-  // not move one output byte.
+  // keep_samples, pool and window_samples stay only for source
+  // compatibility; setting them must not move one output byte.
   const auto trace = small_trace();
   const KHopRing ring(96, 4, 2);
   const auto bytes = [](const TraceWasteResult& r) {
@@ -108,12 +108,15 @@ TEST(TraceReplay, PoolAndWindowSamplesAreIgnored) {
   const std::string plain =
       bytes(evaluate_waste_over_trace(ring, trace, 8, TraceReplayOptions{}));
   runtime::ThreadPool pool(4);
-  for (const std::size_t window : {0ul, 7ul}) {
-    TraceReplayOptions opts;
-    opts.pool = &pool;
-    opts.window_samples = window;
-    EXPECT_EQ(bytes(evaluate_waste_over_trace(ring, trace, 8, opts)), plain)
-        << "window=" << window;
+  for (const bool keep : {true, false}) {
+    for (const std::size_t window : {0ul, 7ul}) {
+      TraceReplayOptions opts;
+      opts.keep_samples = keep;
+      opts.pool = &pool;
+      opts.window_samples = window;
+      EXPECT_EQ(bytes(evaluate_waste_over_trace(ring, trace, 8, opts)), plain)
+          << "keep_samples=" << keep << " window=" << window;
+    }
   }
 }
 
@@ -164,23 +167,6 @@ TEST(TraceReplay, BitIdenticalOnFractionalStep) {
   TraceReplayOptions opts;
   opts.step_days = 0.7;
   expect_same_result(serial, evaluate_waste_over_trace(ring, trace, 16, opts));
-}
-
-TEST(TraceReplay, KeepSamplesOffKeepsSeriesAndMoments) {
-  const auto trace = small_trace();
-  const KHopRing ring(96, 4, 2);
-  const auto exact = evaluate_waste_over_trace(ring, trace, 8, 1.0);
-  TraceReplayOptions opts;
-  opts.keep_samples = false;
-  const auto bounded = evaluate_waste_over_trace(ring, trace, 8, opts);
-  // The series (what fig20 prints) are untouched...
-  EXPECT_EQ(bounded.waste_ratio.v, exact.waste_ratio.v);
-  EXPECT_EQ(bounded.usable_gpus.v, exact.usable_gpus.v);
-  EXPECT_EQ(bounded.waste_summary.count, exact.waste_summary.count);
-  EXPECT_NEAR(bounded.waste_summary.mean, exact.waste_summary.mean, 1e-12);
-  EXPECT_EQ(bounded.waste_summary.max, exact.waste_summary.max);
-  // ...but percentiles degrade to the documented moments-only approximation.
-  EXPECT_EQ(bounded.waste_summary.p99, bounded.waste_summary.mean);
 }
 
 }  // namespace
